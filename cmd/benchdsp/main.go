@@ -1,8 +1,8 @@
 // Command benchdsp measures the old-vs-new DSP fast-path benchmark pairs
-// (internal/dsp and internal/modem BenchCases) and writes the results to a
-// JSON report. With -check it acts as the regression gate: the run fails
-// if a pair misses its minimum speedup or a steady-state fast path
-// allocates.
+// (internal/dsp, internal/acoustic and internal/modem BenchCases) and
+// writes the results to a JSON report. With -check it acts as the
+// regression gate: the run fails if a pair misses its minimum speedup or a
+// steady-state fast path allocates.
 //
 // Usage:
 //
@@ -16,6 +16,7 @@ import (
 	"os"
 	"testing"
 
+	"wearlock/internal/acoustic"
 	"wearlock/internal/dsp"
 	"wearlock/internal/modem"
 )
@@ -38,7 +39,7 @@ type report struct {
 	Cases       []caseReport `json:"cases"`
 }
 
-// unified view over the two packages' identical BenchCase shapes.
+// unified view over the dsp and modem packages' identical BenchCase shapes.
 type benchCase struct {
 	name                string
 	minSpeedup          float64
@@ -52,7 +53,11 @@ func collectCases() ([]benchCase, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dsp cases: %w", err)
 	}
-	for _, c := range dspCases {
+	acousticCases, err := acoustic.BenchCases()
+	if err != nil {
+		return nil, fmt.Errorf("acoustic cases: %w", err)
+	}
+	for _, c := range append(dspCases, acousticCases...) {
 		out = append(out, benchCase{c.Name, c.MinSpeedup, c.RequireZeroAllocNew, c.Old, c.New})
 	}
 	modemCases, err := modem.BenchCases()

@@ -107,8 +107,11 @@ func (l *Link) Transmit(tx *audio.Buffer, volumeSPL float64) (*audio.Buffer, err
 	}
 
 	// Speaker drive: scale so the active portion of the waveform sits at
-	// volumeSPL at the reference distance, then apply rise/ringing.
-	signal := tx.Clone()
+	// volumeSPL at the reference distance, then apply rise/ringing. The
+	// driven signal is pooled scratch; only the recording leaves Transmit.
+	signal := &audio.Buffer{Rate: tx.Rate, Samples: dsp.GetFloat(tx.Len())}
+	defer func() { dsp.PutFloat(signal.Samples) }()
+	copy(signal.Samples, tx.Samples)
 	active := activeRMS(signal.Samples)
 	if active > 0 {
 		signal.Gain(audio.PressureFromSPL(volumeSPL) / active)
@@ -134,20 +137,15 @@ func (l *Link) Transmit(tx *audio.Buffer, volumeSPL float64) (*audio.Buffer, err
 
 	// Assemble the receiver-side recording.
 	total := l.LeadIn + delay + signal.Len() + l.TailOut
-	rec, err := audio.NewBuffer(l.SampleRate, 0)
+	rec, err := audio.NewBuffer(l.SampleRate, total)
 	if err != nil {
 		return nil, err
 	}
-	rec.AppendSilence(total)
 	if err := rec.MixAt(l.LeadIn+delay, signal); err != nil {
 		return nil, err
 	}
 	if l.Env != nil {
-		ambient, err := l.Env.Render(total, l.SampleRate, l.rng)
-		if err != nil {
-			return nil, err
-		}
-		if err := rec.MixAt(0, ambient); err != nil {
+		if err := l.mixAmbient(rec); err != nil {
 			return nil, err
 		}
 	}
@@ -178,6 +176,17 @@ func (l *Link) Transmit(tx *audio.Buffer, volumeSPL float64) (*audio.Buffer, err
 	return rec, nil
 }
 
+// mixAmbient renders the environment's noise under the whole recording,
+// through pooled scratch: only the recording itself leaves Transmit.
+func (l *Link) mixAmbient(rec *audio.Buffer) error {
+	ambient := audio.Buffer{Rate: rec.Rate, Samples: dsp.GetFloat(rec.Len())}
+	defer dsp.PutFloat(ambient.Samples)
+	if err := l.Env.RenderInto(&ambient, l.rng); err != nil {
+		return err
+	}
+	return rec.MixAt(0, &ambient)
+}
+
 // applyNLOS attenuates the direct path and adds near (diffraction) and far
 // (room) reflection taps.
 func (l *Link) applyNLOS(signal *audio.Buffer) error {
@@ -188,7 +197,12 @@ func (l *Link) applyNLOS(signal *audio.Buffer) error {
 	if cfg.FarEchoLossDB == 0 {
 		cfg.FarEchoLossDB = 18
 	}
-	direct := signal.Clone()
+	// The unblocked copy and each echo are pooled scratch.
+	direct := dsp.GetFloat(signal.Len())
+	defer dsp.PutFloat(direct)
+	copy(direct, signal.Samples)
+	echo := &audio.Buffer{Rate: signal.Rate, Samples: dsp.GetFloat(len(direct))}
+	defer dsp.PutFloat(echo.Samples)
 	signal.Gain(dsp.FromDBAmplitude(-cfg.DirectLossDB))
 
 	msToSamples := func(ms float64) int {
@@ -209,7 +223,7 @@ func (l *Link) applyNLOS(signal *audio.Buffer) error {
 	}
 	for _, tp := range taps {
 		delay := msToSamples(tp.minDelayMS) + l.rng.Intn(msToSamples(tp.maxDelayMS-tp.minDelayMS)+1)
-		echo := direct.Clone()
+		copy(echo.Samples, direct)
 		gain := dsp.FromDBAmplitude(-tp.lossDB)
 		if l.rng.Intn(2) == 0 {
 			gain = -gain // reflection phase flip

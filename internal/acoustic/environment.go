@@ -89,37 +89,50 @@ func AllEnvironments() []*Environment {
 }
 
 // Render synthesizes n samples of the environment's ambient noise at its
-// configured SPL.
+// configured SPL. The returned buffer is freshly allocated and the
+// caller's to keep.
 func (e *Environment) Render(n, sampleRate int, rng *rand.Rand) (*audio.Buffer, error) {
-	buf, err := e.renderUnit(n, sampleRate, rng)
+	buf, err := audio.NewBuffer(sampleRate, n)
 	if err != nil {
 		return nil, err
 	}
-	audio.ScaleToSPL(buf, e.NoiseSPL)
+	if err := e.RenderInto(buf, rng); err != nil {
+		return nil, err
+	}
 	return buf, nil
 }
 
-// renderUnit mixes the components at unit RMS.
-func (e *Environment) renderUnit(n, sampleRate int, rng *rand.Rand) (*audio.Buffer, error) {
+// RenderInto is Render writing into dst: it overwrites every sample of
+// dst.Samples with ambient noise at dst.Rate. The samples and the random
+// draws are bit-identical to Render's. The one intermediate (per-component
+// noise) buffer is pooled, so steady-state calls allocate nothing.
+func (e *Environment) RenderInto(dst *audio.Buffer, rng *rand.Rand) error {
+	if err := e.renderUnit(dst, rng); err != nil {
+		return err
+	}
+	audio.ScaleToSPL(dst, e.NoiseSPL)
+	return nil
+}
+
+// renderUnit mixes the components into dst at unit RMS.
+func (e *Environment) renderUnit(dst *audio.Buffer, rng *rand.Rand) error {
 	if len(e.Mix) == 0 {
-		return nil, fmt.Errorf("acoustic: environment %q has an empty noise mix", e.Name)
+		return fmt.Errorf("acoustic: environment %q has an empty noise mix", e.Name)
 	}
-	out, err := audio.NewBuffer(sampleRate, n)
-	if err != nil {
-		return nil, err
-	}
+	clear(dst.Samples)
+	part := audio.Buffer{Rate: dst.Rate, Samples: dsp.GetFloat(dst.Len())}
+	defer dsp.PutFloat(part.Samples)
 	for _, comp := range e.Mix {
-		part, err := audio.Noise(comp.Kind, n, sampleRate, rng)
-		if err != nil {
-			return nil, fmt.Errorf("acoustic: environment %q: %w", e.Name, err)
+		if err := audio.NoiseInto(&part, comp.Kind, rng); err != nil {
+			return fmt.Errorf("acoustic: environment %q: %w", e.Name, err)
 		}
 		part.Gain(comp.Weight)
-		if err := out.MixAt(0, part); err != nil {
-			return nil, err
+		if err := dst.MixAt(0, &part); err != nil {
+			return err
 		}
 	}
-	dsp.NormalizeRMS(out.Samples, 1)
-	return out, nil
+	dsp.NormalizeRMS(dst.Samples, 1)
+	return nil
 }
 
 // RenderPair synthesizes the ambient noise heard simultaneously by two
@@ -127,31 +140,46 @@ func (e *Environment) renderUnit(n, sampleRate int, rng *rand.Rand) (*audio.Buff
 // noise field plus small independent per-microphone residue, so their
 // spectra correlate strongly; when not colocated the fields are drawn
 // independently. The ambient-noise similarity pre-filter (Sec. V, after
-// Sound-Proof) depends on exactly this property.
+// Sound-Proof) depends on exactly this property. Both buffers are freshly
+// allocated and the caller's to keep.
 func (e *Environment) RenderPair(n, sampleRate int, colocated bool, rng *rand.Rand) (*audio.Buffer, *audio.Buffer, error) {
-	if colocated {
-		shared, err := e.renderUnit(n, sampleRate, rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		a := shared.Clone()
-		b := shared.Clone()
-		const residue = 0.15 // independent mic-position residue
-		for _, buf := range []*audio.Buffer{a, b} {
-			for i := range buf.Samples {
-				buf.Samples[i] += residue * rng.NormFloat64()
-			}
-			audio.ScaleToSPL(buf, e.NoiseSPL)
-		}
-		return a, b, nil
-	}
-	a, err := e.Render(n, sampleRate, rng)
+	a, err := audio.NewBuffer(sampleRate, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := e.Render(n, sampleRate, rng)
+	b, err := audio.NewBuffer(sampleRate, n)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := e.RenderPairInto(a, b, colocated, rng); err != nil {
 		return nil, nil, err
 	}
 	return a, b, nil
+}
+
+// RenderPairInto is RenderPair writing into a and b, which must have the
+// same rate and length. Samples and random draws are bit-identical to
+// RenderPair's, and steady-state calls allocate nothing.
+func (e *Environment) RenderPairInto(a, b *audio.Buffer, colocated bool, rng *rand.Rand) error {
+	if a.Rate != b.Rate || a.Len() != b.Len() {
+		return fmt.Errorf("acoustic: render pair into %d@%d Hz and %d@%d Hz buffers", a.Len(), a.Rate, b.Len(), b.Rate)
+	}
+	if !colocated {
+		if err := e.RenderInto(a, rng); err != nil {
+			return err
+		}
+		return e.RenderInto(b, rng)
+	}
+	if err := e.renderUnit(a, rng); err != nil {
+		return err
+	}
+	copy(b.Samples, a.Samples)
+	const residue = 0.15 // independent mic-position residue
+	for _, buf := range [...]*audio.Buffer{a, b} {
+		for i := range buf.Samples {
+			buf.Samples[i] += residue * rng.NormFloat64()
+		}
+		audio.ScaleToSPL(buf, e.NoiseSPL)
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"wearlock/internal/audio"
 	"wearlock/internal/dsp"
@@ -33,7 +34,9 @@ func PhoneSpeaker() SpeakerProfile {
 	}
 }
 
-// apply renders the speaker non-idealities onto the waveform.
+// apply renders the speaker non-idealities onto the waveform. buf.Samples
+// must be pool scratch (dsp.GetFloat): ringing lengthens the waveform into
+// a fresh pooled buffer and recycles the old one.
 func (s SpeakerProfile) apply(buf *audio.Buffer) {
 	if s.RiseTime > 0 {
 		// The rise effect: the driver cannot reach full power instantly,
@@ -50,13 +53,18 @@ func (s SpeakerProfile) apply(buf *audio.Buffer) {
 		tau := s.RingTail * float64(buf.Rate)
 		tail := int(3 * tau)
 		if tail > 0 {
-			ir := make([]float64, tail+1)
+			ir := dsp.GetFloat(tail + 1)
+			defer dsp.PutFloat(ir)
 			ir[0] = 1
 			for n := 1; n <= tail; n++ {
 				ir[n] = s.RingLevel * math.Exp(-float64(n)/tau) / tau * 8
 			}
-			conv := dsp.Convolve(buf.Samples, ir)
-			buf.Samples = conv[:len(buf.Samples)+tail]
+			conv := dsp.GetFloat(len(buf.Samples) + tail)
+			// Lengths match by construction; the only error is an empty
+			// signal, whose ringing is the all-zero conv.
+			_ = dsp.ConvolveInto(conv, buf.Samples, ir)
+			dsp.PutFloat(buf.Samples)
+			buf.Samples = conv
 		}
 	}
 }
@@ -125,15 +133,9 @@ func (m MicProfile) Apply(buf *audio.Buffer, rng *rand.Rand) error {
 // apply renders the microphone path onto the recording.
 func (m MicProfile) apply(buf *audio.Buffer, rng *rand.Rand) error {
 	if m.LowPassHz > 0 {
-		taps := m.LowPassTaps
-		if taps < 3 {
-			taps = 31
-		}
-		lp, err := dsp.LowPassFIR(m.LowPassHz, float64(buf.Rate), taps)
-		if err != nil {
+		if err := m.lowPass(buf); err != nil {
 			return fmt.Errorf("acoustic: mic %s low-pass: %w", m.Name, err)
 		}
-		buf.Samples = lp.Apply(buf.Samples)
 	}
 	if m.ClockJitter > 0 && rng != nil {
 		applyClockJitter(buf, m.ClockJitter, rng)
@@ -156,6 +158,38 @@ func (m MicProfile) apply(buf *audio.Buffer, rng *rand.Rand) error {
 		}
 	}
 	return nil
+}
+
+// lowPassKey is everything a mic's band-limit design depends on.
+type lowPassKey struct {
+	cutoffHz float64
+	rate     int
+	taps     int
+}
+
+// _lowPasses caches mic band-limit designs (*dsp.FIRFilter by lowPassKey);
+// a filter is read-only once designed.
+var _lowPasses sync.Map
+
+// lowPass band-limits buf in place: the input is copied to pooled scratch
+// and filtered back into buf.Samples.
+func (m MicProfile) lowPass(buf *audio.Buffer) error {
+	key := lowPassKey{m.LowPassHz, buf.Rate, m.LowPassTaps}
+	if key.taps < 3 {
+		key.taps = 31
+	}
+	f, ok := _lowPasses.Load(key)
+	if !ok {
+		lp, err := dsp.LowPassFIR(key.cutoffHz, float64(key.rate), key.taps)
+		if err != nil {
+			return err
+		}
+		f, _ = _lowPasses.LoadOrStore(key, lp)
+	}
+	src := dsp.GetFloat(buf.Len())
+	defer dsp.PutFloat(src)
+	copy(src, buf.Samples)
+	return f.(*dsp.FIRFilter).ApplyInto(buf.Samples, src)
 }
 
 // applyPhaseRipple filters the recording through a random all-pass
@@ -228,7 +262,8 @@ func applyClockJitter(buf *audio.Buffer, sigma float64, rng *rand.Rand) {
 	if n < 2 {
 		return
 	}
-	src := make([]float64, n)
+	src := dsp.GetFloat(n)
+	defer dsp.PutFloat(src)
 	copy(src, buf.Samples)
 	rate := float64(buf.Rate)
 	maxDelay := 4 * sigma

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"wearlock/internal/dsp"
 )
@@ -42,15 +43,27 @@ func (k NoiseKind) String() string {
 // using the supplied random source. Callers scale the result to the
 // desired SPL with ScaleToSPL.
 func Noise(kind NoiseKind, n, sampleRate int, rng *rand.Rand) (*Buffer, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("audio: noise requires a random source")
-	}
 	buf, err := NewBuffer(sampleRate, n)
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return buf, nil
+	if err := NoiseInto(buf, kind, rng); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// NoiseInto is Noise writing into buf: it overwrites every sample of
+// buf.Samples with noise at buf.Rate, drawing from rng in exactly the
+// order Noise does, so the samples are bit-identical. Intermediate
+// buffers are pooled and the band-pass design is cached, so steady-state
+// calls allocate nothing.
+func NoiseInto(buf *Buffer, kind NoiseKind, rng *rand.Rand) error {
+	if rng == nil {
+		return fmt.Errorf("audio: noise requires a random source")
+	}
+	if len(buf.Samples) == 0 {
+		return nil
 	}
 	switch kind {
 	case NoiseWhite:
@@ -61,17 +74,17 @@ func Noise(kind NoiseKind, n, sampleRate int, rng *rand.Rand) (*Buffer, error) {
 		pinkNoise(buf.Samples, rng)
 	case NoiseBabble:
 		if err := babbleNoise(buf, rng); err != nil {
-			return nil, err
+			return err
 		}
 	case NoiseImpulsive:
 		impulsiveNoise(buf, rng)
 	case NoiseHum:
 		humNoise(buf, rng)
 	default:
-		return nil, fmt.Errorf("audio: unknown noise kind %d", int(kind))
+		return fmt.Errorf("audio: unknown noise kind %d", int(kind))
 	}
 	dsp.NormalizeRMS(buf.Samples, 1)
-	return buf, nil
+	return nil
 }
 
 // pinkNoise fills x with 1/f noise using the Voss-McCartney algorithm.
@@ -105,17 +118,21 @@ func babbleNoise(buf *Buffer, rng *rand.Rand) error {
 	for i := range buf.Samples {
 		buf.Samples[i] = rng.NormFloat64()
 	}
-	bp, err := dsp.BandPassFIR(300, 3400, float64(buf.Rate), 129)
+	bp, err := voiceBand(buf.Rate)
 	if err != nil {
 		return err
 	}
-	filtered := bp.Apply(buf.Samples)
+	filtered := dsp.GetFloat(len(buf.Samples))
+	defer dsp.PutFloat(filtered)
+	if err := bp.ApplyInto(filtered, buf.Samples); err != nil {
+		return err
+	}
 	step := buf.Rate / 8
 	if step < 1 {
 		step = 1
 	}
-	numPoints := len(filtered)/step + 2
-	points := make([]float64, numPoints)
+	points := dsp.GetFloat(len(filtered)/step + 2)
+	defer dsp.PutFloat(points)
 	for i := range points {
 		points[i] = 0.55 + 0.4*rng.Float64()
 	}
@@ -126,6 +143,22 @@ func babbleNoise(buf *Buffer, rng *rand.Rand) error {
 		buf.Samples[i] = filtered[i] * envelope
 	}
 	return nil
+}
+
+// _voiceBands caches babbleNoise's band-pass design per sample rate
+// (*dsp.FIRFilter by int rate); a filter is read-only once designed.
+var _voiceBands sync.Map
+
+func voiceBand(rate int) (*dsp.FIRFilter, error) {
+	if f, ok := _voiceBands.Load(rate); ok {
+		return f.(*dsp.FIRFilter), nil
+	}
+	f, err := dsp.BandPassFIR(300, 3400, float64(rate), 129)
+	if err != nil {
+		return nil, err
+	}
+	v, _ := _voiceBands.LoadOrStore(rate, f)
+	return v.(*dsp.FIRFilter), nil
 }
 
 // impulsiveNoise produces sparse exponentially-decaying clicks, about eight
@@ -156,7 +189,7 @@ func impulsiveNoise(buf *Buffer, rng *rand.Rand) {
 // broadband noise, approximating HVAC and refrigeration equipment.
 func humNoise(buf *Buffer, rng *rand.Rand) {
 	base := 120.0
-	harmonics := []float64{1, 0.5, 0.3, 0.15, 0.08}
+	harmonics := [...]float64{1, 0.5, 0.3, 0.15, 0.08}
 	for i := range buf.Samples {
 		t := float64(i) / float64(buf.Rate)
 		var v float64

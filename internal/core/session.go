@@ -502,28 +502,7 @@ func (s *System) phase1(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 	// token becomes undecodable, which is the whole security argument.
 	noiseSPL := 10.0
 	if sc.Env != nil {
-		ambient, err := sc.Env.Render(probeCfg.SampleRate/2, probeCfg.SampleRate, s.rng)
-		if err != nil {
-			return nil, probeCfg, false, err
-		}
-		// The phone's own microphone hears any interferer in the room;
-		// the volume plan must compete with it.
-		if sc.Jammer != nil {
-			jam, err := sc.Jammer.Render(ambient.Len(), probeCfg.SampleRate, s.rng)
-			if err != nil {
-				return nil, probeCfg, false, err
-			}
-			if err := ambient.MixAt(0, jam); err != nil {
-				return nil, probeCfg, false, err
-			}
-		}
-		// Measure over the pilot span — the same band the probe's pilot
-		// SNR estimate will integrate, so planned and measured Eb/N0
-		// agree.
-		pilots := probeCfg.SortedPilots()
-		lowHz := probeCfg.SubChannelHz(pilots[0])
-		highHz := probeCfg.SubChannelHz(pilots[len(pilots)-1])
-		inBand, ops, err := InBandNoiseSPL(ambient, lowHz, highHz)
+		inBand, ops, err := s.measureAmbient(sc, probeCfg)
 		if err != nil {
 			return nil, probeCfg, false, err
 		}
@@ -664,16 +643,47 @@ func (s *System) phase1(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 	return pa, dataCfg, false, nil
 }
 
-// noiseFilter compares simultaneous ambient recordings from both devices.
+// measureAmbient renders the phone's half-second self-recording of the
+// room into pooled scratch and returns its in-band noise level.
+func (s *System) measureAmbient(sc Scenario, probeCfg modem.Config) (float64, int64, error) {
+	ambient := audio.Buffer{Rate: probeCfg.SampleRate, Samples: dsp.GetFloat(probeCfg.SampleRate / 2)}
+	defer dsp.PutFloat(ambient.Samples)
+	if err := sc.Env.RenderInto(&ambient, s.rng); err != nil {
+		return 0, 0, err
+	}
+	// The phone's own microphone hears any interferer in the room; the
+	// volume plan must compete with it.
+	if sc.Jammer != nil {
+		jam, err := sc.Jammer.Render(ambient.Len(), probeCfg.SampleRate, s.rng)
+		if err != nil {
+			return 0, 0, err
+		}
+		if err := ambient.MixAt(0, jam); err != nil {
+			return 0, 0, err
+		}
+	}
+	// Measure over the pilot span — the same band the probe's pilot SNR
+	// estimate will integrate, so planned and measured Eb/N0 agree.
+	pilots := probeCfg.SortedPilots()
+	lowHz := probeCfg.SubChannelHz(pilots[0])
+	highHz := probeCfg.SubChannelHz(pilots[len(pilots)-1])
+	return InBandNoiseSPL(&ambient, lowHz, highHz)
+}
+
+// noiseFilter compares simultaneous ambient recordings from both devices,
+// rendered into pooled scratch.
 func (s *System) noiseFilter(sc Scenario, res *Result, probeCfg modem.Config) (bool, error) {
 	phone, _ := s.profiles(sc)
 	const ambientSeconds = 0.4
 	n := int(ambientSeconds * float64(probeCfg.SampleRate))
-	phoneAmb, watchAmb, err := sc.Env.RenderPair(n, probeCfg.SampleRate, sc.SameRoom, s.rng)
-	if err != nil {
+	phoneAmb := audio.Buffer{Rate: probeCfg.SampleRate, Samples: dsp.GetFloat(n)}
+	defer dsp.PutFloat(phoneAmb.Samples)
+	watchAmb := audio.Buffer{Rate: probeCfg.SampleRate, Samples: dsp.GetFloat(n)}
+	defer dsp.PutFloat(watchAmb.Samples)
+	if err := sc.Env.RenderPairInto(&phoneAmb, &watchAmb, sc.SameRoom, s.rng); err != nil {
 		return false, err
 	}
-	score, ops, err := NoiseSimilarity(phoneAmb, watchAmb)
+	score, ops, err := NoiseSimilarity(&phoneAmb, &watchAmb)
 	if err != nil {
 		return false, err
 	}

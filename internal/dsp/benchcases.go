@@ -17,9 +17,10 @@ type BenchCase struct {
 }
 
 // BenchCases builds the dsp benchmark pairs over deterministic fixtures
-// sized like the modem hot path: 256-point symbol transforms, a preamble
-// search over an 8k-sample recording, the 8-pilot-to-32-bin equalizer
-// interpolation, and the three-bin tone detector.
+// sized like the modem and channel-simulator hot paths: 256-point symbol
+// transforms, a preamble search over an 8k-sample recording, the
+// 8-pilot-to-32-bin equalizer interpolation, the three-bin tone detector,
+// and the 129-tap babble band-pass over 100 ms of audio.
 func BenchCases() ([]BenchCase, error) {
 	sig := benchCaseSignal(8192)
 	sym := benchCaseSignal(256)
@@ -40,6 +41,7 @@ func BenchCases() ([]BenchCase, error) {
 		return nil, err
 	}
 	corrDst := make([]float64, corr.OutLen(len(sig)))
+	var corrScratch CorrScratch
 
 	pilots := make([]complex128, 8)
 	for i := range pilots {
@@ -51,6 +53,13 @@ func BenchCases() ([]BenchCase, error) {
 	tone := benchCaseSignal(4096)
 	freqs := []float64{1000, 1450, 550}
 	var toneDst [3]float64
+
+	bp, err := BandPassFIR(300, 3400, 44100, 129)
+	if err != nil {
+		return nil, err
+	}
+	audio := benchCaseSignal(4410)
+	firDst := make([]float64, len(audio))
 
 	return []BenchCase{
 		{
@@ -75,7 +84,7 @@ func BenchCases() ([]BenchCase, error) {
 				return err
 			},
 			New: func() error {
-				return corr.CrossCorrelate(corrDst, sig)
+				return corr.CrossCorrelate(corrDst, sig, &corrScratch)
 			},
 		},
 		{
@@ -104,6 +113,17 @@ func BenchCases() ([]BenchCase, error) {
 			},
 			New: func() error {
 				return GoertzelBatch(toneDst[:], tone, freqs, 44100)
+			},
+		},
+		{
+			Name:                "dsp/fir-bandpass-129",
+			RequireZeroAllocNew: true,
+			Old: func() error {
+				bp.Apply(audio)
+				return nil
+			},
+			New: func() error {
+				return bp.ApplyInto(firDst, audio)
 			},
 		},
 	}, nil

@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -177,4 +178,84 @@ func TestPearsonCorrelation(t *testing.T) {
 	if _, err := PearsonCorrelation(nil, nil); err == nil {
 		t.Error("accepted empty input")
 	}
+}
+
+// correlatorFixture is a preamble-sized template and a recording-sized
+// signal, large enough for the Correlator's FFT path.
+func correlatorFixture() (template, signal []float64) {
+	rng := rand.New(rand.NewSource(11))
+	template = make([]float64, 256)
+	for i := range template {
+		template[i] = rng.NormFloat64()
+	}
+	signal = make([]float64, 3000)
+	for i := range signal {
+		signal[i] = rng.NormFloat64()
+	}
+	return template, signal
+}
+
+func TestCorrelatorZeroAllocsWithScratch(t *testing.T) {
+	template, signal := correlatorFixture()
+	c, err := NewCorrelator(template)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, c.OutLen(len(signal)))
+	var s CorrScratch
+	if err := c.Normalized(dst, signal, &s); err != nil { // warm scratch and spectrum
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := c.CrossCorrelate(dst, signal, &s); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Normalized(dst, signal, &s); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Correlator with a warm CorrScratch allocated %.1f objects per run, want 0", allocs)
+	}
+}
+
+// One Correlator shared by many goroutines, each with its own scratch and
+// several signal lengths (so the spectrum cache fills concurrently), must
+// match the allocating NormalizedCrossCorrelate bit for bit. Run under
+// -race this is the concurrency-safety proof.
+func TestCorrelatorSharedAcrossGoroutines(t *testing.T) {
+	template, signal := correlatorFixture()
+	c, err := NewCorrelator(template)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lengths := []int{600, 1500, 3000}
+	want := make(map[int][]float64)
+	for _, n := range lengths {
+		if want[n], err = NormalizedCrossCorrelate(signal[:n], template); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var s CorrScratch
+			for r := 0; r < 6; r++ {
+				n := lengths[(g+r)%len(lengths)]
+				dst := make([]float64, c.OutLen(n))
+				if err := c.Normalized(dst, signal[:n], &s); err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range dst {
+					if math.Float64bits(dst[i]) != math.Float64bits(want[n][i]) {
+						t.Errorf("length %d: lag %d = %v, want %v", n, i, dst[i], want[n][i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

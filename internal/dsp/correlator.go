@@ -3,32 +3,40 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Correlator performs repeated cross-correlations against a fixed template
 // without per-call allocation. The template's FFT is computed once per
 // transform size and cached for the lifetime of the Correlator, which is
-// the "pre-transform the preamble once per session" optimization the
-// detector hot path relies on: per frame, only the signal side is
-// transformed.
+// the "pre-transform the preamble once" optimization the detector hot path
+// relies on: per frame, only the signal side is transformed.
 //
 // Results are bit-identical to CrossCorrelate / NormalizedCrossCorrelate:
 // the same direct-vs-FFT threshold, the same transform order, and the same
 // normalization arithmetic.
 //
-// A Correlator is NOT safe for concurrent use; give each session (or
-// goroutine) its own. The constructor copies the template, so the caller
-// may reuse its slice.
+// A Correlator holds only the immutable template and its spectrum cache,
+// so one instance may be shared by any number of goroutines; the signal
+// side's scratch lives in a caller-held CorrScratch instead. The
+// constructor copies the template, so the caller may reuse its slice.
 type Correlator struct {
 	template []float64
 	tEnergy  float64
 
-	// specs caches the template spectrum per FFT size. Preamble searches
-	// from a given session see at most a couple of distinct sizes.
+	// specs caches the template spectrum per FFT size. A spectrum is
+	// never written after it is stored, so readers use it unlocked.
+	mu    sync.Mutex
 	specs map[int][]complex128
+}
 
-	sig    []complex128 // signal spectrum scratch, grown to the largest size seen
-	padded []float64    // zero-padded real signal scratch
+// CorrScratch is the signal-side scratch of one Correlator call: the
+// zero-padded signal and its spectrum, grown to the largest transform seen.
+// The zero value is ready to use. A scratch serves one call at a time;
+// give each goroutine its own.
+type CorrScratch struct {
+	sig    []complex128
+	padded []float64
 }
 
 // NewCorrelator builds a reusable correlator for the given template.
@@ -54,9 +62,10 @@ func (c *Correlator) TemplateLen() int { return len(c.template) }
 func (c *Correlator) OutLen(sigLen int) int { return sigLen - len(c.template) + 1 }
 
 // CrossCorrelate writes the sliding cross-correlation of signal with the
-// template into dst, which must have length OutLen(len(signal)). After the
-// first call at a given transform size, no allocations occur.
-func (c *Correlator) CrossCorrelate(dst, signal []float64) error {
+// template into dst, which must have length OutLen(len(signal)), using s
+// (non-nil) for the signal-side scratch. Once s and the template spectrum
+// cache are warm at a transform size, no allocations occur.
+func (c *Correlator) CrossCorrelate(dst, signal []float64, s *CorrScratch) error {
 	if len(signal) < len(c.template) {
 		return fmt.Errorf("dsp: signal length %d shorter than template %d", len(signal), len(c.template))
 	}
@@ -75,10 +84,6 @@ func (c *Correlator) CrossCorrelate(dst, signal []float64) error {
 		}
 		return nil
 	}
-	return c.correlateFFT(dst, signal)
-}
-
-func (c *Correlator) correlateFFT(dst, signal []float64) error {
 	n := NextPow2(len(signal) + len(c.template))
 	rp, err := RealPlanFor(n)
 	if err != nil {
@@ -88,18 +93,16 @@ func (c *Correlator) correlateFFT(dst, signal []float64) error {
 	if err != nil {
 		return err
 	}
-	if cap(c.sig) < n {
-		c.sig = make([]complex128, n)
+	if cap(s.sig) < n {
+		s.sig = make([]complex128, n)
 	}
-	if cap(c.padded) < n {
-		c.padded = make([]float64, n)
+	if cap(s.padded) < n {
+		s.padded = make([]float64, n)
 	}
-	a := c.sig[:n]
-	pad := c.padded[:n]
+	a := s.sig[:n]
+	pad := s.padded[:n]
 	copy(pad, signal)
-	for i := len(signal); i < n; i++ {
-		pad[i] = 0
-	}
+	clear(pad[len(signal):])
 	if err := rp.Forward(a, pad); err != nil {
 		return err
 	}
@@ -118,6 +121,8 @@ func (c *Correlator) correlateFFT(dst, signal []float64) error {
 // templateSpectrum returns the cached n-point FFT of the template,
 // computing and caching it on first use at this size.
 func (c *Correlator) templateSpectrum(n int, rp *RealPlan) ([]complex128, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if spec, ok := c.specs[n]; ok {
 		return spec, nil
 	}
@@ -135,12 +140,12 @@ func (c *Correlator) templateSpectrum(n int, rp *RealPlan) ([]complex128, error)
 // into dst (length OutLen(len(signal))), dividing the raw correlation by
 // the template norm times the local window norm exactly as
 // NormalizedCrossCorrelate does.
-func (c *Correlator) Normalized(dst, signal []float64) error {
+func (c *Correlator) Normalized(dst, signal []float64, s *CorrScratch) error {
 	tNorm := math.Sqrt(c.tEnergy)
 	if tNorm == 0 {
 		return fmt.Errorf("dsp: correlation template has zero energy")
 	}
-	if err := c.CrossCorrelate(dst, signal); err != nil {
+	if err := c.CrossCorrelate(dst, signal, s); err != nil {
 		return err
 	}
 	var wEnergy float64
@@ -160,65 +165,6 @@ func (c *Correlator) Normalized(dst, signal []float64) error {
 			entering := signal[i+len(c.template)]
 			wEnergy += entering*entering - leaving*leaving
 		}
-	}
-	return nil
-}
-
-// CrossCorrelateInto is the scratchless-caller variant of CrossCorrelate:
-// it writes the sliding correlation into dst
-// (length len(signal)-len(template)+1) using pooled scratch, allocating
-// nothing in steady state. Results are bit-identical to CrossCorrelate.
-func CrossCorrelateInto(dst, signal, template []float64) error {
-	if len(template) == 0 {
-		return fmt.Errorf("dsp: empty correlation template")
-	}
-	if len(signal) < len(template) {
-		return fmt.Errorf("dsp: signal length %d shorter than template %d", len(signal), len(template))
-	}
-	if want := len(signal) - len(template) + 1; len(dst) != want {
-		return fmt.Errorf("dsp: correlation dst length %d, want %d", len(dst), want)
-	}
-	const directThreshold = 4096
-	if len(template) <= 64 || len(signal)*len(template) <= directThreshold {
-		for i := range dst {
-			var sum float64
-			window := signal[i : i+len(template)]
-			for j, t := range template {
-				sum += window[j] * t
-			}
-			dst[i] = sum
-		}
-		return nil
-	}
-	n := NextPow2(len(signal) + len(template))
-	p, err := planFor(n)
-	if err != nil {
-		return err
-	}
-	a := GetComplex(n)
-	defer PutComplex(a)
-	b := GetComplex(n)
-	defer PutComplex(b)
-	for i, v := range signal {
-		a[i] = complex(v, 0)
-	}
-	for i, v := range template {
-		b[i] = complex(v, 0)
-	}
-	if err := p.Forward(a, a); err != nil {
-		return err
-	}
-	if err := p.Forward(b, b); err != nil {
-		return err
-	}
-	for i := range a {
-		a[i] *= complex(real(b[i]), -imag(b[i]))
-	}
-	if err := p.Inverse(a, a); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = real(a[i])
 	}
 	return nil
 }

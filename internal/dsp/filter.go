@@ -10,6 +10,15 @@ import (
 // LowPassFIR, HighPassFIR, BandPassFIR, or NewFIRFilter.
 type FIRFilter struct {
 	taps []float64
+	rev  []float64 // taps reversed, for the interior loop of ApplyInto
+}
+
+func newFIR(taps []float64) *FIRFilter {
+	rev := make([]float64, len(taps))
+	for i, t := range taps {
+		rev[len(taps)-1-i] = t
+	}
+	return &FIRFilter{taps: taps, rev: rev}
 }
 
 // NewFIRFilter wraps an explicit tap vector as a filter. The taps are
@@ -18,9 +27,7 @@ func NewFIRFilter(taps []float64) (*FIRFilter, error) {
 	if len(taps) == 0 {
 		return nil, fmt.Errorf("dsp: FIR filter requires at least one tap")
 	}
-	out := make([]float64, len(taps))
-	copy(out, taps)
-	return &FIRFilter{taps: out}, nil
+	return newFIR(append([]float64(nil), taps...)), nil
 }
 
 // Taps returns a copy of the filter coefficients.
@@ -38,18 +45,55 @@ func (f *FIRFilter) Len() int { return len(f.taps) }
 // compensated: output sample i corresponds to input sample i.
 func (f *FIRFilter) Apply(x []float64) []float64 {
 	out := make([]float64, len(x))
-	half := len(f.taps) / 2
-	for i := range out {
-		var sum float64
-		for j, tap := range f.taps {
-			k := i + half - j
-			if k >= 0 && k < len(x) {
-				sum += tap * x[k]
-			}
-		}
-		out[i] = sum
-	}
+	_ = f.ApplyInto(out, x) // lengths match by construction
 	return out
+}
+
+// ApplyInto is Apply writing into dst, which must have len(x) samples and
+// must not overlap x. It allocates nothing.
+//
+// Output sample i is the sum over taps j, in ascending order, of
+// taps[j]*x[i+half-j] for every in-range input index. Outputs whose
+// window hangs off either end of x run the clipped tap range; the
+// interior runs the full window with no range tests. Both keep the
+// ascending tap order, so the floating-point sums do not depend on which
+// loop computed them.
+func (f *FIRFilter) ApplyInto(dst, x []float64) error {
+	if len(dst) != len(x) {
+		return fmt.Errorf("dsp: FIR dst length %d, want %d", len(dst), len(x))
+	}
+	taps := f.taps
+	m, half, n := len(taps), len(taps)/2, len(x)
+	edge := func(i int) {
+		var sum float64
+		for j := max(0, i+half-n+1); j <= min(m-1, i+half); j++ {
+			sum += taps[j] * x[i+half-j]
+		}
+		dst[i] = sum
+	}
+	// Interior outputs read x[i+half-m+1 .. i+half], all in range.
+	lo, hi := m-1-half, n-half
+	if lo > hi {
+		lo, hi = n, n
+	}
+	for i := 0; i < lo; i++ {
+		edge(i)
+	}
+	for i := lo; i < hi; i++ {
+		// w[k] pairs with rev[k] = taps[m-1-k]; descending k is
+		// ascending tap order.
+		w := x[i+half+1-m : i+half+1]
+		rev := f.rev[:len(w)]
+		var sum float64
+		for k := len(w) - 1; k >= 0; k-- {
+			sum += rev[k] * w[k]
+		}
+		dst[i] = sum
+	}
+	for i := hi; i < n; i++ {
+		edge(i)
+	}
+	return nil
 }
 
 // ApplyCausal filters x without group-delay compensation, as a streaming
@@ -104,7 +148,7 @@ func LowPassFIR(cutoffHz, sampleRate float64, numTaps int) (*FIRFilter, error) {
 	for i := range taps {
 		taps[i] /= sum
 	}
-	return &FIRFilter{taps: taps}, nil
+	return newFIR(taps), nil
 }
 
 // HighPassFIR designs a windowed-sinc high-pass filter by spectral inversion
@@ -119,7 +163,7 @@ func HighPassFIR(cutoffHz, sampleRate float64, numTaps int) (*FIRFilter, error) 
 		taps[i] = -taps[i]
 	}
 	taps[len(taps)/2] += 1
-	return &FIRFilter{taps: taps}, nil
+	return newFIR(taps), nil
 }
 
 // BandPassFIR designs a windowed-sinc band-pass filter passing
@@ -140,7 +184,7 @@ func BandPassFIR(lowHz, highHz, sampleRate float64, numTaps int) (*FIRFilter, er
 	for i := range taps {
 		taps[i] -= lpLow.taps[i]
 	}
-	return &FIRFilter{taps: taps}, nil
+	return newFIR(taps), nil
 }
 
 // Convolve returns the full linear convolution of a and b, of length

@@ -118,6 +118,69 @@ func TestApplyCausalDelaysOutput(t *testing.T) {
 	}
 }
 
+// applyGuarded is the single range-tested loop ApplyInto's edge/interior
+// split must reproduce bit for bit.
+func applyGuarded(taps, x []float64) []float64 {
+	out := make([]float64, len(x))
+	half := len(taps) / 2
+	for i := range out {
+		var sum float64
+		for j, tap := range taps {
+			if k := i + half - j; k >= 0 && k < len(x) {
+				sum += tap * x[k]
+			}
+		}
+		out[i] = sum
+	}
+	return out
+}
+
+func TestApplyIntoBitIdenticalToGuardedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []int{1, 2, 3, 8, 31, 129} {
+		taps := make([]float64, m)
+		for i := range taps {
+			taps[i] = rng.NormFloat64()
+		}
+		f, err := NewFIRFilter(taps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 1, m / 2, m - 1, m, m + 1, 2 * m, 1000} {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			want := applyGuarded(taps, x)
+			got := make([]float64, n)
+			if err := f.ApplyInto(got, x); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("taps %d, n %d: sample %d = %v, want %v", m, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	f, _ := NewFIRFilter([]float64{1, 2, 3})
+	if err := f.ApplyInto(make([]float64, 3), make([]float64, 4)); err == nil {
+		t.Error("ApplyInto accepted a short dst")
+	}
+}
+
+func TestApplyIntoZeroAllocs(t *testing.T) {
+	bp, err := BandPassFIR(300, 3400, 44100, 129)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := benchCaseSignal(4096)
+	dst := make([]float64, len(x))
+	if allocs := testing.AllocsPerRun(20, func() { _ = bp.ApplyInto(dst, x) }); allocs != 0 {
+		t.Errorf("ApplyInto allocated %.1f objects per run, want 0", allocs)
+	}
+}
+
 func TestConvolveIdentity(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := Convolve(x, []float64{1})

@@ -1,88 +1,87 @@
 package dsp
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
-// Scratch-buffer pools for the modem hot path. One OFDM demodulation
-// performs an FFT per symbol plus one per noise window; without pooling
-// every transform allocates a fresh spectrum slice, and a parallel batch
-// sweep spends a measurable fraction of its time in the allocator. The
-// pools are keyed by slice length (the FFT sizes in play are a small
-// fixed set) and are safe for concurrent use.
+// Scratch-buffer pools for the modem and channel-simulator hot paths. One
+// OFDM demodulation performs an FFT per symbol plus one per noise window,
+// and one simulated recording renders several noise buffers; without
+// pooling each of them is a fresh allocation. The pools are safe for
+// concurrent use.
+//
+// Buffers are pooled by power-of-two capacity class, not by exact length:
+// GetFloat(n) hands out buf[:n] from a buffer of capacity
+// NextPow2(n), and Put* files a buffer under the largest class its
+// capacity covers. A rarely used length therefore shares a class with its
+// neighbours instead of owning a private pool that the GC empties before
+// the length comes round again. The *[]T boxes sync.Pool stores are
+// recycled too, so a pool hit allocates nothing.
 //
 // Contract: a Get* buffer is zeroed, exactly like a fresh make(); Put*
 // hands it back once the caller is done. Returning a buffer twice, or
-// using it after Put, is a data race — same rules as sync.Pool. Buffers
-// whose length does not match a pool key are dropped, not recycled.
+// using it after Put, is a data race — same rules as sync.Pool. Only
+// scratch belongs here: a buffer handed to a caller that keeps it must
+// not come from, or go back to, a pool.
 
-var (
-	_complexPools sync.Map // map[int]*sync.Pool of *[]complex128
-	_floatPools   sync.Map // map[int]*sync.Pool of *[]float64
-)
+// numClasses bounds the pooled capacities at 2^(numClasses-1) elements;
+// larger requests fall through to make.
+const numClasses = 40
 
-func complexPool(n int) *sync.Pool {
-	if p, ok := _complexPools.Load(n); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := _complexPools.LoadOrStore(n, &sync.Pool{
-		New: func() any {
-			buf := make([]complex128, n)
-			return &buf
-		},
-	})
-	return p.(*sync.Pool)
+type classPool[T any] struct {
+	classes [numClasses]sync.Pool // class k holds *[]T of capacity >= 1<<k
+	boxes   sync.Pool             // empty *[]T, reused by the next put
 }
 
-func floatPool(n int) *sync.Pool {
-	if p, ok := _floatPools.Load(n); ok {
-		return p.(*sync.Pool)
+var (
+	_complexPool classPool[complex128]
+	_floatPool   classPool[float64]
+)
+
+func (p *classPool[T]) get(n int) []T {
+	if n <= 0 {
+		return nil
 	}
-	p, _ := _floatPools.LoadOrStore(n, &sync.Pool{
-		New: func() any {
-			buf := make([]float64, n)
-			return &buf
-		},
-	})
-	return p.(*sync.Pool)
+	k := bits.Len(uint(n - 1)) // smallest class whose capacity fits n
+	if k >= numClasses {
+		return make([]T, n)
+	}
+	box, ok := p.classes[k].Get().(*[]T)
+	if !ok {
+		return make([]T, n, 1<<k)
+	}
+	buf := (*box)[:n]
+	*box = nil
+	p.boxes.Put(box)
+	clear(buf)
+	return buf
+}
+
+func (p *classPool[T]) put(buf []T) {
+	if cap(buf) == 0 {
+		return
+	}
+	k := bits.Len(uint(cap(buf))) - 1 // largest class the capacity covers
+	if k >= numClasses {
+		return
+	}
+	box, _ := p.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = buf[:0]
+	p.classes[k].Put(box)
 }
 
 // GetComplex returns a zeroed []complex128 of length n from the pool.
-func GetComplex(n int) []complex128 {
-	if n <= 0 {
-		return nil
-	}
-	buf := *complexPool(n).Get().(*[]complex128)
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
+func GetComplex(n int) []complex128 { return _complexPool.get(n) }
 
 // PutComplex recycles a buffer obtained from GetComplex.
-func PutComplex(buf []complex128) {
-	if len(buf) == 0 {
-		return
-	}
-	buf = buf[:len(buf):len(buf)]
-	complexPool(len(buf)).Put(&buf)
-}
+func PutComplex(buf []complex128) { _complexPool.put(buf) }
 
 // GetFloat returns a zeroed []float64 of length n from the pool.
-func GetFloat(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	buf := *floatPool(n).Get().(*[]float64)
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
+func GetFloat(n int) []float64 { return _floatPool.get(n) }
 
 // PutFloat recycles a buffer obtained from GetFloat.
-func PutFloat(buf []float64) {
-	if len(buf) == 0 {
-		return
-	}
-	buf = buf[:len(buf):len(buf)]
-	floatPool(len(buf)).Put(&buf)
-}
+func PutFloat(buf []float64) { _floatPool.put(buf) }

@@ -26,6 +26,41 @@ func TestPoolBuffersAreZeroed(t *testing.T) {
 	}
 }
 
+// Lengths share power-of-two capacity classes: a dirty buffer returned at
+// one length serves a different length in the same class, zeroed up to
+// the requested length, and a pool hit allocates nothing.
+func TestPoolCapacityClasses(t *testing.T) {
+	for _, n := range []int{1, 3, 700, 1000, 1024, 17640} {
+		f := GetFloat(n)
+		if len(f) != n || cap(f) < n || cap(f)&(cap(f)-1) != 0 {
+			t.Fatalf("GetFloat(%d): len %d cap %d, want len %d and a power-of-two cap", n, len(f), cap(f), n)
+		}
+		for i := range f[:cap(f)] {
+			f[:cap(f)][i] = 1
+		}
+		PutFloat(f)
+		g := GetFloat(n - n/4)
+		for i, v := range g {
+			if v != 0 {
+				t.Fatalf("GetFloat(%d) after a dirty Put: sample %d = %v", len(g), i, v)
+			}
+		}
+		PutFloat(g)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race")
+	}
+	GetFloat(1000) // warm the class
+	if allocs := testing.AllocsPerRun(100, func() {
+		f := GetFloat(1000)
+		PutFloat(f)
+		c := GetComplex(300)
+		PutComplex(c)
+	}); allocs != 0 {
+		t.Errorf("pool round trip allocated %.1f objects per run, want 0", allocs)
+	}
+}
+
 func TestPoolZeroLength(t *testing.T) {
 	if buf := GetComplex(0); buf != nil {
 		t.Errorf("GetComplex(0) = %v, want nil", buf)

@@ -139,3 +139,28 @@ func TestDemodulateIntoMatchesDemodulate(t *testing.T) {
 		}
 	}
 }
+
+// Demodulators of one preamble share its correlator (and so its cached
+// spectra); a different band or preamble length gets its own.
+func TestDemodulatorsSharePreambleCorrelator(t *testing.T) {
+	newDemod := func(cfg Config) *Demodulator {
+		t.Helper()
+		d, err := NewDemodulator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	qask := newDemod(DefaultConfig(BandAudible, QASK))
+	if qpsk := newDemod(DefaultConfig(BandAudible, QPSK)); qpsk.corr != qask.corr {
+		t.Error("demodulators of the same preamble built separate correlators")
+	}
+	if ultra := newDemod(DefaultConfig(BandNearUltrasound, QASK)); ultra.corr == qask.corr {
+		t.Error("near-ultrasound demodulator reused the audible preamble correlator")
+	}
+	short := DefaultConfig(BandAudible, QASK)
+	short.PreambleLen /= 2
+	if d := newDemod(short); d.corr == qask.corr || d.preamble.Len() != short.PreambleLen {
+		t.Error("a shorter preamble reused the default-length correlator")
+	}
+}

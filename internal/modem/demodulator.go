@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"sync"
 
 	"wearlock/internal/audio"
 	"wearlock/internal/dsp"
@@ -14,9 +15,10 @@ import (
 // symbol cyclic-prefix fine synchronization, FFT, pilot channel estimation
 // and equalization, and constellation de-mapping.
 //
-// A Demodulator caches per-session state (the pre-transformed preamble
-// template, sorted pilot and null channel sets) and is NOT safe for
-// concurrent use; give each session or goroutine its own.
+// A Demodulator holds the preamble correlator shared by every demodulator
+// of the same preamble (see sharedPreamble) plus its sorted pilot and null
+// channel sets. It is NOT safe for concurrent use; give each session or
+// goroutine its own.
 type Demodulator struct {
 	cfg      Config
 	plan     *dsp.Plan
@@ -27,6 +29,7 @@ type Demodulator struct {
 
 	// corr holds the preamble template with its FFT cached per transform
 	// size, so the per-frame preamble search transforms only the signal.
+	// It is shared process-wide; the signal scratch lives in RxWorkspace.
 	corr *dsp.Correlator
 	// pilots and nulls are the sorted pilot and null channel sets,
 	// computed once instead of per symbol.
@@ -54,11 +57,7 @@ func NewDemodulator(cfg Config) (*Demodulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	preamble, err := Preamble(cfg)
-	if err != nil {
-		return nil, err
-	}
-	corr, err := dsp.NewCorrelator(preamble.Samples)
+	pre, err := sharedPreamble(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -72,15 +71,53 @@ func NewDemodulator(cfg Config) (*Demodulator, error) {
 		cfg:             cfg,
 		plan:            plan,
 		rplan:           rplan,
-		preamble:        preamble,
+		preamble:        pre.wave,
 		detector:        detector,
 		eqMethod:        EqualizeFFTInterp,
-		corr:            corr,
+		corr:            pre.corr,
 		pilots:          cfg.sortedPilots(),
 		nulls:           cfg.NullChannels(),
 		FineSyncEnabled: true,
 		FineSyncRange:   DefaultFineSyncRange,
 	}, nil
+}
+
+// preambleKey is everything Preamble(cfg) depends on.
+type preambleKey struct {
+	lowHz, highHz float64
+	length, rate  int
+}
+
+// preambleEntry is one preamble waveform and its correlator. Both are
+// read-only once built, so every demodulator of that preamble shares them.
+type preambleEntry struct {
+	wave *audio.Buffer
+	corr *dsp.Correlator
+}
+
+// _preambles caches preambleEntry by preambleKey for the life of the
+// process. A session builds a fresh Demodulator per phase, and each would
+// otherwise re-synthesize the chirp and re-transform it at every FFT size
+// its searches touch. The handful of band/length/rate combinations in use
+// bounds the map.
+var _preambles sync.Map // preambleKey -> *preambleEntry
+
+func sharedPreamble(cfg Config) (*preambleEntry, error) {
+	low, high := cfg.BandEdges()
+	key := preambleKey{low, high, cfg.PreambleLen, cfg.SampleRate}
+	if e, ok := _preambles.Load(key); ok {
+		return e.(*preambleEntry), nil
+	}
+	wave, err := Preamble(cfg)
+	if err != nil {
+		return nil, err
+	}
+	corr, err := dsp.NewCorrelator(wave.Samples)
+	if err != nil {
+		return nil, err
+	}
+	e, _ := _preambles.LoadOrStore(key, &preambleEntry{wave, corr})
+	return e.(*preambleEntry), nil
 }
 
 // Config returns the demodulator's configuration.

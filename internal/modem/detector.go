@@ -193,7 +193,7 @@ func DetectPreamble(rec *audio.Buffer, preamble *audio.Buffer, cfg DetectorConfi
 
 // detectPreambleInto is the demodulator's allocation-free preamble search:
 // the same two-stage front end as DetectPreamble, but the normalized
-// correlation runs against the session's pre-transformed preamble template
+// correlation runs against the shared pre-transformed preamble template
 // (d.corr) and every buffer is workspace-owned. The returned Detection
 // aliases the workspace. Decisions and scores are bit-identical to
 // DetectPreamble.
@@ -239,7 +239,7 @@ func (d *Demodulator) detectPreambleInto(rec *audio.Buffer, ws *RxWorkspace) (*D
 		return nil, cost, &ErrNoSignal{Reason: "signal onset too close to end of recording"}
 	}
 	ws.scores = growFloat(ws.scores, d.corr.OutLen(len(region)))
-	err = d.corr.Normalized(ws.scores, region)
+	err = d.corr.Normalized(ws.scores, region, &ws.corr)
 	cost.CorrelationMACs += correlationCost(len(region), preambleLen)
 	if err != nil {
 		return nil, cost, fmt.Errorf("modem: preamble correlation: %w", err)
@@ -261,7 +261,7 @@ func (d *Demodulator) detectPreambleInto(rec *audio.Buffer, ws *RxWorkspace) (*D
 	if cfg.MinProminence > 0 && headEnd >= 2*preambleLen {
 		head := rec.Samples[:headEnd]
 		ws.scores = growFloat(ws.scores, d.corr.OutLen(len(head)))
-		err := d.corr.Normalized(ws.scores, head)
+		err := d.corr.Normalized(ws.scores, head, &ws.corr)
 		cost.CorrelationMACs += correlationCost(len(head), preambleLen)
 		if err == nil && len(ws.scores) > 0 {
 			var noiseRef float64

@@ -70,7 +70,7 @@ func PreambleDelayProfile(rec *audio.Buffer, preamble *audio.Buffer, det *Detect
 	return profile, cost, nil
 }
 
-// preambleDelayProfile is PreambleDelayProfile against the session's
+// preambleDelayProfile is PreambleDelayProfile against the shared
 // pre-transformed preamble template, with the raw correlation landing in
 // workspace scratch. The returned profile is freshly allocated (the probe
 // analysis hands it to the caller); only the intermediate correlation is
@@ -94,7 +94,7 @@ func (d *Demodulator) preambleDelayProfile(rec *audio.Buffer, det *Detection, ws
 		return nil, cost, fmt.Errorf("modem: delay-profile region of %d samples shorter than preamble %d", len(region), d.preamble.Len())
 	}
 	ws.scores = growFloat(ws.scores, d.corr.OutLen(len(region)))
-	err := d.corr.CrossCorrelate(ws.scores, region)
+	err := d.corr.CrossCorrelate(ws.scores, region, &ws.corr)
 	cost.CorrelationMACs += correlationCost(len(region), d.preamble.Len())
 	if err != nil {
 		return nil, cost, err

@@ -2,6 +2,8 @@ package modem
 
 import (
 	"sync"
+
+	"wearlock/internal/dsp"
 )
 
 // Scratch-buffer ownership rules (DESIGN.md §10): a workspace owns every
@@ -65,6 +67,7 @@ type RxWorkspace struct {
 	fwin   []float64 // zero-padded real window for band levels
 	fftBuf []complex128
 	scores []float64 // preamble correlation scores
+	corr   dsp.CorrScratch
 }
 
 // reset clears the result shell for a new frame, keeping capacity.

@@ -767,8 +767,14 @@ func (s *Service) run(sess *Session, dev *devicePair, sc core.Scenario, timeout 
 	}
 	wall := now.Sub(sess.submitted)
 	sess.mu.Unlock()
+	// Metrics first, then done: a waiter or a /metrics scrape that follows
+	// the response must already see this session counted.
+	s.recordSession(res, err, wall)
 	close(sess.done)
+}
 
+// recordSession publishes one finished session's metrics.
+func (s *Service) recordSession(res *core.Result, err error, wall time.Duration) {
 	s.m.wallSeconds.Observe(wall.Seconds())
 	s.observeWall(wall)
 	if err != nil {

@@ -416,6 +416,38 @@ func TestConcurrentRealSessionsMetricsConsistent(t *testing.T) {
 	}
 }
 
+// A session's metrics are recorded before it is marked done: a waiter
+// (or a /metrics scrape right after a response) must never see a
+// finished session the outcome counters do not yet include.
+func TestSessionMetricsRecordedBeforeDone(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = s.Shutdown(context.Background()) }()
+
+	const total = 200
+	for i := 1; i <= total; i++ {
+		sess, err := s.Submit(Request{Scenario: "out-of-range", Device: -1})
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err = sess.Wait(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		var sum uint64
+		for _, n := range s.m.sessions.Values() {
+			sum += n
+		}
+		if sum != uint64(i) {
+			t.Fatalf("after session %d finished, outcome counters sum to %d", i, sum)
+		}
+	}
+}
+
 // Pinning a device serializes its sessions: the OTP stream on one device
 // advances session-by-session regardless of request interleaving.
 func TestDevicePinning(t *testing.T) {
