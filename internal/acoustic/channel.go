@@ -97,8 +97,32 @@ func NewLink(sampleRate int, distance float64, speaker SpeakerProfile, mic MicPr
 // Transmit plays tx through the link at the given speaker volume (SPL at
 // the propagation reference distance) and returns the receiver-side
 // recording: LeadIn samples of ambient, then the distorted frame, then
-// TailOut samples of ambient.
+// TailOut samples of ambient. The recording is freshly allocated and
+// belongs to the caller; Transmit does not keep tx.
 func (l *Link) Transmit(tx *audio.Buffer, volumeSPL float64) (*audio.Buffer, error) {
+	return l.transmit(tx, volumeSPL, audio.NewBuffer)
+}
+
+// TransmitPooled is Transmit with the recording's samples drawn from
+// dsp.GetFloat. The caller hands them back with dsp.PutFloat after the
+// recording's last reader, so it must not pass the recording to code
+// that keeps it.
+func (l *Link) TransmitPooled(tx *audio.Buffer, volumeSPL float64) (*audio.Buffer, error) {
+	return l.transmit(tx, volumeSPL, pooledBuffer)
+}
+
+// pooledBuffer is audio.NewBuffer with the samples drawn from
+// dsp.GetFloat.
+func pooledBuffer(rate, n int) (*audio.Buffer, error) {
+	if rate <= 0 || n < 0 {
+		return audio.NewBuffer(rate, n) // reports the error
+	}
+	return &audio.Buffer{Rate: rate, Samples: dsp.GetFloat(n)}, nil
+}
+
+// transmit is the body of Transmit and TransmitPooled; newRecording
+// allocates the zeroed recording.
+func (l *Link) transmit(tx *audio.Buffer, volumeSPL float64, newRecording func(rate, n int) (*audio.Buffer, error)) (*audio.Buffer, error) {
 	if tx.Rate != l.SampleRate {
 		return nil, fmt.Errorf("acoustic: frame rate %d does not match link rate %d", tx.Rate, l.SampleRate)
 	}
@@ -137,7 +161,7 @@ func (l *Link) Transmit(tx *audio.Buffer, volumeSPL float64) (*audio.Buffer, err
 
 	// Assemble the receiver-side recording.
 	total := l.LeadIn + delay + signal.Len() + l.TailOut
-	rec, err := audio.NewBuffer(l.SampleRate, total)
+	rec, err := newRecording(l.SampleRate, total)
 	if err != nil {
 		return nil, err
 	}
@@ -150,11 +174,7 @@ func (l *Link) Transmit(tx *audio.Buffer, volumeSPL float64) (*audio.Buffer, err
 		}
 	}
 	if l.Jammer != nil {
-		jam, err := l.Jammer.Render(total, l.SampleRate, l.rng)
-		if err != nil {
-			return nil, err
-		}
-		if err := rec.MixAt(0, jam); err != nil {
+		if err := l.Jammer.MixInto(rec, l.rng); err != nil {
 			return nil, err
 		}
 	}

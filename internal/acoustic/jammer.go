@@ -2,9 +2,11 @@ package acoustic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"wearlock/internal/audio"
+	"wearlock/internal/dsp"
 )
 
 // Jammer models the external tone generator used in the sub-channel
@@ -47,15 +49,31 @@ func RandomJammer(spl float64, numTones int, candidatesHz []float64, rng *rand.R
 }
 
 // Render synthesizes n samples of the combined jammer signal at the
-// receiver. Each tone individually sits at the jammer's SPL.
+// receiver into a fresh, caller-owned buffer. Each tone individually sits
+// at the jammer's SPL.
 func (j *Jammer) Render(n, sampleRate int, rng *rand.Rand) (*audio.Buffer, error) {
 	out, err := audio.NewBuffer(sampleRate, n)
 	if err != nil {
 		return nil, err
 	}
-	if len(j.ToneHz) == 0 {
-		return out, nil
+	if err := j.MixInto(out, rng); err != nil {
+		return nil, err
 	}
+	return out, nil
+}
+
+// MixInto adds the jammer signal Render would return for dst's length and
+// rate onto dst. The tones are summed in one pooled scratch buffer that
+// is then added to dst, so dst sees the same sums, in the same order, as
+// mixing a Render result; the random phases are drawn the same way. It
+// allocates nothing in steady state, and leaves dst untouched on error.
+func (j *Jammer) MixInto(dst *audio.Buffer, rng *rand.Rand) error {
+	if len(j.ToneHz) == 0 {
+		return nil
+	}
+	n := dst.Len()
+	sum := audio.Buffer{Rate: dst.Rate, Samples: dsp.GetFloat(n)}
+	defer dsp.PutFloat(sum.Samples)
 	// RMS of a sine is amp/sqrt(2); solve amp for the target SPL.
 	amp := audio.PressureFromSPL(j.SPL) * 1.4142135623730951
 	for _, freq := range j.ToneHz {
@@ -63,21 +81,27 @@ func (j *Jammer) Render(n, sampleRate int, rng *rand.Rand) (*audio.Buffer, error
 		if rng != nil {
 			phase = rng.Float64() * 6.283185307179586
 		}
-		tone, err := audio.Tone(freq, amp, n, sampleRate)
+		omega, err := audio.ToneOmega(freq, dst.Rate)
 		if err != nil {
-			return nil, fmt.Errorf("acoustic: jammer tone %.1f Hz: %w", freq, err)
+			return fmt.Errorf("acoustic: jammer tone %.1f Hz: %w", freq, err)
 		}
-		// Apply the random starting phase by rotating the tone.
+		// The random starting phase rotates the tone left by shift
+		// samples: sample i is the unrotated tone's sample (i+shift) mod n.
+		shift := 0
 		if phase != 0 {
-			shift := int(phase / 6.283185307179586 * float64(sampleRate) / freq)
-			if shift > 0 && shift < len(tone.Samples) {
-				rotated := append(tone.Samples[shift:], tone.Samples[:shift]...)
-				tone.Samples = rotated
+			if s := int(phase / 6.283185307179586 * float64(dst.Rate) / freq); s > 0 && s < n {
+				shift = s
 			}
 		}
-		if err := out.MixAt(0, tone); err != nil {
-			return nil, err
+		k := shift
+		for i := range sum.Samples {
+			// The explicit conversion rounds the product before the add,
+			// so no fused multiply-add can change the sum.
+			sum.Samples[i] += float64(amp * math.Sin(omega*float64(k)))
+			if k++; k == n {
+				k = 0
+			}
 		}
 	}
-	return out, nil
+	return dst.MixAt(0, &sum)
 }

@@ -70,21 +70,45 @@ func Chirp(cfg ChirpConfig) (*Buffer, error) {
 }
 
 // Tone synthesizes a pure sine tone of the given frequency, amplitude, and
-// length. It is used for jammer tracks and SPL calibration.
+// length. It is used for SPL calibration and the tone-ACK rung.
 func Tone(freqHz, amplitude float64, samples, sampleRate int) (*Buffer, error) {
-	if sampleRate <= 0 {
-		return nil, fmt.Errorf("audio: tone sample rate %d must be positive", sampleRate)
-	}
-	if freqHz < 0 || freqHz > float64(sampleRate)/2 {
-		return nil, fmt.Errorf("audio: tone frequency %.1f outside [0, %.1f]", freqHz, float64(sampleRate)/2)
+	omega, err := ToneOmega(freqHz, sampleRate)
+	if err != nil {
+		return nil, err
 	}
 	buf, err := NewBuffer(sampleRate, samples)
 	if err != nil {
 		return nil, err
 	}
-	omega := 2 * math.Pi * freqHz / float64(sampleRate)
-	for i := range buf.Samples {
-		buf.Samples[i] = amplitude * math.Sin(omega*float64(i))
-	}
+	fillTone(buf.Samples, omega, amplitude)
 	return buf, nil
+}
+
+// ToneInto overwrites buf's samples with the tone Tone would synthesize at
+// buf's rate and length, allocating nothing.
+func ToneInto(buf *Buffer, freqHz, amplitude float64) error {
+	omega, err := ToneOmega(freqHz, buf.Rate)
+	if err != nil {
+		return err
+	}
+	fillTone(buf.Samples, omega, amplitude)
+	return nil
+}
+
+// ToneOmega checks that a tone of freqHz is representable at sampleRate
+// and returns its phase step in radians per sample.
+func ToneOmega(freqHz float64, sampleRate int) (float64, error) {
+	if sampleRate <= 0 {
+		return 0, fmt.Errorf("audio: tone sample rate %d must be positive", sampleRate)
+	}
+	if freqHz < 0 || freqHz > float64(sampleRate)/2 {
+		return 0, fmt.Errorf("audio: tone frequency %.1f outside [0, %.1f]", freqHz, float64(sampleRate)/2)
+	}
+	return 2 * math.Pi * freqHz / float64(sampleRate), nil
+}
+
+func fillTone(dst []float64, omega, amplitude float64) {
+	for i := range dst {
+		dst[i] = amplitude * math.Sin(omega*float64(i))
+	}
 }

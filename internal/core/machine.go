@@ -117,12 +117,10 @@ func (m *UnlockMachine) Step(ctx context.Context) (UnlockStep, error) {
 func (m *UnlockMachine) stepClassic(ctx context.Context) (UnlockStep, error) {
 	path := m.fixed
 	if path == nil {
-		cfg := m.sys.dataConfig()
-		link, err := m.sc.AcousticLink(m.sys.cfg.Band, cfg.SampleRate, m.sys.rng)
-		if err != nil {
+		var err error
+		if path, err = m.sys.sessionPath(m.sc); err != nil {
 			return UnlockStep{}, err
 		}
-		path = NewLinkPath(link)
 	}
 	r, err := m.sys.unlockAttempt(ctx, m.sc, path, attemptOpts{})
 	if err != nil {
@@ -167,12 +165,10 @@ func (m *UnlockMachine) stepAttempt(ctx context.Context) (UnlockStep, error) {
 
 	path := m.fixed
 	if path == nil {
-		probeCfg := m.sys.dataConfig()
-		link, err := m.sc.AcousticLink(m.sys.cfg.Band, probeCfg.SampleRate, m.sys.rng)
-		if err != nil {
+		var err error
+		if path, err = m.sys.sessionPath(m.sc); err != nil {
 			return UnlockStep{}, err
 		}
-		path = NewLinkPath(link)
 	}
 	r, err := m.sys.unlockAttempt(ctx, m.sc, path, opts)
 	if err != nil {

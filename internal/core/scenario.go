@@ -7,6 +7,7 @@ import (
 
 	"wearlock/internal/acoustic"
 	"wearlock/internal/audio"
+	"wearlock/internal/dsp"
 	"wearlock/internal/fault"
 	"wearlock/internal/modem"
 	"wearlock/internal/motion"
@@ -115,6 +116,11 @@ func (s Scenario) AcousticLink(band modem.Band, sampleRate int, rng *rand.Rand) 
 // AcousticPath is the transmission abstraction the protocol speaks to.
 // The honest path wraps the scenario's simulated link; the attack package
 // substitutes adversarial implementations (record-and-replay, relays).
+//
+// Ownership: frame is scratch the session reuses once Transmit returns,
+// so Transmit must not keep it (copy it to keep it). The recording
+// Transmit returns belongs to the caller; the session never recycles it
+// unless it built the path itself.
 type AcousticPath interface {
 	// Transmit plays a frame from the phone speaker at the given volume
 	// and returns the receiver-side recording.
@@ -135,17 +141,25 @@ type AcousticPath interface {
 // linkPath is the honest AcousticPath over a simulated link.
 type linkPath struct {
 	link *acoustic.Link
+	// pooled marks a path the session built for itself: its recordings
+	// come from the dsp pool and never leave the session, which hands
+	// them back through releaseRecording.
+	pooled bool
 }
 
 var _ AcousticPath = (*linkPath)(nil)
 
-// NewLinkPath wraps an acoustic link as an honest transmission path.
+// NewLinkPath wraps an acoustic link as an honest transmission path whose
+// recordings are caller-owned.
 func NewLinkPath(link *acoustic.Link) AcousticPath {
 	return &linkPath{link: link}
 }
 
 // Transmit implements AcousticPath.
 func (p *linkPath) Transmit(frame *audio.Buffer, volumeSPL float64) (*audio.Buffer, error) {
+	if p.pooled {
+		return p.link.TransmitPooled(frame, volumeSPL)
+	}
 	return p.link.Transmit(frame, volumeSPL)
 }
 
@@ -154,3 +168,21 @@ func (p *linkPath) ExtraLatency() time.Duration { return 0 }
 
 // NominalLeadIn implements AcousticPath.
 func (p *linkPath) NominalLeadIn() int { return p.link.LeadIn }
+
+// sessionPath builds the pooled honest path over the scenario's link for
+// a session that has no caller-supplied path.
+func (s *System) sessionPath(sc Scenario) (AcousticPath, error) {
+	link, err := sc.AcousticLink(s.cfg.Band, s.dataConfig().SampleRate, s.rng)
+	if err != nil {
+		return nil, err
+	}
+	return &linkPath{link: link, pooled: true}, nil
+}
+
+// releaseRecording recycles rec after its last reader when path is one
+// the session built itself; caller-supplied paths keep their recordings.
+func releaseRecording(path AcousticPath, rec *audio.Buffer) {
+	if p, ok := path.(*linkPath); ok && p.pooled {
+		dsp.PutFloat(rec.Samples)
+	}
+}

@@ -240,12 +240,11 @@ func (s *System) boundPhase(name string, d time.Duration) (time.Duration, error)
 // with ctx's error at the next phase boundary once ctx is done. The
 // service layer uses it to enforce per-request deadlines.
 func (s *System) UnlockCtx(ctx context.Context, sc Scenario) (*Result, error) {
-	cfg := s.dataConfig()
-	link, err := sc.AcousticLink(s.cfg.Band, cfg.SampleRate, s.rng)
+	path, err := s.sessionPath(sc)
 	if err != nil {
 		return nil, err
 	}
-	return s.UnlockViaCtx(ctx, sc, NewLinkPath(link))
+	return s.UnlockViaCtx(ctx, sc, path)
 }
 
 // UnlockVia runs one session with an explicit acoustic path (the attack
@@ -529,14 +528,24 @@ func (s *System) phase1(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 	if err != nil {
 		return nil, probeCfg, false, err
 	}
-	probe, err := modulator.ProbeSymbol()
+	// The probe is one symbol long; its frame is pooled scratch, which the
+	// AcousticPath contract forbids Transmit to keep.
+	probe := audio.Buffer{Samples: dsp.GetFloat(probeCfg.FrameLen(1))[:0]}
+	tx := modem.GetTxWorkspace()
+	err = modulator.ProbeSymbolInto(&probe, tx)
+	modem.PutTxWorkspace(tx)
 	if err != nil {
+		dsp.PutFloat(probe.Samples)
 		return nil, probeCfg, false, err
 	}
-	rec, err := path.Transmit(probe, volume)
+	rec, err := path.Transmit(&probe, volume)
+	dsp.PutFloat(probe.Samples)
 	if err != nil {
 		return nil, probeCfg, false, fmt.Errorf("core: probe transmission: %w", err)
 	}
+	// AnalyzeProbe is the recording's last reader; nothing it returns
+	// aliases the samples.
+	defer releaseRecording(path, rec)
 	airTime := time.Duration(rec.Duration() * float64(time.Second))
 	res.Timeline.Add("phase1/probe-on-air", StepAcoustic, phone.Name, airTime)
 	res.Energy.AddCompute(phone.Name, _speakerPowerW*airTime.Seconds())
@@ -654,11 +663,7 @@ func (s *System) measureAmbient(sc Scenario, probeCfg modem.Config) (float64, in
 	// The phone's own microphone hears any interferer in the room; the
 	// volume plan must compete with it.
 	if sc.Jammer != nil {
-		jam, err := sc.Jammer.Render(ambient.Len(), probeCfg.SampleRate, s.rng)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := ambient.MixAt(0, jam); err != nil {
+		if err := sc.Jammer.MixInto(&ambient, s.rng); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -720,18 +725,26 @@ func (s *System) phase2(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 	if err != nil {
 		return err
 	}
-	frame, err := modulator.Modulate(coded)
+	// The token frame is pooled scratch, like the probe's.
+	frame := audio.Buffer{Samples: dsp.GetFloat(dataCfg.FrameLen(len(coded)))[:0]}
+	tx := modem.GetTxWorkspace()
+	err = modulator.ModulateInto(&frame, coded, tx)
+	modem.PutTxWorkspace(tx)
 	if err != nil {
+		dsp.PutFloat(frame.Samples)
 		return err
 	}
 	// Modulation is fast and partially precomputable (Sec. VI); charge
 	// the (small) IFFT synthesis cost onto the phone profile.
 	res.Timeline.Add("phase2/modulate", StepCompute, phone.Name, phone.ComputeTime(modem.Cost{FFTButterflies: int64(dataCfg.NumSymbols(len(coded))) * 1024, ScalarOps: int64(frame.Len())}))
 
-	rec, err := path.Transmit(frame, res.VolumeSPL)
+	rec, err := path.Transmit(&frame, res.VolumeSPL)
+	dsp.PutFloat(frame.Samples)
 	if err != nil {
 		return fmt.Errorf("core: token transmission: %w", err)
 	}
+	// Demodulate is the recording's last reader; its result is a copy.
+	defer releaseRecording(path, rec)
 	airTime := time.Duration(rec.Duration() * float64(time.Second))
 	res.Timeline.Add("phase2/token-on-air", StepAcoustic, phone.Name, airTime)
 	res.Energy.AddCompute(phone.Name, _speakerPowerW*airTime.Seconds())
@@ -864,14 +877,18 @@ func (s *System) phase2ToneOnly(sc Scenario, res *Result, wl *wireless.Link, pat
 	pilots := dataCfg.SortedPilots()
 	toneHz := dataCfg.SubChannelHz(pilots[len(pilots)/2])
 	toneSamples := dataCfg.SampleRate * 3 / 20 // 150 ms
-	tone, err := audio.Tone(toneHz, 0.5, toneSamples, dataCfg.SampleRate)
-	if err != nil {
+	tone := audio.Buffer{Rate: dataCfg.SampleRate, Samples: dsp.GetFloat(toneSamples)}
+	if err := audio.ToneInto(&tone, toneHz, 0.5); err != nil {
+		dsp.PutFloat(tone.Samples)
 		return err
 	}
-	rec, err := path.Transmit(tone, res.VolumeSPL)
+	rec, err := path.Transmit(&tone, res.VolumeSPL)
+	dsp.PutFloat(tone.Samples)
 	if err != nil {
 		return fmt.Errorf("core: tone transmission: %w", err)
 	}
+	// GoertzelBatch is the recording's last reader.
+	defer releaseRecording(path, rec)
 	airTime := time.Duration(rec.Duration() * float64(time.Second))
 	res.Timeline.Add("phase2-tone/ack-on-air", StepAcoustic, phone.Name, airTime)
 	res.Energy.AddCompute(phone.Name, _speakerPowerW*airTime.Seconds())

@@ -1,6 +1,7 @@
 package modem
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -45,17 +46,16 @@ func allocRoundTrip(t testing.TB, m Modulation) (cfg Config, mod *Modulator, dem
 	return cfg, mod, demod, bits, rec
 }
 
+// A frame of FrameLen capacity is all ModulateInto needs: it never grows
+// one, so a pooled frame of that size is never replaced.
 func TestModulateIntoZeroAllocs(t *testing.T) {
 	cfg, mod, _, bits, _ := allocRoundTrip(t, QASK)
 	ws := &TxWorkspace{}
-	frame, err := audio.NewBuffer(cfg.SampleRate, 0)
-	if err != nil {
+	if err := mod.ModulateInto(&audio.Buffer{}, bits, ws); err != nil { // warm ws only
 		t.Fatal(err)
 	}
-	// Warm the workspace and the frame's sample capacity.
-	if err := mod.ModulateInto(frame, bits, ws); err != nil {
-		t.Fatal(err)
-	}
+	frame := &audio.Buffer{Samples: make([]float64, 0, cfg.FrameLen(len(bits)))}
+	backing := &frame.Samples[:1][0]
 	allocs := testing.AllocsPerRun(50, func() {
 		if err := mod.ModulateInto(frame, bits, ws); err != nil {
 			t.Fatal(err)
@@ -63,6 +63,9 @@ func TestModulateIntoZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ModulateInto allocated %.1f objects per steady-state frame, want 0", allocs)
+	}
+	if len(frame.Samples) != cfg.FrameLen(len(bits)) || &frame.Samples[0] != backing {
+		t.Error("ModulateInto outgrew a FrameLen-capacity frame")
 	}
 }
 
@@ -163,4 +166,122 @@ func TestDemodulatorsSharePreambleCorrelator(t *testing.T) {
 	if d := newDemod(short); d.corr == qask.corr || d.preamble.Len() != short.PreambleLen {
 		t.Error("a shorter preamble reused the default-length correlator")
 	}
+}
+
+func TestProbeSymbolIntoZeroAllocs(t *testing.T) {
+	cfg := DefaultConfig(BandAudible, QPSK)
+	mod, err := NewModulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := &TxWorkspace{}
+	frame := &audio.Buffer{Samples: make([]float64, 0, cfg.FrameLen(1))}
+	if err := mod.ProbeSymbolInto(frame, ws); err != nil {
+		t.Fatal(err)
+	}
+	want, err := mod.ProbeSymbol()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame.Rate != want.Rate || !bitEqual(frame.Samples, want.Samples) {
+		t.Fatal("ProbeSymbolInto differs from ProbeSymbol")
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := mod.ProbeSymbolInto(frame, ws); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ProbeSymbolInto allocated %.1f objects per run, want 0", allocs)
+	}
+}
+
+func TestModulatorsSharePreamble(t *testing.T) {
+	a, err := NewModulator(DefaultConfig(BandAudible, QPSK))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewModulator(DefaultConfig(BandAudible, QASK))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.preamble.Samples[0] != &b.preamble.Samples[0] {
+		t.Error("modulators of the same preamble synthesized separate waveforms")
+	}
+	copyA := a.PreambleWaveform()
+	if &copyA.Samples[0] == &a.preamble.Samples[0] {
+		t.Fatal("PreambleWaveform returned the shared waveform, not a copy")
+	}
+	copyA.Samples[0] = 42
+	if a.preamble.Samples[0] == 42 {
+		t.Error("writing the PreambleWaveform copy changed the shared preamble")
+	}
+	want, err := Preamble(DefaultConfig(BandAudible, QPSK))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitEqual(a.preamble.Samples, want.Samples) {
+		t.Error("shared preamble differs from a fresh Preamble synthesis")
+	}
+}
+
+func TestValidateZeroAllocs(t *testing.T) {
+	for _, band := range []Band{BandAudible, BandNearUltrasound} {
+		cfg := DefaultConfig(band, QPSK)
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("band %v: Validate allocated %.1f objects per run, want 0", band, allocs)
+		}
+	}
+}
+
+// The channel checks keep their messages, including for FFT sizes whose
+// bitset does not fit on the stack and for unsorted pilot layouts.
+func TestValidateChannelMessages(t *testing.T) {
+	cases := []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.DataChannels[0] = c.PilotChannels[0] }, "modem: channel 7 assigned twice"},
+		{func(c *Config) { c.PilotChannels[1] = c.PilotChannels[0] }, "modem: channel 7 assigned twice"},
+		{func(c *Config) { c.DataChannels[0] = 200 }, "modem: data channel 200 outside [1, 128)"},
+		{func(c *Config) { c.PilotChannels[0] = 0 }, "modem: pilot channel 0 outside [1, 128)"},
+		{func(c *Config) { c.DataChannels = []int{8}; c.PilotChannels = []int{7, 11, 16, 19, 23, 27, 31, 35} },
+			"modem: pilot channels [7 11 16 19 23 27 31 35] are not equally spaced"},
+		{func(c *Config) { c.DataChannels = []int{8}; c.PilotChannels = []int{35, 7, 11, 15, 19, 23, 27, 30} },
+			"modem: pilot channels [7 11 15 19 23 27 30 35] are not equally spaced"},
+		{func(c *Config) { c.DataChannels[0] = 5 }, "modem: data channel 5 outside pilot span [7, 35]"},
+		{func(c *Config) { c.FFTSize = 4096; c.DataChannels[1] = 2000; c.DataChannels[2] = 2000 },
+			"modem: channel 2000 assigned twice"},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig(BandAudible, QPSK)
+		cfg.DataChannels = append([]int(nil), cfg.DataChannels...)
+		cfg.PilotChannels = append([]int(nil), cfg.PilotChannels...)
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("Validate() = %v, want %q", err, tc.want)
+		}
+	}
+	unsorted := DefaultConfig(BandAudible, QPSK)
+	unsorted.PilotChannels = append([]int(nil), unsorted.PilotChannels...)
+	p := unsorted.PilotChannels
+	p[0], p[len(p)-1] = p[len(p)-1], p[0]
+	if err := unsorted.Validate(); err != nil {
+		t.Errorf("unsorted but equally spaced pilots rejected: %v", err)
+	}
+}
+
+func bitEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -79,7 +79,20 @@ func BenchCases() ([]BenchCase, error) {
 	symWS.reset()
 	symWS.ensure(cfg)
 
+	probeFrame := &audio.Buffer{Samples: make([]float64, 0, cfg.FrameLen(1))}
+
 	return []BenchCase{
+		{
+			Name:                "modem/probe-frame",
+			RequireZeroAllocNew: true,
+			Old: func() error {
+				_, err := mod.ProbeSymbol()
+				return err
+			},
+			New: func() error {
+				return mod.ProbeSymbolInto(probeFrame, txws)
+			},
+		},
 		{
 			Name:                "modem/modulate-frame",
 			MinSpeedup:          1.1,

@@ -180,32 +180,38 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// checkChannelIndices marks each channel in a bitset over the FFTSize/2
+// bins, which lives on the stack for every built-in FFT size.
 func (c Config) checkChannelIndices() error {
-	seen := make(map[int]bool, len(c.DataChannels)+len(c.PilotChannels))
-	check := func(kind string, chans []int) error {
-		for _, k := range chans {
+	var small [8]uint64 // 512 bins: FFT sizes up to 1024
+	seen := small[:]
+	if words := (c.FFTSize/2 + 63) / 64; words > len(small) {
+		seen = make([]uint64, words)
+	}
+	sets := [2]struct {
+		kind  string
+		chans []int
+	}{{"data", c.DataChannels}, {"pilot", c.PilotChannels}}
+	for _, set := range sets {
+		for _, k := range set.chans {
 			if k < 1 || k >= c.FFTSize/2 {
-				return fmt.Errorf("modem: %s channel %d outside [1, %d)", kind, k, c.FFTSize/2)
+				return fmt.Errorf("modem: %s channel %d outside [1, %d)", set.kind, k, c.FFTSize/2)
 			}
-			if seen[k] {
+			word, bit := k/64, uint64(1)<<(k%64)
+			if seen[word]&bit != 0 {
 				return fmt.Errorf("modem: channel %d assigned twice", k)
 			}
-			seen[k] = true
+			seen[word] |= bit
 		}
-		return nil
 	}
-	if err := check("data", c.DataChannels); err != nil {
-		return err
-	}
-	return check("pilot", c.PilotChannels)
+	return nil
 }
 
 // checkPilotSpacing enforces equal pilot spacing and that every data
 // channel lies inside the pilot span, both of which the FFT-interpolating
 // equalizer requires.
 func (c Config) checkPilotSpacing() error {
-	pilots := append([]int(nil), c.PilotChannels...)
-	sort.Ints(pilots)
+	pilots := c.sortedPilots()
 	spacing := pilots[1] - pilots[0]
 	for i := 2; i < len(pilots); i++ {
 		if pilots[i]-pilots[i-1] != spacing {

@@ -21,8 +21,9 @@ type Modulator struct {
 	preamble *audio.Buffer
 }
 
-// NewModulator validates the configuration and precomputes the FFT plan
-// and preamble waveform.
+// NewModulator validates the configuration and looks up the FFT plan and
+// the preamble waveform, which every modulator and demodulator of that
+// preamble shares read-only (see sharedPreamble).
 func NewModulator(cfg Config) (*Modulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -31,11 +32,11 @@ func NewModulator(cfg Config) (*Modulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	preamble, err := Preamble(cfg)
+	pre, err := sharedPreamble(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Modulator{cfg: cfg, plan: plan, preamble: preamble}, nil
+	return &Modulator{cfg: cfg, plan: plan, preamble: pre.wave}, nil
 }
 
 // Config returns the modulator's configuration.
@@ -64,10 +65,7 @@ func (m *Modulator) PreambleWaveform() *audio.Buffer {
 // (values 0/1). Bits that do not fill the last OFDM symbol are padded with
 // zeros. It is a thin shim over ModulateInto with a pooled workspace.
 func (m *Modulator) Modulate(bits []byte) (*audio.Buffer, error) {
-	frame, err := audio.NewBuffer(m.cfg.SampleRate, 0)
-	if err != nil {
-		return nil, err
-	}
+	frame := &audio.Buffer{Samples: make([]float64, 0, m.cfg.FrameLen(len(bits)))}
 	ws := GetTxWorkspace()
 	defer PutTxWorkspace(ws)
 	if err := m.ModulateInto(frame, bits, ws); err != nil {
@@ -110,19 +108,28 @@ func (m *Modulator) ModulateInto(frame *audio.Buffer, bits []byte, ws *TxWorkspa
 // ProbeSymbol builds the RTS channel-probing frame: the preamble followed
 // by one block-type pilot symbol in which every pilot AND data sub-channel
 // carries a known unit-power pilot. The receiver uses it for sub-channel
-// noise ranking and pilot-SNR estimation (Sec. III "Channel probing").
+// noise ranking and pilot-SNR estimation (Sec. III "Channel probing"). It
+// is a thin shim over ProbeSymbolInto with a pooled workspace.
 func (m *Modulator) ProbeSymbol() (*audio.Buffer, error) {
-	frame, err := audio.NewBuffer(m.cfg.SampleRate, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := frame.Append(m.preamble); err != nil {
-		return nil, err
-	}
-	frame.AppendSilence(m.cfg.PostPreambleGuard)
+	frame := &audio.Buffer{Samples: make([]float64, 0, m.cfg.FrameLen(1))}
 	ws := GetTxWorkspace()
 	defer PutTxWorkspace(ws)
+	if err := m.ProbeSymbolInto(frame, ws); err != nil {
+		return nil, err
+	}
+	return frame, nil
+}
+
+// ProbeSymbolInto builds the probe frame into frame, exactly as
+// ModulateInto builds a data frame: samples reset (capacity retained),
+// rate set to the modem's. The probe is one symbol long, so with a warmed
+// workspace and a frame of cfg.FrameLen(1) capacity it allocates nothing.
+func (m *Modulator) ProbeSymbolInto(frame *audio.Buffer, ws *TxWorkspace) error {
 	ws.ensure(m.cfg, 1)
+	frame.Rate = m.cfg.SampleRate
+	frame.Samples = frame.Samples[:0]
+	frame.AppendSamples(m.preamble.Samples)
+	frame.AppendSilence(m.cfg.PostPreambleGuard)
 	spec := ws.spec[:m.cfg.FFTSize]
 	for i := range spec {
 		spec[i] = 0
@@ -134,10 +141,10 @@ func (m *Modulator) ProbeSymbol() (*audio.Buffer, error) {
 		spec[k] = pilotValue(k)
 	}
 	if err := m.synthesizeInto(frame, spec, ws); err != nil {
-		return nil, err
+		return err
 	}
 	frame.AppendSilence(m.cfg.SymbolGuard)
-	return frame, nil
+	return nil
 }
 
 // modulateSymbolInto maps one OFDM symbol's bits onto the data
