@@ -109,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentedReplay -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzWireProtocol -fuzztime=10s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzNamespaceSessionID -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzReplicaStream -fuzztime=10s ./internal/replica
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=10s ./internal/scenario
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -204,34 +205,93 @@ func (g *Gateway) forward(ctx context.Context, shard, method, path string, body 
 		return proxied{}, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	var data []byte
+	if n := resp.ContentLength; n >= 0 && n <= maxProxiedBody {
+		// The shard states the size: one exact read.
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		data, err = io.ReadAll(io.LimitReader(resp.Body, maxProxiedBody))
+	}
 	if err != nil {
 		return proxied{}, err
 	}
 	return proxied{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), body: data}, nil
 }
 
+// maxProxiedBody bounds a relayed shard response.
+const maxProxiedBody = 1 << 20
+
 // writeProxied relays a shard response, rewriting the session ID to its
-// cluster-namespaced form on success bodies.
+// cluster-namespaced form on success bodies. The response always carries
+// its Content-Length.
 func (g *Gateway) writeProxied(w http.ResponseWriter, shard string, resp proxied) {
+	h := w.Header()
 	if resp.retryAfter != "" {
-		w.Header().Set("Retry-After", resp.retryAfter)
+		h.Set("Retry-After", resp.retryAfter)
 	}
+	h.Set("Content-Type", "application/json")
 	body := resp.body
 	if resp.status == http.StatusOK || resp.status == http.StatusAccepted {
+		if at := idSpliceAt(body, shard); at > 0 {
+			h.Set("Content-Length", strconv.Itoa(len(body)+len(shard)+1))
+			w.WriteHeader(resp.status)
+			_, _ = w.Write(body[:at])
+			_, _ = io.WriteString(w, shard)
+			_, _ = io.WriteString(w, ".")
+			_, _ = w.Write(body[at:])
+			return
+		}
 		if rewritten, ok := namespaceSessionID(body, shard); ok {
 			body = rewritten
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(resp.status)
 	_, _ = w.Write(body)
 }
 
-// namespaceSessionID rewrites {"id":"s-..."} to {"id":"<shard>.s-..."}.
+// viewPrefix opens every service.View body a shard writes: the session
+// ID is its first field.
+var viewPrefix = []byte(`{"id":"`)
+
+// idSpliceAt returns the offset in body where "<shard>." can be spliced
+// to namespace the session ID without decoding, or -1 when the body
+// needs namespaceSessionID. The splice applies only to a valid JSON
+// object opening with a non-empty "id" string whose remainder cannot
+// hold a second "id" key (a literal one, or one spelled with \u
+// escapes), and only for a shard name that needs no JSON escaping; the
+// spliced body then decodes to exactly what namespaceSessionID writes.
+func idSpliceAt(body []byte, shard string) int {
+	at := len(viewPrefix)
+	if !bytes.HasPrefix(body, viewPrefix) || len(body) <= at || body[at] == '"' {
+		return -1
+	}
+	for i := 0; i < len(shard); i++ {
+		if c := shard[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
+			return -1
+		}
+	}
+	rest := body[at:]
+	if bytes.Contains(rest, []byte(`"id"`)) || bytes.Contains(rest, []byte(`\u`)) || !json.Valid(body) {
+		return -1
+	}
+	return at
+}
+
+// namespaceSessionID rewrites {"id":"s-..."} to {"id":"<shard>.s-..."}
+// by decoding the body into a map and re-encoding it, which sorts the
+// keys. It is the fallback for bodies idSpliceAt refuses. Numbers pass
+// through as their literals, so every valid JSON object with a non-empty
+// string ID is rewritten — the same bodies the splice accepts and more.
 func namespaceSessionID(body []byte, shard string) ([]byte, bool) {
+	if !json.Valid(body) {
+		return nil, false
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
 	var view map[string]any
-	if err := json.Unmarshal(body, &view); err != nil {
+	if err := dec.Decode(&view); err != nil {
 		return nil, false
 	}
 	id, ok := view["id"].(string)

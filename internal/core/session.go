@@ -130,6 +130,9 @@ type System struct {
 	guard *keyguard.Keyguard
 	rng   *rand.Rand
 	now   time.Time // simulated wall clock, advanced by each session
+	// motionWS holds the pre-filter's traces and DTW rows between
+	// sessions; like rng, it confines a System to one goroutine.
+	motionWS motion.Workspace
 }
 
 // NewSystem pairs a phone and watch: generates the shared OTP key (over
@@ -440,7 +443,7 @@ func (s *System) exchange(res *Result, wl *wireless.Link, name string, payload, 
 // here (abort or skip-unlock).
 func (s *System) motionFilter(sc Scenario, res *Result, wl *wireless.Link) (bool, error) {
 	const traceLen = 100 // ~2 s at 50 Hz, the paper's 50-150 sample range
-	phoneTrace, watchTrace, err := motion.TracePair(sc.Activity, traceLen, sc.SameBody, s.rng)
+	phoneTrace, watchTrace, err := s.motionWS.TracePair(sc.Activity, traceLen, sc.SameBody, s.rng)
 	if err != nil {
 		return false, err
 	}
@@ -455,7 +458,7 @@ func (s *System) motionFilter(sc Scenario, res *Result, wl *wireless.Link) (bool
 	res.Energy.AddRadio(s.cfg.Watch.Name, s.cfg.Watch.RadioEnergy(d))
 	res.Energy.AddRadio(s.cfg.Phone.Name, s.cfg.Phone.RadioEnergy(d))
 
-	fr, err := motion.Filter(phoneTrace, watchTrace, s.cfg.MotionThresholds)
+	fr, err := s.motionWS.Filter(phoneTrace, watchTrace, s.cfg.MotionThresholds)
 	if err != nil {
 		return false, err
 	}

@@ -162,13 +162,21 @@ func NormalizeRMS(x []float64, targetRMS float64) {
 // filter normalizes accelerometer magnitudes this way before DTW.
 func ZScoreNormalize(x []float64) []float64 {
 	out := make([]float64, len(x))
+	ZScoreNormalizeInto(out, x)
+	return out
+}
+
+// ZScoreNormalizeInto is ZScoreNormalize writing into dst[:len(x)]; dst
+// must hold at least len(x) samples. It allocates nothing.
+func ZScoreNormalizeInto(dst, x []float64) {
+	dst = dst[:len(x)]
 	mean := Mean(x)
 	std := StdDev(x)
 	if std == 0 {
-		return out
+		clear(dst)
+		return
 	}
 	for i, v := range x {
-		out[i] = (v - mean) / std
+		dst[i] = (v - mean) / std
 	}
-	return out
 }

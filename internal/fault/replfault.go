@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math/rand"
+	"sync"
 
 	"wearlock/internal/sim"
 )
@@ -58,6 +59,12 @@ func (p ReplPlan) Any() bool {
 	return p.DropBatch || p.DupBatch || p.TruncBatch
 }
 
+// replRands recycles ForReplication's decision generators: a math/rand
+// source is about 5 KB of state and the shipper rolls once per batch.
+// Seed resets a source to exactly the stream rand.NewSource(seed)
+// starts, so a recycled generator draws the plan a fresh one would.
+var replRands = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // ForReplication rolls the schedule's replication-scoped rules for one
 // shipped batch. The decision stream derives from (baseSeed, replSalt,
 // batchSeq) through sim.SeedFor, so a replication chaos run's damage
@@ -66,7 +73,9 @@ func (p ReplPlan) Any() bool {
 // stream. Non-replication rules are skipped without a draw. A nil
 // schedule arms nothing (the plan still carries a usable Seed).
 func ForReplication(sch *Schedule, baseSeed, batchSeq int64) ReplPlan {
-	rng := rand.New(rand.NewSource(sim.SeedFor(baseSeed, replSalt, batchSeq)))
+	rng := replRands.Get().(*rand.Rand)
+	defer replRands.Put(rng)
+	rng.Seed(sim.SeedFor(baseSeed, replSalt, batchSeq))
 	plan := ReplPlan{Seed: rng.Int63()}
 	if sch == nil {
 		return plan

@@ -17,16 +17,25 @@ import (
 // The second return value is the number of cells evaluated, which the
 // device cost model converts to execution time.
 func DTW(a, b []float64) (float64, int64, error) {
+	var ws Workspace
+	return ws.DTW(a, b)
+}
+
+// DTW is the package-level DTW keeping its rows in the workspace.
+func (ws *Workspace) DTW(a, b []float64) (float64, int64, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return 0, 0, fmt.Errorf("motion: DTW of empty sequence (%d, %d)", len(a), len(b))
 	}
 	n, m := len(a), len(b)
 	// Rolling two-row DP for the accumulated cost; a parallel structure
-	// tracks path length for normalization.
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
-	prevLen := make([]int32, m+1)
-	curLen := make([]int32, m+1)
+	// tracks path length for normalization. Every row starts zeroed, as
+	// freshly allocated rows would.
+	ws.prev, ws.cur = resize(ws.prev, m+1), resize(ws.cur, m+1)
+	ws.prevLen, ws.curLen = resize(ws.prevLen, m+1), resize(ws.curLen, m+1)
+	prev, cur, prevLen, curLen := ws.prev, ws.cur, ws.prevLen, ws.curLen
+	clear(cur)
+	clear(prevLen)
+	clear(curLen)
 	for j := 1; j <= m; j++ {
 		prev[j] = math.Inf(1)
 	}
@@ -65,12 +74,20 @@ func DTW(a, b []float64) (float64, int64, error) {
 // normalize) before warping, so the score reflects motion *shape*, not
 // amplitude or offset.
 func NormalizedMagnitudeScore(phone, watch []float64) (float64, int64, error) {
+	var ws Workspace
+	return ws.NormalizedMagnitudeScore(phone, watch)
+}
+
+// NormalizedMagnitudeScore is the package-level NormalizedMagnitudeScore
+// keeping the z-scored copies and DTW rows in the workspace.
+func (ws *Workspace) NormalizedMagnitudeScore(phone, watch []float64) (float64, int64, error) {
 	if len(phone) == 0 || len(watch) == 0 {
 		return 0, 0, fmt.Errorf("motion: empty sensor trace (%d, %d)", len(phone), len(watch))
 	}
-	p := dsp.ZScoreNormalize(phone)
-	w := dsp.ZScoreNormalize(watch)
-	score, cells, err := DTW(p, w)
+	ws.zPhone, ws.zWatch = resize(ws.zPhone, len(phone)), resize(ws.zWatch, len(watch))
+	dsp.ZScoreNormalizeInto(ws.zPhone, phone)
+	dsp.ZScoreNormalizeInto(ws.zWatch, watch)
+	score, cells, err := ws.DTW(ws.zPhone, ws.zWatch)
 	if err != nil {
 		return 0, 0, err
 	}

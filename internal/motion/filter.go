@@ -81,13 +81,24 @@ type FilterResult struct {
 // Filter runs the full sensor-based filtering procedure of Alg. 1 on two
 // raw magnitude traces.
 func Filter(phone, watch []float64, thresholds Thresholds) (*FilterResult, error) {
-	score, cells, err := NormalizedMagnitudeScore(phone, watch)
+	var ws Workspace
+	fr, err := ws.Filter(phone, watch, thresholds)
 	if err != nil {
 		return nil, err
+	}
+	return &fr, nil
+}
+
+// Filter is the package-level Filter scoring in the workspace's buffers.
+// phone and watch may be the workspace's own traces.
+func (ws *Workspace) Filter(phone, watch []float64, thresholds Thresholds) (FilterResult, error) {
+	score, cells, err := ws.NormalizedMagnitudeScore(phone, watch)
+	if err != nil {
+		return FilterResult{}, err
 	}
 	decision, err := thresholds.Decide(score)
 	if err != nil {
-		return nil, err
+		return FilterResult{}, err
 	}
-	return &FilterResult{Score: score, Decision: decision, DTWCells: cells}, nil
+	return FilterResult{Score: score, Decision: decision, DTWCells: cells}, nil
 }

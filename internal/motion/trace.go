@@ -73,22 +73,32 @@ func (a Activity) gait() (freq, amp, noise float64) {
 // oscillation (with device-specific amplitude scaling, lag, and mounting
 // noise). Otherwise the watch continues the victim's activity while the
 // phone records an attacker's steady hold — small tremor and drift — the
-// physical situation the motion filter is designed to flag.
+// physical situation the motion filter is designed to flag. The returned
+// traces are the caller's.
 func TracePair(activity Activity, n int, colocated bool, rng *rand.Rand) (phone, watch []float64, err error) {
+	var ws Workspace
+	return ws.TracePair(activity, n, colocated, rng)
+}
+
+// TracePair is the package-level TracePair writing into the workspace's
+// trace buffers; the returned traces alias them.
+func (ws *Workspace) TracePair(activity Activity, n int, colocated bool, rng *rand.Rand) (phone, watch []float64, err error) {
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("motion: trace length %d must be positive", n)
 	}
 	if rng == nil {
 		return nil, nil, fmt.Errorf("motion: trace generation requires a random source")
 	}
+	ws.phone = resize(ws.phone, n)
+	ws.watch = resize(ws.watch, n)
 	if colocated {
-		phone = synthesize(activity, n, rng)
-		watch = deriveCoLocated(phone, activity, n, rng)
-		return phone, watch, nil
+		synthesizeInto(ws.phone, activity, rng)
+		deriveCoLocatedInto(ws.watch, ws.phone, activity, rng)
+	} else {
+		holdTraceInto(ws.phone, rng)
+		synthesizeInto(ws.watch, activity, rng)
 	}
-	phone = holdTrace(n, rng)
-	watch = synthesize(activity, n, rng)
-	return phone, watch, nil
+	return ws.phone, ws.watch, nil
 }
 
 // TraceIndependent synthesizes traces for two devices performing
@@ -100,14 +110,16 @@ func TraceIndependent(phoneActivity, watchActivity Activity, n int, rng *rand.Ra
 	if rng == nil {
 		return nil, nil, fmt.Errorf("motion: trace generation requires a random source")
 	}
-	return synthesize(phoneActivity, n, rng), synthesize(watchActivity, n, rng), nil
+	phone, watch = make([]float64, n), make([]float64, n)
+	synthesizeInto(phone, phoneActivity, rng)
+	synthesizeInto(watch, watchActivity, rng)
+	return phone, watch, nil
 }
 
-// holdTrace models a hand deliberately holding a phone steady: slow drift
-// plus physiological tremor (8-12 Hz, tiny amplitude).
-func holdTrace(n int, rng *rand.Rand) []float64 {
+// holdTraceInto models a hand deliberately holding a phone steady: slow
+// drift plus physiological tremor (8-12 Hz, tiny amplitude).
+func holdTraceInto(out []float64, rng *rand.Rand) {
 	const gravity = 9.81
-	out := make([]float64, n)
 	tremorFreq := 8 + 4*rng.Float64()
 	phase := rng.Float64() * 2 * math.Pi
 	for i := range out {
@@ -118,15 +130,13 @@ func holdTrace(n int, rng *rand.Rand) []float64 {
 		v += 0.03 * rng.NormFloat64()
 		out[i] = v
 	}
-	return out
 }
 
-// synthesize builds one device's magnitude trace: gravity plus gait
+// synthesizeInto builds one device's magnitude trace: gravity plus gait
 // oscillation with harmonics, phase drift, and sensor noise.
-func synthesize(activity Activity, n int, rng *rand.Rand) []float64 {
+func synthesizeInto(out []float64, activity Activity, rng *rand.Rand) {
 	const gravity = 9.81
 	freq, amp, noise := activity.gait()
-	out := make([]float64, n)
 	phase := rng.Float64() * 2 * math.Pi
 	drift := rng.NormFloat64() * 0.02
 	for i := range out {
@@ -138,17 +148,15 @@ func synthesize(activity Activity, n int, rng *rand.Rand) []float64 {
 		v += noise * rng.NormFloat64()
 		out[i] = v
 	}
-	return out
 }
 
-// deriveCoLocated produces the watch's view of the same body motion: a
-// scaled, slightly lagged copy of the shared oscillation with its own
+// deriveCoLocatedInto produces the watch's view of the same body motion:
+// a scaled, slightly lagged copy of the shared oscillation with its own
 // mounting noise (the wrist swings more than the pocket).
-func deriveCoLocated(phone []float64, activity Activity, n int, rng *rand.Rand) []float64 {
+func deriveCoLocatedInto(out, phone []float64, activity Activity, rng *rand.Rand) {
 	_, amp, noise := activity.gait()
 	scale := 1 + 0.15*rng.NormFloat64()
 	lag := rng.Intn(3) // sensor pipeline skew, up to ~60 ms
-	out := make([]float64, n)
 	const gravity = 9.81
 	for i := range out {
 		j := i - lag
@@ -158,5 +166,4 @@ func deriveCoLocated(phone []float64, activity Activity, n int, rng *rand.Rand) 
 		shared := phone[j] - gravity
 		out[i] = gravity + scale*shared + (noise+0.08*amp)*rng.NormFloat64()
 	}
-	return out
 }

@@ -154,6 +154,9 @@ type Store struct {
 	// subscriptions (see tail.go). Both guarded by mu.
 	tailSeq  uint64
 	tailSubs map[*TailSub]struct{}
+	// batchBuf is the committer's framing buffer, reused across batches
+	// (the WAL write copies it). Guarded by mu.
+	batchBuf []byte
 
 	// Group-commit queue. qmu orders enqueues against shutdown; notifyC
 	// wakes the committer; quitC/doneC bound its lifecycle.
@@ -444,6 +447,10 @@ func (s *Store) drainQueue(final bool) {
 	}
 }
 
+// maxRetainedBatchBuf caps the framing buffer the committer keeps
+// between batches, so one burst of huge records is not held forever.
+const maxRetainedBatchBuf = 1 << 20
+
 // commitBatch appends one batch under the state lock: assign sequence
 // numbers, marshal every record into one contiguous buffer, one write,
 // one fsync, then apply all records to the merged state and resolve the
@@ -461,7 +468,7 @@ func (s *Store) commitBatch(batch []pending) {
 		}
 		return
 	}
-	var buf []byte
+	buf := s.batchBuf[:0]
 	seq := s.merged.lastSeq
 	live := 0
 	for i := range batch {
@@ -477,7 +484,7 @@ func (s *Store) commitBatch(batch []pending) {
 			continue
 		}
 		seq++
-		buf = append(buf, frame(recordMagic, payload)...)
+		buf = appendFrame(buf, recordMagic, payload)
 		p.ok = true
 		live++
 	}
@@ -525,6 +532,9 @@ func (s *Store) commitBatch(batch []pending) {
 				err = s.compactLocked()
 			}
 		}
+	}
+	if cap(buf) <= maxRetainedBatchBuf {
+		s.batchBuf = buf
 	}
 	s.mu.Unlock()
 	for i := range batch {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"slices"
 )
 
 // WAL framing: every record is
@@ -29,15 +30,18 @@ var (
 	castagnoli  = crc32.MakeTable(crc32.Castagnoli)
 )
 
-// frame wraps a payload in the on-disk framing.
-func frame(magic, payload []byte) []byte {
-	buf := make([]byte, frameHeaderLen+len(payload))
-	copy(buf, magic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[8:], crc32.Checksum(payload, castagnoli))
-	copy(buf[frameHeaderLen:], payload)
-	return buf
+// appendFrame appends payload in the on-disk framing to dst, growing it
+// at most once.
+func appendFrame(dst, magic, payload []byte) []byte {
+	dst = slices.Grow(dst, frameHeaderLen+len(payload))
+	dst = append(dst, magic...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	return append(dst, payload...)
 }
+
+// frame returns payload in the on-disk framing as a fresh buffer.
+func frame(magic, payload []byte) []byte { return appendFrame(nil, magic, payload) }
 
 // recordAt is one valid record with its file extent.
 type recordAt struct {
