@@ -112,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzNamespaceSessionID -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzReplicaStream -fuzztime=10s ./internal/replica
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=10s ./internal/scenario
+	$(GO) test -run='^$$' -fuzz=FuzzCountingSource -fuzztime=10s ./internal/sim
 
 # Regenerate BENCH_dsp.json and enforce the DSP fast-path regression
 # gate (DESIGN.md §10): per-pair speedup floors plus zero allocs/op on

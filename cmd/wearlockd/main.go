@@ -215,8 +215,9 @@ func run() int {
 				return
 			}
 			rec, _ := svc.Ready()
-			logger.Printf("state recovered in %s: %d WAL records, %d corruptions, %d devices re-paired",
-				rec.Duration.Round(time.Millisecond), rec.Store.RecoveredRecords,
+			logger.Printf("state recovered in %s (log replay %s, device restore %s): %d WAL records, %d corruptions, %d devices re-paired",
+				rec.Duration.Round(time.Millisecond), rec.Store.ReplayDuration.Round(time.Microsecond),
+				rec.RestoreDuration.Round(time.Microsecond), rec.Store.RecoveredRecords,
 				rec.Store.Corruptions, len(rec.Repaired))
 		}()
 	}

@@ -46,6 +46,10 @@ type Recovery struct {
 	// Repaired lists devices re-paired with a fresh key (distrusted by
 	// the store, or absent while the log showed damage).
 	Repaired []int
+	// RestoreDuration covers the device loop alone: fast-forwarding each
+	// device's stream to its persisted draw position, RestoreState, and
+	// any re-pair it falls back to. Store.ReplayDuration is the log side.
+	RestoreDuration time.Duration
 	// Duration covers store open + replay + device restore + repairs.
 	Duration time.Duration
 }
@@ -103,6 +107,7 @@ func (s *Service) recoverState() {
 		distrusted[id] = true
 	}
 
+	restoreStart := time.Now()
 	for _, dev := range s.devices {
 		dev.mu.Lock()
 		ds, ok := state.Devices[dev.id]
@@ -130,6 +135,8 @@ func (s *Service) recoverState() {
 		}
 		dev.mu.Unlock()
 	}
+	s.recovery.RestoreDuration = time.Since(restoreStart)
+	s.m.recoveryRestoreSeconds.Set(s.recovery.RestoreDuration.Seconds())
 
 	if len(s.recovery.Repaired) > 0 {
 		// Fold the repairs into a snapshot so the corrupt WAL evidence

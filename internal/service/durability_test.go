@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"wearlock/internal/sim"
 	"wearlock/internal/store"
 )
 
@@ -326,5 +330,121 @@ func TestReadyzReportsRecovery(t *testing.T) {
 	}
 	if st.Corruptions != 0 {
 		t.Errorf("/readyz reported %d corruptions on a clean kill", st.Corruptions)
+	}
+}
+
+// writeDeviceStreams builds a state directory in which every device of
+// cfg's fleet holds its seed-fresh pairing and counters but sits extra(id)
+// draws past its seed-fresh stream position, as if it had served that
+// many more random values before a crash.
+func writeDeviceStreams(t *testing.T, cfg Config, dir string, extra func(id int) uint64) map[int]store.DeviceState {
+	t.Helper()
+	fresh := cfg
+	fresh.StateDir = ""
+	s0, err := New(fresh)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = s0.Shutdown(context.Background()) }()
+	st, err := store.Open(store.Options{Dir: dir, NoFsync: true})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	want := make(map[int]store.DeviceState, len(s0.devices))
+	for _, dev := range s0.devices {
+		ds := s0.exportDevice(dev)
+		ds.RngDraws += extra(dev.id)
+		if err := st.CommitDevice(ds); err != nil {
+			t.Fatalf("CommitDevice %d: %v", dev.id, err)
+		}
+		want[dev.id] = ds
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("store.Close: %v", err)
+	}
+	return want
+}
+
+// A daemon that served for a long time restarts as fast as a fresh one:
+// restoring a device's random stream must not cost one step per value
+// the device ever drew. 64 devices at 3·10^8 draws each would take about
+// 30 s to fast-forward by drawing; recovery must finish within a tenth
+// of that, also under the race detector, with every stream at its
+// persisted position and every device trusted.
+func TestDurableRecoveryOfLongLivedStreams(t *testing.T) {
+	const bound = 3 * time.Second
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	cfg.Devices = 64
+	want := writeDeviceStreams(t, cfg, dir, func(id int) uint64 { return 3e8 + uint64(id)*7919 })
+
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	ctx, cancel := context.WithTimeout(context.Background(), bound)
+	defer cancel()
+	if err := s.WaitReady(ctx); err != nil {
+		t.Fatalf("recovery of %d long-lived devices not done within %s: %v", cfg.Devices, bound, err)
+	}
+	rec, _ := s.Ready()
+	if len(rec.Repaired) != 0 {
+		t.Fatalf("recovery re-paired devices %v of a clean state dir", rec.Repaired)
+	}
+	if rec.RestoreDuration <= 0 || rec.RestoreDuration > rec.Duration {
+		t.Errorf("RestoreDuration %s outside (0, Duration %s]", rec.RestoreDuration, rec.Duration)
+	}
+	var page strings.Builder
+	s.Registry().WritePrometheus(&page)
+	if want := fmt.Sprintf("wearlockd_recovery_restore_seconds %g\n", rec.RestoreDuration.Seconds()); !strings.Contains(page.String(), want) {
+		t.Errorf("metrics page lacks %q", want)
+	}
+	for _, dev := range s.devices {
+		dev.mu.Lock()
+		got, ex := dev.src.Draws(), dev.sys.ExportState()
+		dev.mu.Unlock()
+		if w := want[dev.id]; got != w.RngDraws || ex.GenCounter != w.GenCounter || !bytes.Equal(ex.Key, w.Key) {
+			t.Fatalf("device %d restored at draw %d gen %d, want draw %d gen %d with its key",
+				dev.id, got, ex.GenCounter, w.RngDraws, w.GenCounter)
+		}
+	}
+}
+
+// Recovery lands a device on exactly the stream position it persisted:
+// after a restore from a few million draws (far enough for SkipTo's jump
+// path) the device's next values are the ones a linear fast-forward of
+// the standard source yields.
+func TestDurableRecoveryResumesStreamExactly(t *testing.T) {
+	const dev = 1
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	want := writeDeviceStreams(t, cfg, dir, func(id int) uint64 {
+		if id == dev {
+			return 5_000_003
+		}
+		return 0
+	})
+	at := want[dev].RngDraws
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	if err := s.WaitReady(context.Background()); err != nil {
+		t.Fatalf("WaitReady: %v", err)
+	}
+
+	ref := rand.NewSource(sim.SeedFor(cfg.Seed, dev)).(rand.Source64)
+	for i := uint64(0); i < at; i++ {
+		ref.Uint64()
+	}
+	d := s.devices[dev]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i := 0; i < 2000; i++ {
+		if got, w := d.src.Uint64(), ref.Uint64(); got != w {
+			t.Fatalf("restored device %d draw %d: %#x, linear reference %#x", dev, at+uint64(i), got, w)
+		}
 	}
 }

@@ -315,9 +315,10 @@ func (s *Service) replApply(req *cluster.ReplicaAppendRequest) (*cluster.Replica
 
 // replWarmDevices fast-forwards the in-memory devices a batch touched
 // to their merged durable state, so the standby stays one short
-// reconcile away from serving instead of paying a full SkipTo-from-zero
-// replay at promotion. Failures are tolerated here — promotion repeats
-// the restore and repairs what it cannot trust.
+// reconcile away from serving: promotion then restores counters over
+// streams already at their positions instead of seeking every device's
+// stream inside the downtime window. Failures are tolerated here —
+// promotion repeats the restore and repairs what it cannot trust.
 func (s *Service) replWarmDevices(ids []int) {
 	for _, id := range ids {
 		if id < 0 || id >= len(s.devices) {
@@ -459,9 +460,8 @@ func (s *Service) replAppliedSeqLocked() uint64 {
 
 // promoteReconcile restores every owned device from the merged durable
 // state — the same SkipTo + RestoreState path crash recovery uses, but
-// over already-warmed devices, so the expensive stream fast-forward was
-// paid incrementally during replication, not here in the downtime
-// window. A device the stream never mentioned keeps its seed-fresh
+// over already-warmed devices, so the stream fast-forward was paid
+// incrementally during replication and SkipTo here is usually a no-op. A device the stream never mentioned keeps its seed-fresh
 // pairing (both sides derive it identically from the shared base
 // seed); a device whose restored state the core refuses is re-paired
 // with a fresh key rather than trusted.
@@ -488,10 +488,7 @@ func (s *Service) promoteReconcile(owned []int) error {
 		if rerr != nil {
 			// Mirror recovery's discipline: a counter that cannot be
 			// trusted must never become a replay window — re-pair instead.
-			rerr = dev.src.SkipTo(dev.src.Draws())
-			if rerr == nil {
-				rerr = dev.sys.Repair()
-			}
+			rerr = dev.sys.Repair()
 			if rerr == nil {
 				rerr = s.commitDeviceLocked(dev)
 			}

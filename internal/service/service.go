@@ -321,13 +321,14 @@ type metrics struct {
 	ber           *telemetry.Histogram
 	ebn0          *telemetry.Histogram
 
-	recoverySeconds *telemetry.FloatGauge
-	walRecords      *telemetry.Counter
-	corruptions     *telemetry.Counter
-	repairs         *telemetry.Counter
-	commitSeconds   *telemetry.Histogram
-	walBatchSize    *telemetry.Histogram
-	fsyncDisabled   *telemetry.Gauge
+	recoverySeconds        *telemetry.FloatGauge
+	recoveryRestoreSeconds *telemetry.FloatGauge
+	walRecords             *telemetry.Counter
+	corruptions            *telemetry.Counter
+	repairs                *telemetry.Counter
+	commitSeconds          *telemetry.Histogram
+	walBatchSize           *telemetry.Histogram
+	fsyncDisabled          *telemetry.Gauge
 
 	replAttached       *telemetry.Gauge
 	replDetaches       *telemetry.Counter
@@ -374,6 +375,8 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 			telemetry.LinearBuckets(-5, 5, 12)),
 		recoverySeconds: reg.FloatGauge("wearlockd_recovery_seconds",
 			"Startup durable-state recovery time (snapshot load + WAL replay + device restore); 0 when no state dir is configured."),
+		recoveryRestoreSeconds: reg.FloatGauge("wearlockd_recovery_restore_seconds",
+			"Startup device-restore time within recovery (stream fast-forward + counter restore); 0 when no state dir is configured."),
 		walRecords: reg.Counter("wearlockd_wal_records_total",
 			"Durable WAL records committed by this process."),
 		corruptions: reg.Counter("wearlockd_store_corruptions_total",

@@ -366,7 +366,8 @@ func (s *Service) handleClusterExport(w http.ResponseWriter, r *http.Request) {
 // restore the in-memory devices from the merged state and take
 // ownership. The restore is the crash-recovery path: RNG SkipTo to the
 // persisted draw position, then RestoreState with the widened resync
-// look-ahead.
+// look-ahead. SkipTo's cost is logarithmic in a long-lived device's
+// position, so adopting a range does not get slower with its history.
 func (s *Service) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 	req, err := readWire[cluster.ImportRangeRequest](r, cluster.MsgImportRange)
 	if err != nil {
