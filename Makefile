@@ -108,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentedReplay -fuzztime=10s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzWireProtocol -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzNamespaceSessionID -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzReplicaStream -fuzztime=10s ./internal/replica

@@ -215,10 +215,10 @@ func run() int {
 				return
 			}
 			rec, _ := svc.Ready()
-			logger.Printf("state recovered in %s (log replay %s, device restore %s): %d WAL records, %d corruptions, %d devices re-paired",
+			logger.Printf("state recovered in %s (log replay %s, device restore %s): %d WAL records, %d decode fallbacks, %d corruptions, %d devices re-paired",
 				rec.Duration.Round(time.Millisecond), rec.Store.ReplayDuration.Round(time.Microsecond),
 				rec.RestoreDuration.Round(time.Microsecond), rec.Store.RecoveredRecords,
-				rec.Store.Corruptions, len(rec.Repaired))
+				rec.Store.DecodeFallbacks, rec.Store.Corruptions, len(rec.Repaired))
 		}()
 	}
 

@@ -89,6 +89,8 @@ func (s *Service) recoverState() {
 	info := st.Recovery()
 	state := st.State()
 	s.recovery.Store = info
+	s.m.recoveryReplaySeconds.Set(info.ReplayDuration.Seconds())
+	s.m.recoveryFallbacks.Set(int64(info.DecodeFallbacks))
 
 	// The admission sequence seeds per-session fault streams; resuming
 	// below the durable high-water mark would replay fault patterns (and

@@ -448,3 +448,55 @@ func TestDurableRecoveryResumesStreamExactly(t *testing.T) {
 		}
 	}
 }
+
+// After a crash the recovery report splits into log replay and device
+// restore, both exported on /metrics, and a log this build wrote replays
+// without one payload leaving the store's canonical decode path.
+func TestDurableRecoveryReportsReplayRestoreAndFallbacks(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := s1.WaitReady(context.Background()); err != nil {
+		t.Fatalf("WaitReady: %v", err)
+	}
+	for round := 0; round < 3; round++ {
+		for dev := 0; dev < cfg.Devices; dev++ {
+			runSessionOn(t, s1, dev)
+		}
+	}
+	s1.Kill()
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restart New: %v", err)
+	}
+	defer func() { _ = s2.Shutdown(context.Background()) }()
+	if err := s2.WaitReady(context.Background()); err != nil {
+		t.Fatalf("restart WaitReady: %v", err)
+	}
+	rec, _ := s2.Ready()
+	if rec.Store.RecoveredRecords == 0 || rec.Store.Damaged() || len(rec.Repaired) != 0 {
+		t.Fatalf("crash restart of a clean log: %+v", rec)
+	}
+	if rec.Store.DecodeFallbacks != 0 {
+		t.Errorf("%d of this build's payloads fell back to encoding/json", rec.Store.DecodeFallbacks)
+	}
+	if replay, restore := rec.Store.ReplayDuration, rec.RestoreDuration; replay <= 0 || restore <= 0 || replay+restore > rec.Duration {
+		t.Errorf("replay %s + restore %s not within total %s", replay, restore, rec.Duration)
+	}
+	var page strings.Builder
+	s2.Registry().WritePrometheus(&page)
+	for _, want := range []string{
+		fmt.Sprintf("wearlockd_recovery_replay_seconds %g\n", rec.Store.ReplayDuration.Seconds()),
+		fmt.Sprintf("wearlockd_recovery_restore_seconds %g\n", rec.RestoreDuration.Seconds()),
+		fmt.Sprintf("wearlockd_recovery_seconds %g\n", rec.Duration.Seconds()),
+		"wearlockd_recovery_decode_fallbacks 0\n",
+	} {
+		if !strings.Contains(page.String(), want) {
+			t.Errorf("metrics page lacks %q", want)
+		}
+	}
+}

@@ -322,7 +322,9 @@ type metrics struct {
 	ebn0          *telemetry.Histogram
 
 	recoverySeconds        *telemetry.FloatGauge
+	recoveryReplaySeconds  *telemetry.FloatGauge
 	recoveryRestoreSeconds *telemetry.FloatGauge
+	recoveryFallbacks      *telemetry.Gauge
 	walRecords             *telemetry.Counter
 	corruptions            *telemetry.Counter
 	repairs                *telemetry.Counter
@@ -375,8 +377,12 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 			telemetry.LinearBuckets(-5, 5, 12)),
 		recoverySeconds: reg.FloatGauge("wearlockd_recovery_seconds",
 			"Startup durable-state recovery time (snapshot load + WAL replay + device restore); 0 when no state dir is configured."),
+		recoveryReplaySeconds: reg.FloatGauge("wearlockd_recovery_replay_seconds",
+			"Startup log-replay time within recovery (store open: snapshot load + segmented WAL replay); 0 when no state dir is configured."),
 		recoveryRestoreSeconds: reg.FloatGauge("wearlockd_recovery_restore_seconds",
 			"Startup device-restore time within recovery (stream fast-forward + counter restore); 0 when no state dir is configured."),
+		recoveryFallbacks: reg.Gauge("wearlockd_recovery_decode_fallbacks",
+			"Snapshot, checkpoint and WAL payloads recovery decoded through encoding/json because they left the canonical record layout; 0 on a log this build wrote."),
 		walRecords: reg.Counter("wearlockd_wal_records_total",
 			"Durable WAL records committed by this process."),
 		corruptions: reg.Counter("wearlockd_store_corruptions_total",

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 )
@@ -64,13 +63,12 @@ func (s *Store) ExportRange(ids []int, since uint64) ([]Record, uint64, error) {
 				continue
 			}
 			var rec Record
-			if err := json.Unmarshal(f.payload, &rec); err != nil {
+			if _, err := decodeRecord(f.payload, &rec); err != nil {
 				continue // damaged payloads degrade the export, never fail it
 			}
 			if rec.Seq <= since || rec.Device == nil || !want[rec.Device.ID] {
 				continue
 			}
-			rec.Device = rec.Device.clone()
 			rec.Service = nil // fleet-level state (seq, round-robin) is shard-local
 			out = append(out, rec)
 		}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -67,7 +66,7 @@ func readWALImages(dir string) ([]walImage, bool, error) {
 				continue
 			}
 			var rec Record
-			if err := json.Unmarshal(f.payload, &rec); err != nil {
+			if _, err := decodeRecord(f.payload, &rec); err != nil {
 				continue
 			}
 			img.records = append(img.records, recordAt{off: f.off, end: f.end, rec: rec})

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -91,7 +90,12 @@ func loadDir(dir string, opt replayOptions) (loaded, error) {
 	lastValid := make(map[int]int64)
 	var snapHorizon uint64
 	if snapExists {
-		if sp, ok := decodeSnapshot(snapData); ok {
+		var sp snapshotPayload
+		slow, derr := readSnapshot(snapData, &sp)
+		if slow {
+			l.recovery.DecodeFallbacks++
+		}
+		if derr == nil {
 			for i := range sp.Devices {
 				l.merged.applyDevice(sp.LastSeq, &sp.Devices[i])
 				lastValid[sp.Devices[i].ID] = -1 // snapshot precedes the whole WAL
@@ -173,7 +177,11 @@ func loadDir(dir string, opt replayOptions) (loaded, error) {
 	// Flatten record frames into linear coordinates and decode checkpoint
 	// footers eagerly (one per seal; a damaged one is a corruption event,
 	// and an older one is simply superseded).
-	var frames []frameAt
+	nframes := 0
+	for _, ss := range scans {
+		nframes += len(ss.sc.frames)
+	}
+	frames := make([]frameAt, 0, nframes)
 	var ckpt *snapshotPayload
 	ckptOff := int64(-1)
 	for _, ss := range scans {
@@ -182,7 +190,11 @@ func loadDir(dir string, opt replayOptions) (loaded, error) {
 			f.end += ss.base
 			if f.kind == frameCheckpoint {
 				var sp snapshotPayload
-				if err := json.Unmarshal(f.payload, &sp); err != nil {
+				slow, err := decodeSnapshot(f.payload, &sp)
+				if slow {
+					l.recovery.DecodeFallbacks++
+				}
+				if err != nil {
 					corr = append(corr, f.off)
 					continue
 				}
@@ -233,6 +245,7 @@ func loadDir(dir string, opt replayOptions) (loaded, error) {
 			w = len(toDecode)
 		}
 		decCorr := make([][]int64, w)
+		fallbacks := make([]int, w)
 		chunk := (len(toDecode) + w - 1) / w
 		var wg sync.WaitGroup
 		for wi := 0; wi < w; wi++ {
@@ -247,20 +260,25 @@ func loadDir(dir string, opt replayOptions) (loaded, error) {
 			go func(wi, lo, hi int) {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					var rec Record
-					if err := json.Unmarshal(toDecode[i].payload, &rec); err != nil {
+					d := &decoded[i]
+					fellBack, err := decodeRecord(toDecode[i].payload, &d.rec)
+					if fellBack {
+						fallbacks[wi]++
+					}
+					if err != nil {
 						decCorr[wi] = append(decCorr[wi], toDecode[i].off)
 						continue
 					}
-					decoded[i] = recordAt{off: toDecode[i].off, end: toDecode[i].end, rec: rec}
+					d.off, d.end = toDecode[i].off, toDecode[i].end
 					valid[i] = true
 				}
 			}(wi, lo, hi)
 		}
 		wg.Wait()
-		for _, c := range decCorr {
+		for wi, c := range decCorr {
 			corr = append(corr, c...)
 			jsonFailures += len(c)
+			l.recovery.DecodeFallbacks += fallbacks[wi]
 		}
 	}
 	recs := decoded[:0]

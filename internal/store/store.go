@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -80,6 +79,12 @@ type RecoveryInfo struct {
 	// whenever Damaged() is true, the caller must also re-pair any fleet
 	// device it expected to find but which is absent from State().
 	Distrusted []int
+	// DecodeFallbacks counts snapshot, checkpoint and record payloads
+	// that left the canonical layout this build writes and were decoded
+	// by encoding/json's reflection path (DESIGN.md §15.3). Zero on a
+	// log written by this build; non-zero means recovery ran slower than
+	// it could, not that anything was lost.
+	DecodeFallbacks int
 	// ReplayDuration is how long snapshot load + WAL replay took.
 	ReplayDuration time.Duration
 }
@@ -474,17 +479,12 @@ func (s *Store) commitBatch(batch []pending) {
 	for i := range batch {
 		p := &batch[i]
 		p.rec.Seq = seq + 1
-		payload, err := json.Marshal(&p.rec)
-		if err != nil {
-			p.err = fmt.Errorf("store: encoding record: %w", err)
-			continue
-		}
-		if len(payload) > MaxRecordSize {
-			p.err = fmt.Errorf("store: record %d bytes exceeds max %d", len(payload), MaxRecordSize)
+		var err error
+		if buf, err = appendRecordFrame(buf, &p.rec); err != nil {
+			p.err = err
 			continue
 		}
 		seq++
-		buf = appendFrame(buf, recordMagic, payload)
 		p.ok = true
 		live++
 	}
@@ -565,12 +565,8 @@ func resolve(p *pending, err error) {
 // continue after.
 func (s *Store) sealLocked() error {
 	sp := s.snapshotPayloadLocked()
-	payload, err := json.Marshal(&sp)
-	if err != nil {
-		return fmt.Errorf("store: encoding checkpoint: %w", err)
-	}
-	if len(payload) <= MaxRecordSize {
-		if _, err := s.wal.Write(frame(snapMagic, payload)); err != nil {
+	if img := snapshotFrame(&sp); len(img)-frameHeaderLen <= MaxRecordSize {
+		if _, err := s.wal.Write(img); err != nil {
 			return fmt.Errorf("store: appending checkpoint: %w", err)
 		}
 		if !s.opts.NoFsync {
@@ -653,17 +649,12 @@ func (s *Store) Compact() error {
 
 func (s *Store) compactLocked() error {
 	sp := s.snapshotPayloadLocked()
-	payload, err := json.Marshal(&sp)
-	if err != nil {
-		return fmt.Errorf("store: encoding snapshot: %w", err)
-	}
-
 	tmpPath := filepath.Join(s.opts.Dir, snapshotTmpName)
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot tmp: %w", err)
 	}
-	if _, err := tmp.Write(frame(snapMagic, payload)); err != nil {
+	if _, err := tmp.Write(snapshotFrame(&sp)); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}

@@ -3,9 +3,8 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"hash/crc32"
-	"slices"
 )
 
 // WAL framing: every record is
@@ -29,19 +28,6 @@ var (
 	snapMagic   = []byte("WLS1")
 	castagnoli  = crc32.MakeTable(crc32.Castagnoli)
 )
-
-// appendFrame appends payload in the on-disk framing to dst, growing it
-// at most once.
-func appendFrame(dst, magic, payload []byte) []byte {
-	dst = slices.Grow(dst, frameHeaderLen+len(payload))
-	dst = append(dst, magic...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
-}
-
-// frame returns payload in the on-disk framing as a fresh buffer.
-func frame(magic, payload []byte) []byte { return appendFrame(nil, magic, payload) }
 
 // recordAt is one valid record with its file extent.
 type recordAt struct {
@@ -71,18 +57,32 @@ type frameAt struct {
 }
 
 // scanResult is the frame-level outcome of scanning one WAL image:
-// every CRC-valid frame in file order plus the corruption taxonomy of
-// replayResult, but without the JSON decode (that is replay phase two).
+// every CRC-valid frame in file order plus the corruption taxonomy, but
+// without the JSON decode (that is replay phase two).
 type scanResult struct {
-	frames      []frameAt
+	frames []frameAt
+	// corruptions holds the offsets of bit-rot events: complete frames
+	// with bad CRCs, or lost framing with valid frames after it. These
+	// distrust devices (see loadDir's distrust rule); payloads that
+	// fail to decode are added by the caller.
 	corruptions []int64
-	tornTailAt  int64
+	// tornTailAt is the offset of a benign torn tail — a frame that
+	// extends past EOF with nothing valid after it, the expected artifact
+	// of a crash mid-append. The frame was never fully written, so it was
+	// never fsynced, so it was never acknowledged: truncating it loses
+	// nothing durable and distrusts nobody. -1 when the tail is clean.
+	//
+	// A bit flip landing in the final frame's length field is
+	// indistinguishable from a torn write and is classified benign; the
+	// CRC protects the payload, not the header. DESIGN.md §11 documents
+	// this residual window.
+	tornTailAt int64
 }
 
 // scanWAL is the phase-one scanner: a sequential CRC/frame walk over a
 // WAL image. With checkpoints=false only WLR1 frames are legal (the
-// pre-segmentation contract replayWAL preserves, where snapshot bytes in
-// the WAL classify as corruption); with checkpoints=true the WLS1
+// pre-segmentation single-image contract, where snapshot bytes in the
+// WAL classify as corruption); with checkpoints=true the WLS1
 // checkpoint footers written at segment seals are recognized as frames
 // in their own right.
 func scanWAL(data []byte, checkpoints bool) scanResult {
@@ -176,64 +176,6 @@ func scanWAL(data []byte, checkpoints bool) scanResult {
 	return res
 }
 
-// replayResult is the outcome of scanning a WAL image.
-type replayResult struct {
-	records []recordAt
-	// corruptions holds the offsets of bit-rot events: complete records
-	// with bad CRCs, lost framing with valid records after it, or valid
-	// CRCs over unparseable payloads. These distrust devices (see
-	// distrustAfter).
-	corruptions []int64
-	// tornTailAt is the offset of a benign torn tail — a record that
-	// extends past EOF with nothing valid after it, the expected artifact
-	// of a crash mid-append. The record was never fully written, so it was
-	// never fsynced, so it was never acknowledged: truncating it loses
-	// nothing durable and distrusts nobody. -1 when the tail is clean.
-	//
-	// A bit flip landing in the final record's length field is
-	// indistinguishable from a torn write and is classified benign; the
-	// CRC protects the payload, not the header. DESIGN.md §11 documents
-	// this residual window.
-	tornTailAt int64
-}
-
-// replayWAL scans a WAL image, returning every recoverable record in file
-// order plus the corruption taxonomy. It never fails: arbitrary damage
-// degrades to fewer records and more corruption events. This is the
-// single-image contract (checkpoint footers are not legal frames here);
-// segmented recovery goes through loadDir, which scans and decodes in
-// two phases.
-func replayWAL(data []byte) replayResult {
-	sc := scanWAL(data, false)
-	res := replayResult{tornTailAt: sc.tornTailAt}
-	// Interleave frame-level corruption events with JSON-decode failures
-	// so the list stays in file-offset order, exactly as the single-pass
-	// scanner produced it.
-	ci := 0
-	for _, f := range sc.frames {
-		for ci < len(sc.corruptions) && sc.corruptions[ci] < f.off {
-			res.corruptions = append(res.corruptions, sc.corruptions[ci])
-			ci++
-		}
-		var rec Record
-		if err := json.Unmarshal(f.payload, &rec); err != nil {
-			res.corruptions = append(res.corruptions, f.off)
-			continue
-		}
-		res.records = append(res.records, recordAt{off: f.off, end: f.end, rec: rec})
-	}
-	res.corruptions = append(res.corruptions, sc.corruptions[ci:]...)
-	return res
-}
-
-// lastCorruption returns the offset of the final corruption event, or -1.
-func (r replayResult) lastCorruption() int64 {
-	if len(r.corruptions) == 0 {
-		return -1
-	}
-	return r.corruptions[len(r.corruptions)-1]
-}
-
 // snapshotPayload is the compacted snapshot body: the full merged state
 // at compaction time plus the sequence horizon, which lets replay skip
 // WAL records already folded into the snapshot (a crash between the
@@ -244,24 +186,23 @@ type snapshotPayload struct {
 	Devices []DeviceState `json:"devices"`
 }
 
-// decodeSnapshot parses a snapshot image. ok=false means the file is
-// damaged (framing, CRC, or JSON) and must be treated as a corruption
-// event that precedes every WAL record.
-func decodeSnapshot(data []byte) (snapshotPayload, bool) {
-	var sp snapshotPayload
+// readSnapshot decodes a framed snapshot image into *sp. An error means
+// the file is damaged (framing, CRC, or JSON) and must be treated as a
+// corruption event that precedes every WAL record; slow is
+// decodeSnapshot's.
+func readSnapshot(data []byte, sp *snapshotPayload) (slow bool, err error) {
 	if len(data) < frameHeaderLen || !bytes.Equal(data[:4], snapMagic) {
-		return sp, false
+		return false, errSnapshotFrame
 	}
 	length := binary.LittleEndian.Uint32(data[4:])
 	if length > MaxRecordSize || frameHeaderLen+int(length) > len(data) {
-		return sp, false
+		return false, errSnapshotFrame
 	}
 	payload := data[frameHeaderLen : frameHeaderLen+int(length)]
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[8:]) {
-		return sp, false
+		return false, errSnapshotFrame
 	}
-	if err := json.Unmarshal(payload, &sp); err != nil {
-		return sp, false
-	}
-	return sp, true
+	return decodeSnapshot(payload, sp)
 }
+
+var errSnapshotFrame = errors.New("store: snapshot frame damaged")

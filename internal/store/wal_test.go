@@ -130,20 +130,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := frame(snapMagic, payload)
-	got, ok := decodeSnapshot(img)
-	if !ok || got.LastSeq != 9 || len(got.Devices) != 1 || got.Service.Seq != 41 {
-		t.Fatalf("round trip: ok=%v got=%+v", ok, got)
+	var got snapshotPayload
+	_, err = readSnapshot(img, &got)
+	if err != nil || got.LastSeq != 9 || len(got.Devices) != 1 || got.Service.Seq != 41 {
+		t.Fatalf("round trip: err=%v got=%+v", err, got)
 	}
 	// Any damage must fail decode, never panic.
 	for i := 0; i < len(img); i += 7 {
 		bad := append([]byte(nil), img...)
 		bad[i] ^= 0x40
-		decodeSnapshot(bad)
+		readSnapshot(bad, new(snapshotPayload))
 	}
-	if _, ok := decodeSnapshot(img[:len(img)-2]); ok {
+	if _, err := readSnapshot(img[:len(img)-2], new(snapshotPayload)); err == nil {
 		t.Fatal("truncated snapshot decoded")
 	}
-	if _, ok := decodeSnapshot(frame(recordMagic, payload)); ok {
+	if _, err := readSnapshot(frame(recordMagic, payload), new(snapshotPayload)); err == nil {
 		t.Fatal("record magic accepted as snapshot")
 	}
 }
