@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"wearlock/internal/store"
 )
@@ -18,7 +20,8 @@ import (
 //	u32 LE CRC32C(payload) | JSON payload
 //
 // carried as an HTTP request/response body with Content-Type
-// WireContentType. The frame exists so the protocol is explicit and
+// WireContentType, or back to back on a stream (ReadFrame). The frame
+// exists so the protocol is explicit and
 // evolvable — version skew fails the handshake with a typed error
 // instead of a JSON shape mismatch deep inside a handoff — and so the
 // decoder has a crisp fuzz surface (FuzzWireProtocol): arbitrary bytes
@@ -355,6 +358,9 @@ type PromoteResponse struct {
 // epoch, unknown devices).
 type ErrorPayload struct {
 	Error string `json:"error"`
+	// Status is the HTTP status a refusal stands for where no HTTP
+	// response carries one (the replication stream); omitted when zero.
+	Status int `json:"status,omitempty"`
 }
 
 // Message is one decoded wire envelope.
@@ -386,6 +392,43 @@ func Encode(t MsgType, payload any) ([]byte, error) {
 	return buf, nil
 }
 
+// frameLength checks a header (at least wireHeaderLen bytes) and returns
+// its payload length: the one header parser, for Decode and ReadFrame.
+func frameLength(hdr []byte) (uint32, error) {
+	if !bytes.Equal(hdr[:4], wireMagic) {
+		return 0, fmt.Errorf("cluster: bad wire magic %q", hdr[:4])
+	}
+	if v := hdr[4]; v != WireVersion {
+		return 0, fmt.Errorf("cluster: wire version %d, this build speaks %d", v, WireVersion)
+	}
+	length := binary.LittleEndian.Uint32(hdr[6:])
+	if length > MaxWireSize {
+		return 0, fmt.Errorf("cluster: wire payload length %d exceeds max %d", length, MaxWireSize)
+	}
+	return length, nil
+}
+
+// ReadFrame reads the next whole frame off a stream into buf, kept by
+// the caller, for Decode. A bad header fails before any payload is read.
+// The stream ending between frames is io.EOF, inside one ErrUnexpectedEOF.
+func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], wireHeaderLen)[:wireHeaderLen]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf[:0], err
+	}
+	length, err := frameLength(buf)
+	if err == nil {
+		buf = slices.Grow(buf, int(length))[:wireHeaderLen+int(length)]
+		if _, err = io.ReadFull(r, buf[wireHeaderLen:]); err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	if err != nil {
+		return buf[:0], err
+	}
+	return buf, nil
+}
+
 // Decode parses one framed message. Every malformed input returns an
 // error; Decode never panics and never returns a partially-filled
 // message alongside a nil error (the FuzzWireProtocol contract).
@@ -394,17 +437,11 @@ func Decode(data []byte) (Message, error) {
 	if len(data) < wireHeaderLen {
 		return m, fmt.Errorf("cluster: wire frame %d bytes, need at least %d", len(data), wireHeaderLen)
 	}
-	if !bytes.Equal(data[:4], wireMagic) {
-		return m, fmt.Errorf("cluster: bad wire magic %q", data[:4])
-	}
-	if v := data[4]; v != WireVersion {
-		return m, fmt.Errorf("cluster: wire version %d, this build speaks %d", v, WireVersion)
+	length, err := frameLength(data)
+	if err != nil {
+		return m, err
 	}
 	t := MsgType(data[5])
-	length := binary.LittleEndian.Uint32(data[6:])
-	if length > MaxWireSize {
-		return m, fmt.Errorf("cluster: wire payload length %d exceeds max %d", length, MaxWireSize)
-	}
 	if int64(wireHeaderLen)+int64(length) != int64(len(data)) {
 		return m, fmt.Errorf("cluster: wire frame length mismatch: header says %d payload bytes, have %d",
 			length, len(data)-wireHeaderLen)

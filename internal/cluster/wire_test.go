@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -138,6 +141,13 @@ func FuzzWireProtocol(f *testing.F) {
 	if frame, err := Encode(MsgError, &ErrorPayload{Error: "x"}); err == nil {
 		seeds = append(seeds, frame)
 	}
+	if frame, err := Encode(MsgError, &ErrorPayload{Error: "fenced", Status: 409}); err == nil {
+		seeds = append(seeds, frame)
+	}
+	if frame, err := Encode(MsgReplicaAppend, &ReplicaAppendRequest{Epoch: 1, ShardID: "s0", BatchSeq: 4, FirstSeq: 9, LastSeq: 9,
+		Records: []store.Record{{Seq: 9, Device: &store.DeviceState{ID: 3, Key: []byte("k"), GenCounter: 2}}}}); err == nil {
+		seeds = append(seeds, frame)
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
@@ -153,5 +163,71 @@ func FuzzWireProtocol(f *testing.F) {
 				t.Fatalf("decoded message does not re-encode: %v", err)
 			}
 		}
+		// The stream reader on the same bytes twice over: every frame it
+		// returns is the next slice of the input, and a frame Decode
+		// accepts comes back whole, twice, then a clean EOF.
+		stream := append(append([]byte(nil), data...), data...)
+		br := bufio.NewReader(bytes.NewReader(stream))
+		var buf []byte
+		read, frames := 0, 0
+		var rerr error
+		for {
+			buf, rerr = ReadFrame(br, buf)
+			if rerr != nil {
+				break
+			}
+			if len(buf) < wireHeaderLen || !bytes.Equal(buf, stream[read:read+len(buf)]) {
+				t.Fatalf("frame %d is not the next %d input bytes", frames, len(buf))
+			}
+			read += len(buf)
+			frames++
+		}
+		if err == nil && (frames != 2 || read != len(stream) || rerr != io.EOF) {
+			t.Fatalf("decodable frame read back as %d frames over %d of %d bytes, then %v", frames, read, len(stream), rerr)
+		}
 	})
+}
+
+// TestReadFrame pins the stream reader: back-to-back frames come apart
+// whole into one retained buffer, and a torn, oversized or foreign
+// header is refused before its payload is read.
+func TestReadFrame(t *testing.T) {
+	small, _ := Encode(MsgHeartbeat, &HeartbeatRequest{Epoch: 1})
+	big, _ := Encode(MsgError, &ErrorPayload{Error: strings.Repeat("x", 2000), Status: 503})
+	var stream []byte
+	for _, f := range [][]byte{small, big, small} {
+		stream = append(stream, f...)
+	}
+	br := bufio.NewReader(bytes.NewReader(stream))
+	var buf []byte
+	var err error
+	for i, want := range [][]byte{small, big, small} {
+		if buf, err = ReadFrame(br, buf); err != nil || !bytes.Equal(buf, want) {
+			t.Fatalf("frame %d: %v (%d bytes, want %d)", i, err, len(buf), len(want))
+		}
+	}
+	if cap(buf) < len(big) {
+		t.Errorf("buffer not retained across frames: cap %d", cap(buf))
+	}
+	if _, err = ReadFrame(br, buf); err != io.EOF {
+		t.Errorf("clean end of stream: %v, want io.EOF", err)
+	}
+	oversized := append([]byte(nil), small...)
+	binary.LittleEndian.PutUint32(oversized[6:], MaxWireSize+1)
+	badMagic := append([]byte(nil), small...)
+	badMagic[0] = 'X'
+	for name, tc := range map[string]struct {
+		data []byte
+		want error
+	}{
+		"torn header":  {small[:5], io.ErrUnexpectedEOF},
+		"torn payload": {small[:len(small)-1], io.ErrUnexpectedEOF},
+		"oversized":    {oversized, nil},
+		"bad magic":    {badMagic, nil},
+	} {
+		_, err := ReadFrame(bufio.NewReader(bytes.NewReader(tc.data)), nil)
+		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Errorf("%s: ReadFrame = %v, want %v", name, err, tc.want)
+		}
+	}
 }

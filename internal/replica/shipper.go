@@ -170,6 +170,9 @@ type ShipperStatus struct {
 	Dropped   uint64 `json:"chaos_dropped"`
 	Duped     uint64 `json:"chaos_duplicated"`
 	Truncated uint64 `json:"chaos_truncated"`
+	// StreamDials counts the daemon's stream dials (1 per attach while the
+	// stream is healthy); the service's transport fills it in.
+	StreamDials uint64 `json:"stream_dials"`
 }
 
 // Status reports shipping progress.

@@ -3,7 +3,8 @@
 // A primary wearlockd accepts a follower's attach handshake
 // (/replica/v1/register) and starts an internal/replica Shipper that
 // streams its durable history — snapshot bootstrap, then the live
-// group-commit tail — to the follower's /replica/v1/append endpoint.
+// group-commit tail — to the follower over one long-lived connection
+// (GET /replica/v1/stream, upgraded), one WLC1 frame each way per batch.
 // Session acknowledgement couples to the stream: after its commit is
 // locally durable, a session waits until the follower has acked its
 // record (synchronous mode, or within the bounded-lag window), so the
@@ -20,12 +21,17 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
+	"strings"
 	"sync"
 	"time"
 
@@ -33,6 +39,7 @@ import (
 	"wearlock/internal/otp"
 	"wearlock/internal/replica"
 	"wearlock/internal/store"
+	"wearlock/internal/telemetry"
 )
 
 // ErrFollowing rejects unlock submissions on a warm standby: the
@@ -43,19 +50,26 @@ var ErrFollowing = errors.New("service: following a primary (not serving)")
 // replState is the service's replication role, both directions.
 type replState struct {
 	mu sync.Mutex
-	// Primary side: the shipper streaming to the attached follower.
-	shipper     *replica.Shipper
-	followerURL string
-	// Follower side.
+	// Primary side: the shipper streaming to the attached follower, and
+	// the connection it streams over.
+	shipper *replica.Shipper
+	stream  *replStream
+	// Follower side. inbound holds hijacked streams, which http.Server
+	// never closes (nil after replClose); inboundWG counts their goroutines.
 	recv      *replica.Receiver
 	following bool
 	promoted  bool
+	inbound   map[net.Conn]struct{}
+	inboundWG sync.WaitGroup
 }
+
+// replStreamProto is the Upgrade token of the replication stream.
+const replStreamProto = "wlc1-replica"
 
 // replicaRoutes mounts the replication control endpoints.
 func (s *Service) replicaRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /replica/v1/register", s.handleReplicaRegister)
-	mux.HandleFunc("POST /replica/v1/append", s.handleReplicaAppend)
+	mux.HandleFunc("GET /replica/v1/stream", s.handleReplicaStream)
 	mux.HandleFunc("POST /replica/v1/promote", s.handleReplicaPromote)
 	mux.HandleFunc("GET /replica/v1/status", s.handleReplicaStatus)
 }
@@ -92,6 +106,7 @@ func (s *Service) ReplicaStatus() ReplicaInfo {
 	}
 	if s.repl.shipper != nil {
 		st := s.repl.shipper.Status()
+		st.StreamDials = s.m.replStreamDials.Value()
 		info.Shipper = &st
 	}
 	if s.repl.recv != nil {
@@ -114,14 +129,27 @@ func (s *Service) ReplicaAttached() bool {
 	return sh != nil && sh.Attached()
 }
 
-// replClose tears the shipper down (shutdown/kill paths). Idempotent.
+// replClose tears replication down both ways (shutdown and kill paths),
+// waiting for the inbound streams' goroutines. Idempotent.
 func (s *Service) replClose() {
 	s.repl.mu.Lock()
-	sh := s.repl.shipper
-	s.repl.shipper = nil
+	sh, out := s.repl.shipper, s.repl.stream
+	s.repl.shipper, s.repl.stream = nil, nil
+	s.replCloseInboundLocked()
+	s.repl.inbound = nil
 	s.repl.mu.Unlock()
+	replStop(sh, out)
+	s.repl.inboundWG.Wait()
+}
+
+// replStop stops a shipper, then hangs up its stream; once the shipper's
+// goroutine is gone nothing sends on the stream again. Nil-safe.
+func replStop(sh *replica.Shipper, out *replStream) {
 	if sh != nil {
 		sh.Close()
+	}
+	if out != nil && out.conn != nil {
+		out.conn.Close()
 	}
 }
 
@@ -169,14 +197,16 @@ func (s *Service) handleReplicaRegister(w http.ResponseWriter, r *http.Request) 
 		wireError(w, http.StatusConflict, errors.New("service: a follower cannot accept followers"))
 		return
 	}
-	if req.FollowerURL == "" {
-		wireError(w, http.StatusBadRequest, errors.New("service: replica registration without follower URL"))
+	streamURL, err := url.Parse(req.FollowerURL + "/replica/v1/stream")
+	if req.FollowerURL == "" || err != nil {
+		wireError(w, http.StatusBadRequest, fmt.Errorf("service: replica registration without a follower URL (%v)", err))
 		return
 	}
 	devices := make([]int, len(s.devices))
 	for i := range devices {
 		devices[i] = i
 	}
+	out := &replStream{url: streamURL, metric: s.m.replStreamDials}
 	sh := replica.StartShipper(replica.ShipperConfig{
 		Store:   s.store,
 		Devices: devices,
@@ -188,7 +218,7 @@ func (s *Service) handleReplicaRegister(w http.ResponseWriter, r *http.Request) 
 			return epoch
 		},
 		ShardID: s.shardID(),
-		Send:    s.replicaSender(req.FollowerURL),
+		Send:    out.Send,
 		MaxLag:  uint64(s.cfg.ReplicaMaxLag),
 		Chaos:   s.cfg.Chaos,
 		Seed:    s.cfg.Seed,
@@ -204,58 +234,89 @@ func (s *Service) handleReplicaRegister(w http.ResponseWriter, r *http.Request) 
 		},
 	})
 	s.repl.mu.Lock()
-	old := s.repl.shipper
-	s.repl.shipper = sh
-	s.repl.followerURL = req.FollowerURL
+	old, oldOut := s.repl.shipper, s.repl.stream
+	s.repl.shipper, s.repl.stream = sh, out
 	s.repl.mu.Unlock()
-	if old != nil {
-		old.Close()
-	}
+	replStop(old, oldOut)
 	writeWire(w, http.StatusOK, cluster.MsgReplicaRegisterAck, &cluster.ReplicaRegisterResponse{
 		ShardID: s.shardID(),
 		LastSeq: s.store.State().LastSeq,
 	})
 }
 
-// replicaSender builds the shipper's transport: one framed POST per
-// batch, with the follower's typed refusals mapped back onto the
-// replica package's sentinel errors.
-func (s *Service) replicaSender(followerURL string) func(context.Context, *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
-	url := followerURL + "/replica/v1/append"
-	return func(ctx context.Context, req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
-		body, err := cluster.Encode(cluster.MsgReplicaAppend, req)
-		if err != nil {
+// replStream is the primary's end of the replication stream, dialled by
+// the first Send and after any transport or framing error. Only the
+// shipper's goroutine uses it; replStop closes it after that goroutine.
+type replStream struct {
+	url    *url.URL           // the follower's /replica/v1/stream
+	metric *telemetry.Counter // wearlockd_replica_stream_dials_total
+	conn   net.Conn           // nil until (re)dialled
+	br     *bufio.Reader
+	buf    []byte // the answer frame, kept across batches
+}
+
+// Send ships one batch frame and reads the answer frame within ctx's
+// deadline, dialling and upgrading first if need be. A refusal keeps the
+// connection; any other error closes it, so the shipper's retry redials.
+func (st *replStream) Send(ctx context.Context, req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
+	frame, err := cluster.Encode(cluster.MsgReplicaAppend, req)
+	if err != nil {
+		return nil, err
+	}
+	dialled := st.conn == nil
+	if dialled {
+		st.metric.Inc()
+		addr := net.JoinHostPort(st.url.Hostname(), cmp.Or(st.url.Port(), "80"))
+		if st.conn, err = new(net.Dialer).DialContext(ctx, "tcp", addr); err != nil {
 			return nil, err
 		}
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
+		st.br = bufio.NewReader(st.conn)
+	}
+	deadline, _ := ctx.Deadline()
+	err = st.conn.SetDeadline(deadline)
+	if err == nil && dialled {
+		_, err = fmt.Fprintf(st.conn, "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n",
+			st.url.RequestURI(), st.url.Host, replStreamProto)
+		var resp *http.Response
+		if err == nil {
+			resp, err = http.ReadResponse(st.br, nil)
 		}
-		hreq.Header.Set("Content-Type", cluster.WireContentType)
-		hres, err := s.replClient.Do(hreq)
-		if err != nil {
-			return nil, err
+		if err == nil && resp.StatusCode != http.StatusSwitchingProtocols {
+			err = fmt.Errorf("upgrade answered HTTP %d", resp.StatusCode)
 		}
-		defer hres.Body.Close()
-		data, err := io.ReadAll(io.LimitReader(hres.Body, cluster.MaxWireSize+64))
-		if err != nil {
-			return nil, err
-		}
-		if hres.StatusCode != http.StatusOK {
-			detail := wirePeerError(data)
-			switch hres.StatusCode {
-			case http.StatusConflict:
-				return nil, fmt.Errorf("%w: %s", replica.ErrFenced, detail)
-			case http.StatusPreconditionFailed:
-				return nil, fmt.Errorf("%w: %s", replica.ErrOutOfSync, detail)
-			case http.StatusUnprocessableEntity:
-				return nil, fmt.Errorf("%w: %s", replica.ErrCorrupt, detail)
-			default:
-				return nil, fmt.Errorf("service: replica append: HTTP %d: %s", hres.StatusCode, detail)
+	}
+	var m cluster.Message
+	if err == nil {
+		if _, err = st.conn.Write(frame); err == nil {
+			if st.buf, err = cluster.ReadFrame(st.br, st.buf); err == nil {
+				m, err = cluster.Decode(st.buf)
 			}
 		}
-		return cluster.DecodeAs[cluster.ReplicaAppendResponse](data, cluster.MsgReplicaAppendAck)
 	}
+	switch p := m.Payload.(type) {
+	case *cluster.ReplicaAppendResponse:
+		return p, nil
+	case *cluster.ErrorPayload:
+		if sentinel, ok := replStatuses[p.Status]; ok {
+			return nil, fmt.Errorf("%w: %s", sentinel, p.Error)
+		}
+		return nil, fmt.Errorf("service: replica append refused (%d): %s", p.Status, p.Error)
+	case nil: // err says why
+	default:
+		err = fmt.Errorf("unexpected %s frame", m.Type)
+	}
+	st.conn.Close()
+	st.conn = nil
+	return nil, fmt.Errorf("service: replica stream: %w", err)
+}
+
+// replStatuses maps each refusal status the stream carries to the
+// sentinel it stands for; the follower encodes by it, the primary decodes.
+var replStatuses = map[int]error{
+	http.StatusConflict:            replica.ErrFenced,
+	http.StatusPreconditionFailed:  replica.ErrOutOfSync,
+	http.StatusUnprocessableEntity: replica.ErrCorrupt,
+	http.StatusServiceUnavailable:  ErrRecovering,
 }
 
 // wirePeerError extracts the peer's error text from a framed MsgError
@@ -273,9 +334,6 @@ func wirePeerError(data []byte) string {
 }
 
 // --- Follower side ------------------------------------------------------
-
-// errPromoted fences a stale primary's appends after promotion.
-var errPromoted = errors.New("service: promoted; stale primary fenced")
 
 // replReceiverLocked lazily builds the follower's stream receiver (the
 // store exists only after recovery; callers have passed
@@ -296,21 +354,6 @@ func (s *Service) replReceiver() *replica.Receiver {
 	s.repl.mu.Lock()
 	defer s.repl.mu.Unlock()
 	return s.replReceiverLocked()
-}
-
-// replApply applies one shipped batch while holding repl.mu — the same
-// lock promotion takes. That mutual exclusion is a fencing invariant,
-// not a convenience: a batch that slipped in between the promote's
-// reconcile and its promoted-flag flip could advance durable counters
-// the freshly promoted verifier has not seen, which is exactly the
-// replay window promotion must never open.
-func (s *Service) replApply(req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
-	s.repl.mu.Lock()
-	defer s.repl.mu.Unlock()
-	if s.repl.promoted {
-		return nil, errPromoted
-	}
-	return s.replReceiverLocked().Apply(req)
 }
 
 // replWarmDevices fast-forwards the in-memory devices a batch touched
@@ -340,41 +383,98 @@ func (s *Service) replWarmDevices(ids []int) {
 	s.m.replAppliedBatches.Inc()
 }
 
-// handleReplicaAppend applies one shipped batch on the follower.
-// Refusal statuses are the shipper's control signals: 409 fences a
-// stale primary (promoted standby or newer epoch), 412 reports a
-// sequence gap (shipper resyncs), 422 reports a corrupt body (never
-// applied).
-func (s *Service) handleReplicaAppend(w http.ResponseWriter, r *http.Request) {
-	req, err := readWire[cluster.ReplicaAppendRequest](r, cluster.MsgReplicaAppend)
-	if err != nil {
-		wireError(w, http.StatusBadRequest, err)
+// handleReplicaStream upgrades a primary's GET and answers each batch
+// frame with one frame until either end closes. A frame it cannot read
+// and decode whole closes the stream unapplied; the primary re-sends it.
+func (s *Service) handleReplicaStream(w http.ResponseWriter, r *http.Request) {
+	if !strings.EqualFold(r.Header.Get("Upgrade"), replStreamProto) {
+		w.Header().Set("Upgrade", replStreamProto)
+		wireError(w, http.StatusUpgradeRequired, errors.New("service: the replica stream needs Upgrade: "+replStreamProto))
 		return
 	}
-	if !s.cfg.Follow {
-		wireError(w, http.StatusConflict, errors.New("service: not a follower (-follow)"))
+	conn, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		wireError(w, http.StatusInternalServerError, err)
 		return
+	}
+	defer conn.Close()
+	s.repl.mu.Lock()
+	open := s.repl.inbound != nil
+	if open {
+		s.repl.inbound[conn] = struct{}{}
+		s.repl.inboundWG.Add(1)
+	}
+	s.repl.mu.Unlock()
+	if !open {
+		return
+	}
+	defer func() {
+		s.repl.mu.Lock()
+		delete(s.repl.inbound, conn)
+		s.repl.mu.Unlock()
+		s.repl.inboundWG.Done()
+	}()
+	// Clear any server deadline: the stream idles while nothing commits.
+	if err = conn.SetDeadline(time.Time{}); err == nil {
+		_, err = io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+replStreamProto+"\r\n\r\n")
+	}
+	var frame, out []byte
+	var req *cluster.ReplicaAppendRequest
+	for err == nil {
+		if frame, err = cluster.ReadFrame(brw.Reader, frame); err == nil {
+			req, err = cluster.DecodeAs[cluster.ReplicaAppendRequest](frame, cluster.MsgReplicaAppend)
+		}
+		if err != nil {
+			return
+		}
+		if resp, aerr := s.replAppend(req); aerr != nil {
+			status := http.StatusInternalServerError // the shipper retries it
+			for st, sentinel := range replStatuses {
+				if errors.Is(aerr, sentinel) {
+					status = st
+				}
+			}
+			out, err = cluster.Encode(cluster.MsgError, &cluster.ErrorPayload{Error: aerr.Error(), Status: status})
+		} else {
+			out, err = cluster.Encode(cluster.MsgReplicaAppendAck, resp)
+		}
+		if err == nil {
+			_, err = conn.Write(out)
+		}
+	}
+}
+
+// replAppend decides one shipped batch: its ack, or a refusal that
+// replStatuses classifies.
+//
+// The batch applies under repl.mu, the lock promotion takes. That is a
+// fencing invariant, not a convenience: a batch slipping in between the
+// promote's reconcile and its promoted-flag flip could advance durable
+// counters the freshly promoted verifier has not seen, which is exactly
+// the replay window promotion must never open.
+func (s *Service) replAppend(req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
+	if !s.cfg.Follow {
+		return nil, fmt.Errorf("%w: not a follower (-follow)", replica.ErrFenced)
 	}
 	if err := s.shardClusterReady(); err != nil {
-		wireError(w, http.StatusServiceUnavailable, err)
-		return
+		return nil, err
 	}
 	if err := s.shardEpochGate(req.Epoch); err != nil {
-		wireError(w, http.StatusConflict, err)
-		return
+		return nil, fmt.Errorf("%w: %v", replica.ErrFenced, err)
 	}
-	resp, err := s.replApply(req)
-	switch {
-	case err == nil:
-		writeWire(w, http.StatusOK, cluster.MsgReplicaAppendAck, resp)
-	case errors.Is(err, errPromoted):
-		wireError(w, http.StatusConflict, err)
-	case errors.Is(err, replica.ErrOutOfSync):
-		wireError(w, http.StatusPreconditionFailed, err)
-	case errors.Is(err, replica.ErrCorrupt):
-		wireError(w, http.StatusUnprocessableEntity, err)
-	default:
-		wireError(w, http.StatusInternalServerError, err)
+	s.repl.mu.Lock()
+	defer s.repl.mu.Unlock()
+	if s.repl.promoted {
+		return nil, fmt.Errorf("%w: promoted; stale primary", replica.ErrFenced)
+	}
+	return s.replReceiverLocked().Apply(req)
+}
+
+// replCloseInboundLocked hangs up every inbound stream; their
+// goroutines exit on the error. Caller holds repl.mu.
+func (s *Service) replCloseInboundLocked() {
+	for conn := range s.repl.inbound {
+		conn.Close()
 	}
 }
 
@@ -440,6 +540,8 @@ func (s *Service) handleReplicaPromote(w http.ResponseWriter, r *http.Request) {
 	}
 	s.repl.promoted = true
 	s.repl.following = false
+	// The old primary's stream ends here; a redial meets the fence.
+	s.replCloseInboundLocked()
 	s.m.replPromotions.Inc()
 	writeWire(w, http.StatusOK, cluster.MsgPromoteAck, &cluster.PromoteResponse{
 		ShardID:    s.shardID(),

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wearlock/internal/cluster"
+	"wearlock/internal/replica"
 	"wearlock/internal/store"
 	"wearlock/internal/vtime"
 )
@@ -40,19 +41,7 @@ func newReplicaPair(t *testing.T) *replicaPair {
 	psrv := httptest.NewServer(p.Handler())
 	t.Cleanup(psrv.Close)
 
-	cfgF := durableConfig(t.TempDir())
-	cfgF.ShardID = "s0"
-	cfgF.Follow = true
-	f, err := New(cfgF)
-	if err != nil {
-		t.Fatalf("follower New: %v", err)
-	}
-	t.Cleanup(func() { _ = f.Shutdown(context.Background()) })
-	if err := f.WaitReady(context.Background()); err != nil {
-		t.Fatalf("follower WaitReady: %v", err)
-	}
-	fsrv := httptest.NewServer(f.Handler())
-	t.Cleanup(fsrv.Close)
+	f, fsrv := newLoneFollower(t)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -226,23 +215,36 @@ func TestReplicaPromoteFencesStalePrimary(t *testing.T) {
 	}
 	preAppend := followerCounter(0)
 
-	// A straggling append from the dead primary: stale epoch → 409, and
-	// the batch body must not have advanced any durable counter.
+	// A straggling append from the dead primary, on a stream of its own:
+	// stale epoch → a 409 error frame (the only status the sender reads as
+	// ErrFenced), and the batch body must not have advanced any durable
+	// counter.
 	straggler := &cluster.ReplicaAppendRequest{
 		Epoch: 1, ShardID: "s0", BatchSeq: 999, FirstSeq: 1000, LastSeq: 1000,
 		Records: []store.Record{{Seq: 1000, Device: &store.DeviceState{ID: 0, Key: []byte{9}, GenCounter: 1 << 40}}},
 	}
-	if _, code := shardPost[cluster.ReplicaAppendResponse](t, h, "/replica/v1/append",
-		cluster.MsgReplicaAppend, straggler, cluster.MsgReplicaAppendAck); code != http.StatusConflict {
-		t.Fatalf("stale-epoch append answered %d, want 409", code)
+	st := testStream(t, rp.followerSrv.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := st.Send(ctx, straggler); !errors.Is(err, replica.ErrFenced) {
+		t.Fatalf("stale-epoch append answered %v, want a 409 refusal", err)
 	}
 	straggler.Epoch = 2 // even the fenced epoch: a promoted daemon takes no appends
-	if _, code := shardPost[cluster.ReplicaAppendResponse](t, h, "/replica/v1/append",
-		cluster.MsgReplicaAppend, straggler, cluster.MsgReplicaAppendAck); code != http.StatusConflict {
-		t.Fatalf("post-promotion append answered %d, want 409", code)
+	if _, err := st.Send(ctx, straggler); !errors.Is(err, replica.ErrFenced) {
+		t.Fatalf("post-promotion append answered %v, want a 409 refusal", err)
 	}
 	if got := followerCounter(0); got != preAppend {
 		t.Fatalf("fenced append reached the store: counter %d -> %d", preAppend, got)
+	}
+	// Refusals keep the stream open.
+	if n := st.metric.Value(); n != 1 {
+		t.Fatalf("straggler stream dialled %d times, want 1", n)
+	}
+	// The old primary's own stream was cut at promotion; its redial meets
+	// the fence, so its waiters fail instead of acknowledging.
+	awaitPrimaryFenced(t, rp.primary)
+	if got := followerCounter(0); got != preAppend {
+		t.Fatalf("old primary's batch reached the promoted store: counter %d -> %d", preAppend, got)
 	}
 
 	// The promoted daemon serves.
@@ -273,9 +275,17 @@ func TestReplicaPrimaryFencedFailsSessions(t *testing.T) {
 
 	// Sessions on the stale primary must now fail: the commit lands in
 	// its local WAL, but replication bounces 409 and the ack is withheld.
+	awaitPrimaryFenced(t, rp.primary)
+}
+
+// awaitPrimaryFenced runs sessions on a primary whose follower was
+// promoted until one fails with ErrFenced, then checks the shipper
+// stopped in the fenced state.
+func awaitPrimaryFenced(t *testing.T, p *Service) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		sess, err := rp.primary.Submit(Request{Device: 0})
+		sess, err := p.Submit(Request{Device: 0})
 		if err == nil {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			werr := sess.Wait(ctx)
@@ -289,11 +299,11 @@ func TestReplicaPrimaryFencedFailsSessions(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("stale primary still acknowledging sessions: err=%v status=%+v", err, rp.primary.ReplicaStatus())
+			t.Fatalf("stale primary still acknowledging sessions: err=%v status=%+v", err, p.ReplicaStatus())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if st := rp.primary.ReplicaStatus().Shipper; st == nil || st.State != "fenced" {
-		t.Fatalf("shipper not fenced: %+v", rp.primary.ReplicaStatus())
+	if st := p.ReplicaStatus().Shipper; st == nil || st.State != "fenced" {
+		t.Fatalf("shipper not fenced: %+v", p.ReplicaStatus())
 	}
 }

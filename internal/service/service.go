@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"runtime"
 	"sync"
@@ -120,7 +121,7 @@ type Config struct {
 	ShardID string
 	// Follow boots the daemon as a warm standby: it refuses unlock
 	// traffic (503 ErrFollowing) and instead applies a primary's
-	// replication stream via /replica/v1/append until a promote order
+	// replication stream (GET /replica/v1/stream) until a promote order
 	// flips it into a serving primary. Requires StateDir.
 	Follow bool
 	// ReplicaMaxLag is the bounded-lag acknowledgement window when this
@@ -336,6 +337,7 @@ type metrics struct {
 	replDetaches       *telemetry.Counter
 	replAppliedBatches *telemetry.Counter
 	replPromotions     *telemetry.Counter
+	replStreamDials    *telemetry.Counter
 }
 
 func newMetrics(reg *telemetry.Registry) *metrics {
@@ -405,6 +407,8 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 			"Replication batches this follower applied durably (resets + live)."),
 		replPromotions: reg.Counter("wearlockd_replica_promotions_total",
 			"Promote orders this daemon executed (follower → serving primary)."),
+		replStreamDials: reg.Counter("wearlockd_replica_stream_dials_total",
+			"Replication stream connections this primary dialled to its follower: one per attach while the stream is healthy, more when it churns."),
 	}
 }
 
@@ -515,6 +519,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.m = newMetrics(s.reg)
 	s.replClient = newReplClient()
+	s.repl.inbound = make(map[net.Conn]struct{})
 	if cfg.Follow {
 		if cfg.StateDir == "" {
 			return nil, fmt.Errorf("service: follower mode requires a durable state dir")
