@@ -1,8 +1,8 @@
 // Command benchdsp measures the old-vs-new DSP fast-path benchmark pairs
-// (internal/dsp, internal/acoustic and internal/modem BenchCases) and
-// writes the results to a JSON report. With -check it acts as the
-// regression gate: the run fails if a pair misses its minimum speedup or a
-// steady-state fast path allocates.
+// (internal/dsp, internal/audio, internal/acoustic and internal/modem
+// BenchCases) and writes the results to a JSON report. With -check it
+// acts as the regression gate: the run fails if a pair misses its minimum
+// speedup or a steady-state fast path allocates.
 //
 // Usage:
 //
@@ -14,9 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"wearlock/internal/acoustic"
+	"wearlock/internal/audio"
 	"wearlock/internal/dsp"
 	"wearlock/internal/modem"
 )
@@ -53,11 +55,15 @@ func collectCases() ([]benchCase, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dsp cases: %w", err)
 	}
+	audioCases, err := audio.BenchCases()
+	if err != nil {
+		return nil, fmt.Errorf("audio cases: %w", err)
+	}
 	acousticCases, err := acoustic.BenchCases()
 	if err != nil {
 		return nil, fmt.Errorf("acoustic cases: %w", err)
 	}
-	for _, c := range append(dspCases, acousticCases...) {
+	for _, c := range slices.Concat(dspCases, audioCases, acousticCases) {
 		out = append(out, benchCase{c.Name, c.MinSpeedup, c.RequireZeroAllocNew, c.Old, c.New})
 	}
 	modemCases, err := modem.BenchCases()

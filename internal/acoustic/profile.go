@@ -229,7 +229,8 @@ func applyPhaseRipple(buf *audio.Buffer, rmsRad, correlationHz float64, rng *ran
 	}
 	half := size / 2
 	numGrid := half/gridStep + 2
-	grid := make([]float64, numGrid)
+	grid := dsp.GetFloat(numGrid)
+	defer dsp.PutFloat(grid)
 	for i := range grid {
 		grid[i] = rmsRad * rng.NormFloat64()
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"wearlock/internal/dsp"
 )
@@ -186,17 +187,59 @@ func impulsiveNoise(buf *Buffer, rng *rand.Rand) {
 }
 
 // humNoise produces a 120 Hz machinery hum with harmonics plus low-level
-// broadband noise, approximating HVAC and refrigeration equipment.
+// broadband noise, approximating HVAC and refrigeration equipment. The
+// harmonic sum depends only on the sample index and rate, so it comes from
+// a cached table; only the broadband term draws from rng.
 func humNoise(buf *Buffer, rng *rand.Rand) {
-	base := 120.0
-	harmonics := [...]float64{1, 0.5, 0.3, 0.15, 0.08}
+	hum := humTable(buf.Rate, len(buf.Samples))
 	for i := range buf.Samples {
-		t := float64(i) / float64(buf.Rate)
-		var v float64
-		for h, amp := range harmonics {
-			v += amp * math.Sin(2*math.Pi*base*float64(h+1)*t)
+		buf.Samples[i] = hum[i] + 0.1*rng.NormFloat64()
+	}
+}
+
+// humSum is the five-harmonic hum at sample i of a rate-Hz recording.
+// Every hum sample in the process goes through this one expression, so a
+// cached value is bit-identical to a fresh one.
+func humSum(i, rate int) float64 {
+	base := 120.0 // a variable, not a constant: 2*math.Pi*base rounds at run time
+	harmonics := [...]float64{1, 0.5, 0.3, 0.15, 0.08}
+	t := float64(i) / float64(rate)
+	var v float64
+	for h, amp := range harmonics {
+		v += amp * math.Sin(2*math.Pi*base*float64(h+1)*t)
+	}
+	return v
+}
+
+// _humTables caches humSum per sample rate (*atomic.Pointer[[]float64] by
+// int rate). A published table is never written again; a longer request
+// builds a longer copy and swaps it in, so readers need no lock.
+var _humTables sync.Map
+
+// humTable returns humSum(i, rate) for i in [0, n).
+func humTable(rate, n int) []float64 {
+	p, ok := _humTables.Load(rate)
+	if !ok {
+		p, _ = _humTables.LoadOrStore(rate, new(atomic.Pointer[[]float64]))
+	}
+	ptr := p.(*atomic.Pointer[[]float64])
+	for {
+		old := ptr.Load()
+		var have []float64
+		if old != nil {
+			have = *old
 		}
-		buf.Samples[i] = v + 0.1*rng.NormFloat64()
+		if len(have) >= n {
+			return have[:n]
+		}
+		grown := make([]float64, max(n, 2*len(have)))
+		copy(grown, have)
+		for i := len(have); i < len(grown); i++ {
+			grown[i] = humSum(i, rate)
+		}
+		if ptr.CompareAndSwap(old, &grown) {
+			return grown[:n]
+		}
 	}
 }
 

@@ -43,12 +43,21 @@ func PressureFromSPL(spl float64) float64 {
 // length, useful for plotting level profiles and for the energy-based
 // silence detector. A trailing partial window is ignored.
 func SPLWindowed(buf *Buffer, windowLen int) []float64 {
+	return SPLWindowedInto(nil, buf, windowLen)
+}
+
+// SPLWindowedInto is SPLWindowed writing the levels into dst, grown when
+// its capacity is short.
+func SPLWindowedInto(dst []float64, buf *Buffer, windowLen int) []float64 {
 	if windowLen <= 0 || buf.Len() < windowLen {
 		return nil
 	}
 	n := buf.Len() / windowLen
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	out := dst[:n]
+	for i := range out {
 		out[i] = SPLFromPressure(dsp.RMS(buf.Samples[i*windowLen : (i+1)*windowLen]))
 	}
 	return out

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"wearlock/internal/audio"
 	"wearlock/internal/dsp"
@@ -27,6 +28,17 @@ const DefaultNoiseSimilarityThreshold = 0.35
 // being robust to overall gain differences. The returned cost components
 // are charged to whichever device runs the comparison.
 func NoiseSimilarity(phone, watch *audio.Buffer) (float64, int64, error) {
+	return noiseSimilarity(phone, watch, &noiseScratch{})
+}
+
+// noiseScratch holds noiseSimilarity's envelopes and spectra, one of each
+// per recording, grown to the largest recordings seen.
+type noiseScratch struct {
+	env, spec [2][]float64
+}
+
+// noiseSimilarity is NoiseSimilarity with its envelopes and spectra in s.
+func noiseSimilarity(phone, watch *audio.Buffer, s *noiseScratch) (float64, int64, error) {
 	if phone.Rate != watch.Rate {
 		return 0, 0, fmt.Errorf("core: ambient recordings at different rates %d vs %d", phone.Rate, watch.Rate)
 	}
@@ -41,25 +53,24 @@ func NoiseSimilarity(phone, watch *audio.Buffer) (float64, int64, error) {
 	var ops int64
 
 	// (a) Short-time energy envelopes.
-	envA := audio.SPLWindowed(&audio.Buffer{Rate: phone.Rate, Samples: phone.Samples[:n]}, window)
-	envB := audio.SPLWindowed(&audio.Buffer{Rate: watch.Rate, Samples: watch.Samples[:n]}, window)
+	s.env[0] = audio.SPLWindowedInto(s.env[0], &audio.Buffer{Rate: phone.Rate, Samples: phone.Samples[:n]}, window)
+	s.env[1] = audio.SPLWindowedInto(s.env[1], &audio.Buffer{Rate: watch.Rate, Samples: watch.Samples[:n]}, window)
 	ops += int64(2 * n)
-	envCorr, err := dsp.PearsonCorrelation(envA, envB)
+	envCorr, err := dsp.PearsonCorrelation(s.env[0], s.env[1])
 	if err != nil {
 		return 0, ops, err
 	}
 
 	// (b) Average band spectra over aligned windows.
-	specA, opsA, err := averageSpectrum(phone.Samples[:n], window)
-	if err != nil {
-		return 0, ops, err
+	for i, samples := range [2][]float64{phone.Samples[:n], watch.Samples[:n]} {
+		spec, specOps, err := averageSpectrum(s.spec[i], samples, window)
+		if err != nil {
+			return 0, ops, err
+		}
+		s.spec[i] = spec
+		ops += specOps
 	}
-	specB, opsB, err := averageSpectrum(watch.Samples[:n], window)
-	if err != nil {
-		return 0, ops, err
-	}
-	ops += opsA + opsB
-	specCorr, err := dsp.PearsonCorrelation(specA, specB)
+	specCorr, err := dsp.PearsonCorrelation(s.spec[0], s.spec[1])
 	if err != nil {
 		return 0, ops, err
 	}
@@ -75,6 +86,12 @@ func NoiseSimilarity(phone, watch *audio.Buffer) (float64, int64, error) {
 	return score, ops, nil
 }
 
+// inBandWindow is InBandNoiseSPL's transform length; _inBandHann is its
+// analysis window, built once and read-only.
+const inBandWindow = 256
+
+var _inBandHann = sync.OnceValues(func() ([]float64, error) { return dsp.Window(dsp.WindowHann, inBandWindow) })
+
 // InBandNoiseSPL measures the ambient noise level inside the modem's
 // occupied band (the pilot span) from a noise-only recording, in dB SPL.
 // The protocol plans the speaker volume from this — not from the broadband
@@ -85,7 +102,7 @@ func InBandNoiseSPL(rec *audio.Buffer, lowHz, highHz float64) (float64, int64, e
 	if highHz <= lowHz || lowHz < 0 {
 		return 0, 0, fmt.Errorf("core: invalid band [%.0f, %.0f] Hz", lowHz, highHz)
 	}
-	const window = 256
+	const window = inBandWindow
 	if rec.Len() < window {
 		return 0, 0, fmt.Errorf("core: recording of %d samples shorter than one window", rec.Len())
 	}
@@ -100,14 +117,15 @@ func InBandNoiseSPL(rec *audio.Buffer, lowHz, highHz float64) (float64, int64, e
 	}
 	// A Hann window suppresses spectral leakage from strong out-of-band
 	// components; its power gain (sum w^2 / N = 3/8) is compensated.
-	win, err := dsp.Window(dsp.WindowHann, window)
+	win, err := _inBandHann()
 	if err != nil {
 		return 0, 0, err
 	}
 	var power float64
 	windows := 0
 	var ops int64
-	segment := make([]float64, window)
+	segment := dsp.GetFloat(window)
+	defer dsp.PutFloat(segment)
 	rp, err := dsp.RealPlanFor(window)
 	if err != nil {
 		return 0, 0, err
@@ -148,14 +166,19 @@ func sqrtOf(x float64) float64 {
 }
 
 // averageSpectrum returns the mean per-bin log-power spectrum over
-// consecutive windows, restricted to bins 2..window/2 (skipping DC).
-func averageSpectrum(samples []float64, window int) ([]float64, int64, error) {
+// consecutive windows, restricted to bins 2..window/2 (skipping DC), in
+// dst, grown when its capacity is short.
+func averageSpectrum(dst, samples []float64, window int) ([]float64, int64, error) {
 	numWindows := len(samples) / window
 	if numWindows == 0 {
 		return nil, 0, fmt.Errorf("core: segment shorter than one window")
 	}
 	half := window / 2
-	acc := make([]float64, half-2)
+	if cap(dst) < half-2 {
+		dst = make([]float64, half-2)
+	}
+	acc := dst[:half-2]
+	clear(acc)
 	var ops int64
 	rp, err := dsp.RealPlanFor(window)
 	if err != nil {

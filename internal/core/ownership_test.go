@@ -66,7 +66,7 @@ func TestKeptRecordingsSurvivePooledSessions(t *testing.T) {
 	linkRNG := rand.New(rand.NewSource(2))
 	for i := 0; i < 2*len(scenarios); i++ {
 		sc := scenarios[i%len(scenarios)]
-		link, err := sc.AcousticLink(cfg.Band, keeper.dataConfig().SampleRate, linkRNG)
+		link, err := sc.AcousticLink(cfg.Band, probeConfig(cfg.Band).SampleRate, linkRNG)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -172,7 +172,7 @@ func (p *linkPath) NominalLeadIn() int { return p.link.LeadIn }
 // sessionPath builds the pooled honest path over the scenario's link for
 // a session that has no caller-supplied path.
 func (s *System) sessionPath(sc Scenario) (AcousticPath, error) {
-	link, err := sc.AcousticLink(s.cfg.Band, s.dataConfig().SampleRate, s.rng)
+	link, err := sc.AcousticLink(s.cfg.Band, probeConfig(s.cfg.Band).SampleRate, s.rng)
 	if err != nil {
 		return nil, err
 	}

@@ -197,11 +197,6 @@ func (s *System) Unlock(sc Scenario) (*Result, error) {
 	return s.UnlockCtx(context.Background(), sc)
 }
 
-// dataConfig returns the band's baseline modem configuration.
-func (s *System) dataConfig() modem.Config {
-	return modem.DefaultConfig(s.cfg.Band, modem.QPSK)
-}
-
 // profiles returns the session's effective device profiles: the scenario's
 // armed compute slowdown (thermal throttling, background load) divides the
 // throughput of both devices. Radio and power figures are untouched.
@@ -277,8 +272,19 @@ type attemptOpts struct {
 }
 
 // unlockAttempt is one pass of the protocol — the body behind UnlockViaCtx
-// and each rung of the resilient ladder.
+// and each rung of the resilient ladder — on an idle workspace.
 func (s *System) unlockAttempt(ctx context.Context, sc Scenario, path AcousticPath, opts attemptOpts) (*Result, error) {
+	ws := getWorkspace()
+	res, err := s.attempt(ctx, sc, path, opts, ws)
+	if res != nil {
+		ws.steps = max(ws.steps, len(res.Timeline.steps))
+	}
+	putWorkspace(ws)
+	return res, err
+}
+
+// attempt is unlockAttempt's body.
+func (s *System) attempt(ctx context.Context, sc Scenario, path AcousticPath, opts attemptOpts, ws *workspace) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -294,7 +300,7 @@ func (s *System) unlockAttempt(ctx context.Context, sc Scenario, path AcousticPa
 	res := &Result{
 		BER:               -1,
 		EstimatedDistance: -1,
-		Timeline:          &Timeline{},
+		Timeline:          &Timeline{steps: make([]Step, 0, ws.steps)},
 		Energy:            NewEnergyLedger(),
 	}
 	if s.guard.State() == keyguard.StateLockedOut {
@@ -342,7 +348,7 @@ func (s *System) unlockAttempt(ctx context.Context, sc Scenario, path AcousticPa
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	probeCfg := modem.DefaultConfig(s.cfg.Band, modem.QPSK)
+	probeCfg := probeConfig(s.cfg.Band)
 	if opts.toneOnly {
 		// Tone-ACK rung: OFDM probing is typically what just failed on the
 		// earlier rungs, so the desperate rung skips phase 1 — full speaker
@@ -361,7 +367,7 @@ func (s *System) unlockAttempt(ctx context.Context, sc Scenario, path AcousticPa
 		}
 		return res, s.phase2ToneOnly(sc, res, wl, path, probeCfg)
 	}
-	pa, dataCfg, done, err := s.phase1(sc, res, wl, path, probeCfg)
+	pa, dataCfg, done, err := s.phase1(sc, res, wl, path, probeCfg, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +420,7 @@ func (s *System) unlockAttempt(ctx context.Context, sc Scenario, path AcousticPa
 	if opts.toneOnly {
 		return res, s.phase2ToneOnly(sc, res, wl, path, dataCfg)
 	}
-	return res, s.phase2(sc, res, wl, path, dataCfg, opts)
+	return res, s.phase2(sc, res, wl, path, dataCfg, opts, ws)
 }
 
 // exchange sends count control messages over the link, charging timeline
@@ -492,8 +498,9 @@ func (s *System) motionFilter(sc Scenario, res *Result, wl *wireless.Link) (bool
 // phase1 performs RTS/CTS channel probing: volume planning, probe
 // transmission, ambient-noise similarity, NLOS detection, sub-channel
 // selection. It returns the probe analysis and the adapted data
-// configuration; done=true means the session ended here.
-func (s *System) phase1(sc Scenario, res *Result, wl *wireless.Link, path AcousticPath, probeCfg modem.Config) (*modem.ProbeAnalysis, modem.Config, bool, error) {
+// configuration, both valid until ws's next attempt; done=true means the
+// session ended here.
+func (s *System) phase1(sc Scenario, res *Result, wl *wireless.Link, path AcousticPath, probeCfg modem.Config, ws *workspace) (*modem.ProbeAnalysis, modem.Config, bool, error) {
 	phone, watch := s.profiles(sc)
 
 	// Volume planning: drive the speaker so a receiver inside TargetRange
@@ -527,16 +534,13 @@ func (s *System) phase1(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 	res.VolumeSPL = volume
 
 	// Build and play the probe (RTS).
-	modulator, err := modem.NewModulator(probeCfg)
-	if err != nil {
+	if err := ws.mod.Reset(probeCfg); err != nil {
 		return nil, probeCfg, false, err
 	}
 	// The probe is one symbol long; its frame is pooled scratch, which the
 	// AcousticPath contract forbids Transmit to keep.
 	probe := audio.Buffer{Samples: dsp.GetFloat(probeCfg.FrameLen(1))[:0]}
-	tx := modem.GetTxWorkspace()
-	err = modulator.ProbeSymbolInto(&probe, tx)
-	modem.PutTxWorkspace(tx)
+	err = ws.mod.ProbeSymbolInto(&probe, &ws.tx)
 	if err != nil {
 		dsp.PutFloat(probe.Samples)
 		return nil, probeCfg, false, err
@@ -557,7 +561,7 @@ func (s *System) phase1(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 	// Ambient-noise similarity: the phone self-records while the watch
 	// records; compare the noise-only heads (Sound-Proof-style filter).
 	if s.cfg.EnableNoiseFilter && sc.Env != nil {
-		done, err := s.noiseFilter(sc, res, probeCfg)
+		done, err := s.noiseFilter(sc, res, probeCfg, ws)
 		if err != nil || done {
 			return nil, probeCfg, done, err
 		}
@@ -565,13 +569,8 @@ func (s *System) phase1(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 
 	// Probe analysis runs on the phone when offloading (after a file
 	// transfer), otherwise on the watch.
-	demod, err := modem.NewDemodulator(probeCfg)
-	if err != nil {
+	if err := ws.demod.Reset(probeCfg); err != nil {
 		return nil, probeCfg, false, err
-	}
-	if s.cfg.NLOSThreshold > 0 {
-		// Threshold override plumbed below via IsNLOS call.
-		_ = s.cfg.NLOSThreshold
 	}
 	analysisDevice := watch
 	if s.cfg.Offload {
@@ -592,7 +591,7 @@ func (s *System) phase1(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 		}
 		analysisDevice = phone
 	}
-	pa, err := demod.AnalyzeProbe(rec)
+	pa, err := ws.demod.AnalyzeProbeInto(rec, &ws.rx)
 	probeTime := analysisDevice.ComputeTime(pa.Cost)
 	res.Timeline.Add("phase1/probe-processing", StepCompute, analysisDevice.Name, probeTime)
 	res.Energy.AddCompute(analysisDevice.Name, analysisDevice.ComputeEnergy(probeTime))
@@ -641,15 +640,16 @@ func (s *System) phase1(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 
 	dataCfg := probeCfg
 	if s.cfg.EnableSubChannelSelection {
-		candidates := modem.CandidateDataChannels(probeCfg)
-		ranks := modem.RankSubChannels(candidates, pa.NoisePower, pa.ChannelGain)
-		selected, err := modem.SelectDataChannels(ranks, len(probeCfg.DataChannels), 0.25)
+		ws.candidates = modem.CandidateDataChannelsInto(ws.candidates, probeCfg)
+		ws.ranks = modem.RankSubChannelsInto(ws.ranks, ws.candidates, pa.NoisePower, pa.ChannelGain)
+		selected, err := modem.SelectDataChannelsInto(ws.selected, ws.ranks, len(probeCfg.DataChannels), 0.25)
 		if err == nil {
-			if applied, err := modem.ApplySelection(probeCfg, selected); err == nil {
+			ws.selected = selected
+			if applied, err := modem.WithDataChannels(probeCfg, selected); err == nil {
 				dataCfg = applied
 			}
 		}
-		res.Timeline.Add("phase1/subchannel-selection", StepCompute, analysisDevice.Name, analysisDevice.ComputeTime(modem.Cost{ScalarOps: int64(len(candidates) * 16)}))
+		res.Timeline.Add("phase1/subchannel-selection", StepCompute, analysisDevice.Name, analysisDevice.ComputeTime(modem.Cost{ScalarOps: int64(len(ws.candidates) * 16)}))
 	}
 	res.DataChannels = append([]int(nil), dataCfg.DataChannels...)
 	return pa, dataCfg, false, nil
@@ -680,7 +680,7 @@ func (s *System) measureAmbient(sc Scenario, probeCfg modem.Config) (float64, in
 
 // noiseFilter compares simultaneous ambient recordings from both devices,
 // rendered into pooled scratch.
-func (s *System) noiseFilter(sc Scenario, res *Result, probeCfg modem.Config) (bool, error) {
+func (s *System) noiseFilter(sc Scenario, res *Result, probeCfg modem.Config, ws *workspace) (bool, error) {
 	phone, _ := s.profiles(sc)
 	const ambientSeconds = 0.4
 	n := int(ambientSeconds * float64(probeCfg.SampleRate))
@@ -691,7 +691,7 @@ func (s *System) noiseFilter(sc Scenario, res *Result, probeCfg modem.Config) (b
 	if err := sc.Env.RenderPairInto(&phoneAmb, &watchAmb, sc.SameRoom, s.rng); err != nil {
 		return false, err
 	}
-	score, ops, err := NoiseSimilarity(&phoneAmb, &watchAmb)
+	score, ops, err := noiseSimilarity(&phoneAmb, &watchAmb, &ws.noise)
 	if err != nil {
 		return false, err
 	}
@@ -709,7 +709,7 @@ func (s *System) noiseFilter(sc Scenario, res *Result, probeCfg modem.Config) (b
 
 // phase2 transmits the OTP token, demodulates (offloaded or local),
 // enforces the replay timing window, verifies, and drives the keyguard.
-func (s *System) phase2(sc Scenario, res *Result, wl *wireless.Link, path AcousticPath, dataCfg modem.Config, opts attemptOpts) error {
+func (s *System) phase2(sc Scenario, res *Result, wl *wireless.Link, path AcousticPath, dataCfg modem.Config, opts attemptOpts, ws *workspace) error {
 	phone, watch := s.profiles(sc)
 
 	repetition := s.cfg.Repetition
@@ -724,15 +724,12 @@ func (s *System) phase2(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 	if err != nil {
 		return err
 	}
-	modulator, err := modem.NewModulator(dataCfg)
-	if err != nil {
+	if err := ws.mod.Reset(dataCfg); err != nil {
 		return err
 	}
 	// The token frame is pooled scratch, like the probe's.
 	frame := audio.Buffer{Samples: dsp.GetFloat(dataCfg.FrameLen(len(coded)))[:0]}
-	tx := modem.GetTxWorkspace()
-	err = modulator.ModulateInto(&frame, coded, tx)
-	modem.PutTxWorkspace(tx)
+	err = ws.mod.ModulateInto(&frame, coded, &ws.tx)
 	if err != nil {
 		dsp.PutFloat(frame.Samples)
 		return err
@@ -746,7 +743,8 @@ func (s *System) phase2(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 	if err != nil {
 		return fmt.Errorf("core: token transmission: %w", err)
 	}
-	// Demodulate is the recording's last reader; its result is a copy.
+	// DemodulateInto is the recording's last reader; its result lives in
+	// the workspace and leaves nothing in res.
 	defer releaseRecording(path, rec)
 	airTime := time.Duration(rec.Duration() * float64(time.Second))
 	res.Timeline.Add("phase2/token-on-air", StepAcoustic, phone.Name, airTime)
@@ -770,8 +768,7 @@ func (s *System) phase2(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 	}
 
 	// Demodulation: offloaded to the phone or local on the watch.
-	demod, err := modem.NewDemodulator(dataCfg)
-	if err != nil {
+	if err := ws.demod.Reset(dataCfg); err != nil {
 		return err
 	}
 	execDevice := watch
@@ -793,7 +790,7 @@ func (s *System) phase2(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 		}
 		execDevice = phone
 	}
-	rx, err := demod.Demodulate(rec, len(coded))
+	rx, err := ws.demod.DemodulateInto(rec, len(coded), &ws.rx)
 	// The receive pipeline cost splits into pre-processing (silence gate
 	// + preamble search) and demodulation proper (sync, FFT, equalize,
 	// de-map) for the Fig. 10 breakdown.

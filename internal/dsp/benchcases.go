@@ -20,7 +20,8 @@ type BenchCase struct {
 // sized like the modem and channel-simulator hot paths: 256-point symbol
 // transforms, a preamble search over an 8k-sample recording, the
 // 8-pilot-to-32-bin equalizer interpolation, the three-bin tone detector,
-// and the 129-tap babble band-pass over 100 ms of audio.
+// and the 129-tap babble band-pass over 100 ms of audio, and over one
+// second against the one-output-per-pass interior.
 func BenchCases() ([]BenchCase, error) {
 	sig := benchCaseSignal(8192)
 	sym := benchCaseSignal(256)
@@ -60,6 +61,8 @@ func BenchCases() ([]BenchCase, error) {
 	}
 	audio := benchCaseSignal(4410)
 	firDst := make([]float64, len(audio))
+	second := benchCaseSignal(44100)
+	secondDst := make([]float64, len(second))
 
 	return []BenchCase{
 		{
@@ -124,6 +127,18 @@ func BenchCases() ([]BenchCase, error) {
 			},
 			New: func() error {
 				return bp.ApplyInto(firDst, audio)
+			},
+		},
+		{
+			Name:                "dsp/fir-blocked-129x44100",
+			MinSpeedup:          1.2,
+			RequireZeroAllocNew: true,
+			Old: func() error {
+				bp.applyReference(secondDst, second)
+				return nil
+			},
+			New: func() error {
+				return bp.ApplyInto(secondDst, second)
 			},
 		},
 	}, nil

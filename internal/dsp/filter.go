@@ -55,13 +55,43 @@ func (f *FIRFilter) Apply(x []float64) []float64 {
 // Output sample i is the sum over taps j, in ascending order, of
 // taps[j]*x[i+half-j] for every in-range input index. Outputs whose
 // window hangs off either end of x run the clipped tap range; the
-// interior runs the full window with no range tests. Both keep the
-// ascending tap order, so the floating-point sums do not depend on which
-// loop computed them.
+// interior runs the full window with no range tests, four outputs per
+// pass. All keep the ascending tap order, each output in its own
+// accumulator, so the floating-point sums do not depend on which loop
+// computed them.
 func (f *FIRFilter) ApplyInto(dst, x []float64) error {
 	if len(dst) != len(x) {
 		return fmt.Errorf("dsp: FIR dst length %d, want %d", len(dst), len(x))
 	}
+	lo, hi := f.interior(len(x))
+	f.edges(dst, x, lo, hi)
+	f.interior1(dst, x, f.interior4(dst, x, lo, hi), hi)
+	return nil
+}
+
+// applyReference is ApplyInto with the one-output-per-pass interior
+// throughout: the bit-equality oracle for the blocked interior and the
+// old side of its benchmark pair.
+func (f *FIRFilter) applyReference(dst, x []float64) {
+	lo, hi := f.interior(len(x))
+	f.edges(dst, x, lo, hi)
+	f.interior1(dst, x, lo, hi)
+}
+
+// interior returns the outputs [lo, hi) of an n-sample input whose window
+// x[i+half-m+1 .. i+half] lies wholly inside the input.
+func (f *FIRFilter) interior(n int) (lo, hi int) {
+	m, half := len(f.taps), len(f.taps)/2
+	lo, hi = m-1-half, n-half
+	if lo > hi {
+		lo, hi = n, n
+	}
+	return lo, hi
+}
+
+// edges computes the outputs outside [lo, hi) over their clipped tap
+// ranges.
+func (f *FIRFilter) edges(dst, x []float64, lo, hi int) {
 	taps := f.taps
 	m, half, n := len(taps), len(taps)/2, len(x)
 	edge := func(i int) {
@@ -71,15 +101,18 @@ func (f *FIRFilter) ApplyInto(dst, x []float64) error {
 		}
 		dst[i] = sum
 	}
-	// Interior outputs read x[i+half-m+1 .. i+half], all in range.
-	lo, hi := m-1-half, n-half
-	if lo > hi {
-		lo, hi = n, n
-	}
 	for i := 0; i < lo; i++ {
 		edge(i)
 	}
-	for i := lo; i < hi; i++ {
+	for i := hi; i < n; i++ {
+		edge(i)
+	}
+}
+
+// interior1 computes the interior outputs [from, hi), one per pass.
+func (f *FIRFilter) interior1(dst, x []float64, from, hi int) {
+	m, half := len(f.taps), len(f.taps)/2
+	for i := from; i < hi; i++ {
 		// w[k] pairs with rev[k] = taps[m-1-k]; descending k is
 		// ascending tap order.
 		w := x[i+half+1-m : i+half+1]
@@ -90,10 +123,33 @@ func (f *FIRFilter) ApplyInto(dst, x []float64) error {
 		}
 		dst[i] = sum
 	}
-	for i := hi; i < n; i++ {
-		edge(i)
+}
+
+// interior4 computes the interior outputs from lo in blocks of four and
+// returns where it stopped. The four sums are independent add chains, so
+// they overlap in the pipeline where one chain waits on each add.
+func (f *FIRFilter) interior4(dst, x []float64, lo, hi int) int {
+	m, half := len(f.taps), len(f.taps)/2
+	rev := f.rev
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		base := i + half + 1 - m
+		w0 := x[base : base+m]
+		w1 := x[base+1 : base+1+m]
+		w2 := x[base+2 : base+2+m]
+		w3 := x[base+3 : base+3+m]
+		w0, w1, w2, w3 = w0[:len(rev)], w1[:len(rev)], w2[:len(rev)], w3[:len(rev)]
+		var s0, s1, s2, s3 float64
+		for k := len(rev) - 1; k >= 0; k-- {
+			r := rev[k]
+			s0 += r * w0[k]
+			s1 += r * w1[k]
+			s2 += r * w2[k]
+			s3 += r * w3[k]
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
 	}
-	return nil
+	return i
 }
 
 // ApplyCausal filters x without group-delay compensation, as a streaming

@@ -251,3 +251,41 @@ func TestConvolveFFTPathMatches(t *testing.T) {
 		}
 	}
 }
+
+// The four-output interior keeps every output's own accumulator and tap
+// order, so it must match the one-output reference bit for bit: odd and
+// even tap counts, lengths that leave 0-3 outputs after the last block,
+// and inputs shorter than the filter (no interior at all).
+func TestFIRBlockedInteriorBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, taps := range []int{1, 2, 3, 4, 7, 8, 31, 64, 129} {
+		coeffs := make([]float64, taps)
+		for i := range coeffs {
+			coeffs[i] = rng.NormFloat64()
+		}
+		f, err := NewFIRFilter(coeffs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 1, 2, taps - 1, taps, taps + 1, taps + 2, taps + 3, 97, 1001, 4410} {
+			if n < 0 {
+				continue
+			}
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			got := make([]float64, n)
+			want := make([]float64, n)
+			if err := f.ApplyInto(got, x); err != nil {
+				t.Fatal(err)
+			}
+			f.applyReference(want, x)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("taps %d n %d: output %d = %v, reference %v", taps, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

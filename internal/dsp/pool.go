@@ -15,23 +15,35 @@ import (
 // GetFloat(n) hands out buf[:n] from a buffer of capacity
 // NextPow2(n), and Put* files a buffer under the largest class its
 // capacity covers. A rarely used length therefore shares a class with its
-// neighbours instead of owning a private pool that the GC empties before
-// the length comes round again. The *[]T boxes sync.Pool stores are
-// recycled too, so a pool hit allocates nothing.
+// neighbours instead of owning a private pool.
+//
+// Each class is a free list that survives garbage collection, unlike a
+// sync.Pool, whose contents every second GC cycle drops and the next Get
+// re-allocates. A class holds at most as many buffers as were out at once
+// (capped at maxFree), so the pools are sized by the peak number of
+// concurrent users, not by how long the process has run.
 //
 // Contract: a Get* buffer is zeroed, exactly like a fresh make(); Put*
 // hands it back once the caller is done. Returning a buffer twice, or
-// using it after Put, is a data race — same rules as sync.Pool. Only
-// scratch belongs here: a buffer handed to a caller that keeps it must
-// not come from, or go back to, a pool.
+// using it after Put, is a data race. Only scratch belongs here: a buffer
+// handed to a caller that keeps it must not come from, or go back to, a
+// pool.
 
 // numClasses bounds the pooled capacities at 2^(numClasses-1) elements;
 // larger requests fall through to make.
 const numClasses = 40
 
+// maxFree caps one class's free list; a Put beyond it leaves the buffer to
+// the garbage collector.
+const maxFree = 64
+
+type freeList[T any] struct {
+	mu   sync.Mutex
+	bufs [][]T
+}
+
 type classPool[T any] struct {
-	classes [numClasses]sync.Pool // class k holds *[]T of capacity >= 1<<k
-	boxes   sync.Pool             // empty *[]T, reused by the next put
+	classes [numClasses]freeList[T] // class k holds buffers of capacity >= 1<<k
 }
 
 var (
@@ -47,13 +59,17 @@ func (p *classPool[T]) get(n int) []T {
 	if k >= numClasses {
 		return make([]T, n)
 	}
-	box, ok := p.classes[k].Get().(*[]T)
-	if !ok {
+	l := &p.classes[k]
+	l.mu.Lock()
+	last := len(l.bufs) - 1
+	if last < 0 {
+		l.mu.Unlock()
 		return make([]T, n, 1<<k)
 	}
-	buf := (*box)[:n]
-	*box = nil
-	p.boxes.Put(box)
+	buf := l.bufs[last][:n]
+	l.bufs[last] = nil
+	l.bufs = l.bufs[:last]
+	l.mu.Unlock()
 	clear(buf)
 	return buf
 }
@@ -66,12 +82,12 @@ func (p *classPool[T]) put(buf []T) {
 	if k >= numClasses {
 		return
 	}
-	box, _ := p.boxes.Get().(*[]T)
-	if box == nil {
-		box = new([]T)
+	l := &p.classes[k]
+	l.mu.Lock()
+	if len(l.bufs) < maxFree {
+		l.bufs = append(l.bufs, buf[:0])
 	}
-	*box = buf[:0]
-	p.classes[k].Put(box)
+	l.mu.Unlock()
 }
 
 // GetComplex returns a zeroed []complex128 of length n from the pool.

@@ -25,9 +25,9 @@ type BenchCase struct {
 	Old, New            func() error
 }
 
-// BenchCases builds the modem benchmark pairs around a deterministic
-// loopback fixture: a 96-bit QASK frame preceded by a silence head, the
-// same shape the alloc guards use.
+// BenchCases builds the modem benchmark pairs around deterministic
+// loopback fixtures: a 96-bit QASK frame preceded by a silence head, the
+// same shape the alloc guards use, and a probe frame under low noise.
 func BenchCases() ([]BenchCase, error) {
 	cfg := DefaultConfig(BandAudible, QASK)
 	mod, err := NewModulator(cfg)
@@ -80,6 +80,21 @@ func BenchCases() ([]BenchCase, error) {
 	symWS.ensure(cfg)
 
 	probeFrame := &audio.Buffer{Samples: make([]float64, 0, cfg.FrameLen(1))}
+	probe, err := mod.ProbeSymbol()
+	if err != nil {
+		return nil, err
+	}
+	probeRec, err := audio.NewBuffer(cfg.SampleRate, 0)
+	if err != nil {
+		return nil, err
+	}
+	probeRec.AppendSilence(4096)
+	probeRec.AppendSamples(probe.Samples)
+	probeRec.AppendSilence(1024)
+	for i := range probeRec.Samples {
+		probeRec.Samples[i] += 1e-3 * rng.NormFloat64()
+	}
+	probeWS := &RxWorkspace{}
 
 	return []BenchCase{
 		{
@@ -91,6 +106,18 @@ func BenchCases() ([]BenchCase, error) {
 			},
 			New: func() error {
 				return mod.ProbeSymbolInto(probeFrame, txws)
+			},
+		},
+		{
+			Name:                "modem/analyze-probe",
+			RequireZeroAllocNew: true,
+			Old: func() error {
+				_, err := demod.AnalyzeProbe(probeRec)
+				return err
+			},
+			New: func() error {
+				_, err := demod.AnalyzeProbeInto(probeRec, probeWS)
+				return err
 			},
 		},
 		{

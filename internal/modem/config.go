@@ -2,6 +2,7 @@ package modem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -248,21 +249,19 @@ func (c Config) sortedPilots() []int {
 // NullChannels returns the in-band channels carrying neither data nor
 // pilots; the pilot-based SNR estimator measures noise on these (Eq. 3).
 func (c Config) NullChannels() []int {
-	used := make(map[int]bool, len(c.DataChannels)+len(c.PilotChannels))
-	for _, k := range c.DataChannels {
-		used[k] = true
-	}
-	for _, k := range c.PilotChannels {
-		used[k] = true
-	}
+	return c.appendNullChannels(nil)
+}
+
+// appendNullChannels appends NullChannels to dst: every bin of the pilot
+// span, in ascending order, that carries neither data nor a pilot.
+func (c Config) appendNullChannels(dst []int) []int {
 	pilots := c.sortedPilots()
-	var nulls []int
 	for k := pilots[0]; k <= pilots[len(pilots)-1]; k++ {
-		if !used[k] {
-			nulls = append(nulls, k)
+		if !slices.Contains(c.DataChannels, k) && !slices.Contains(c.PilotChannels, k) {
+			dst = append(dst, k)
 		}
 	}
-	return nulls
+	return dst
 }
 
 // SubChannelHz returns the center frequency of FFT bin k.

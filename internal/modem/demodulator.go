@@ -2,8 +2,10 @@ package modem
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/cmplx"
+	"slices"
 	"sync"
 
 	"wearlock/internal/audio"
@@ -46,20 +48,33 @@ type Demodulator struct {
 // NewDemodulator validates the configuration and precomputes the FFT plan
 // and reference preamble.
 func NewDemodulator(cfg Config) (*Demodulator, error) {
-	if err := cfg.Validate(); err != nil {
+	d := &Demodulator{}
+	if err := d.Reset(cfg); err != nil {
 		return nil, err
+	}
+	return d, nil
+}
+
+// Reset re-initializes d for cfg exactly as NewDemodulator builds a fresh
+// demodulator, overrides included, but keeps the capacity of d's channel
+// sets. The plans and the preamble come from process-wide caches, so
+// resetting a warm demodulator to a configuration with sorted pilots
+// allocates nothing.
+func (d *Demodulator) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	plan, err := dsp.PlanFor(cfg.FFTSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rplan, err := dsp.RealPlanFor(cfg.FFTSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pre, err := sharedPreamble(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The energy gate measures level inside the occupied band only:
 	// broadband ambient noise outside the band (speech, HVAC) would
@@ -67,7 +82,7 @@ func NewDemodulator(cfg Config) (*Demodulator, error) {
 	// signals sit far above the ambient spectrum.
 	detector := DefaultDetectorConfig()
 	detector.BandLowHz, detector.BandHighHz = cfg.BandEdges()
-	return &Demodulator{
+	*d = Demodulator{
 		cfg:             cfg,
 		plan:            plan,
 		rplan:           rplan,
@@ -76,10 +91,11 @@ func NewDemodulator(cfg Config) (*Demodulator, error) {
 		eqMethod:        EqualizeFFTInterp,
 		corr:            pre.corr,
 		pilots:          cfg.sortedPilots(),
-		nulls:           cfg.NullChannels(),
+		nulls:           cfg.appendNullChannels(d.nulls[:0]),
 		FineSyncEnabled: true,
 		FineSyncRange:   DefaultFineSyncRange,
-	}, nil
+	}
+	return nil
 }
 
 // preambleKey is everything Preamble(cfg) depends on.
@@ -179,8 +195,8 @@ func (r *RxResult) Clone() *RxResult {
 // DemodulateInto with a pooled workspace; the returned result owns its
 // slices.
 func (d *Demodulator) Demodulate(rec *audio.Buffer, numBits int) (*RxResult, error) {
-	ws := GetRxWorkspace()
-	defer PutRxWorkspace(ws)
+	ws := getRxWorkspace()
+	defer putRxWorkspace(ws)
 	res, err := d.DemodulateInto(rec, numBits, ws)
 	if res == nil {
 		return nil, err
@@ -334,39 +350,75 @@ type ProbeAnalysis struct {
 	Cost           Cost
 }
 
+// Clone returns a deep copy whose maps and slices do not alias the
+// receiver's. Analyses produced by AnalyzeProbeInto alias the workspace;
+// Clone detaches them.
+func (pa *ProbeAnalysis) Clone() *ProbeAnalysis {
+	out := *pa
+	if pa.Detection != nil {
+		det := *pa.Detection
+		out.Detection = &det
+	}
+	if pa.NoisePower != nil {
+		out.NoisePower = maps.Clone(pa.NoisePower)
+	}
+	if pa.ChannelGain != nil {
+		out.ChannelGain = maps.Clone(pa.ChannelGain)
+	}
+	if pa.DelayProfile != nil {
+		out.DelayProfile = slices.Clone(pa.DelayProfile)
+	}
+	return &out
+}
+
 // AnalyzeProbe processes a recorded probe frame (built by
-// Modulator.ProbeSymbol).
+// Modulator.ProbeSymbol). It is a thin shim over AnalyzeProbeInto with a
+// pooled workspace; the returned analysis owns its maps and slices.
 func (d *Demodulator) AnalyzeProbe(rec *audio.Buffer) (*ProbeAnalysis, error) {
+	ws := getRxWorkspace()
+	defer putRxWorkspace(ws)
+	pa, err := d.AnalyzeProbeInto(rec, ws)
+	if pa == nil {
+		return nil, err
+	}
+	return pa.Clone(), err
+}
+
+// AnalyzeProbeInto is the allocation-free probe analysis: the returned
+// analysis, its detection, maps and delay profile are owned by ws and stay
+// valid until ws's next AnalyzeProbeInto (DemodulateInto on the same
+// workspace leaves them alone). With a warmed workspace, steady-state
+// calls allocate nothing. Results are bit-identical to AnalyzeProbe.
+func (d *Demodulator) AnalyzeProbeInto(rec *audio.Buffer, ws *RxWorkspace) (*ProbeAnalysis, error) {
 	if rec.Rate != d.cfg.SampleRate {
 		return nil, fmt.Errorf("modem: recording rate %d does not match modem rate %d", rec.Rate, d.cfg.SampleRate)
 	}
-	ws := GetRxWorkspace()
-	defer PutRxWorkspace(ws)
 	ws.reset()
 	ws.ensure(d.cfg)
-	pa := &ProbeAnalysis{}
+	ws.probe = ProbeAnalysis{}
+	pa := &ws.probe
 	det, cost, err := d.detectPreambleInto(rec, ws)
 	pa.Cost.Add(cost)
 	if err != nil {
 		return pa, err
 	}
-	// The workspace (and the Detection aliasing it) goes back to the pool
-	// when this returns; hand the caller a detached copy.
-	detCopy := *det
-	det = &detCopy
+	// The analysis keeps its own copy of the detection, which the next
+	// DemodulateInto on this workspace would overwrite.
+	ws.probeDet = *det
+	det = &ws.probeDet
 	pa.Detection = det
 
 	// Ambient noise spectrum from the recording head.
-	ambient, err := AmbientSegment(rec, det)
+	ambient, err := ambientSegment(rec, det)
 	if err != nil {
 		return pa, err
 	}
-	noise, noiseCost, err := d.averageBinPower(ambient.Samples)
+	noiseCost, err := d.averageBinPower(ws, ambient)
 	pa.Cost.Add(noiseCost)
 	if err != nil {
 		return pa, fmt.Errorf("modem: ambient noise analysis: %w", err)
 	}
-	pa.NoisePower = noise
+	pa.NoisePower = ws.noise
 
 	// Probe symbol spectrum: fine-sync, FFT, per-bin gain, pilot SNR.
 	cpStart := det.PreambleStart + d.cfg.PreambleLen + d.cfg.PostPreambleGuard
@@ -375,16 +427,19 @@ func (d *Demodulator) AnalyzeProbe(rec *audio.Buffer) (*ProbeAnalysis, error) {
 		pa.Cost.Add(syncCost)
 		cpStart += offset
 	}
-	dummy := &RxResult{}
-	spectrum, err := d.symbolSpectrum(ws.spectrum[:d.cfg.FFTSize], rec.Samples, cpStart, dummy)
-	pa.Cost.Add(dummy.Cost)
+	var symCost RxResult
+	spectrum, err := d.symbolSpectrum(ws.spectrum[:d.cfg.FFTSize], rec.Samples, cpStart, &symCost)
+	pa.Cost.Add(symCost.Cost)
 	if err != nil {
 		return pa, fmt.Errorf("modem: probe symbol: %w", err)
 	}
-	pa.ChannelGain = make(map[int]float64, len(d.cfg.DataChannels)+len(d.cfg.PilotChannels))
-	for _, k := range append(append([]int(nil), d.cfg.DataChannels...), d.cfg.PilotChannels...) {
-		pa.ChannelGain[k] = cmplx.Abs(spectrum[k])
+	ws.gain = clearedMap(ws.gain, len(d.cfg.DataChannels)+len(d.cfg.PilotChannels))
+	for _, chans := range [...][]int{d.cfg.DataChannels, d.cfg.PilotChannels} {
+		for _, k := range chans {
+			ws.gain[k] = cmplx.Abs(spectrum[k])
+		}
 	}
+	pa.ChannelGain = ws.gain
 	if psnr, err := pilotSNRWith(spectrum, d.cfg.PilotChannels, d.nulls); err == nil {
 		pa.PSNR = psnr
 		pa.PSNRdB = dsp.DB(psnr)
@@ -402,36 +457,48 @@ func (d *Demodulator) AnalyzeProbe(rec *audio.Buffer) (*ProbeAnalysis, error) {
 	return pa, nil
 }
 
+// clearedMap empties m for reuse, or makes it when nil.
+func clearedMap(m map[int]float64, size int) map[int]float64 {
+	if m == nil {
+		return make(map[int]float64, size)
+	}
+	clear(m)
+	return m
+}
+
 // averageBinPower estimates per-bin noise power by averaging FFT window
-// powers over a noise-only segment. Bins outside the pilot span are
-// skipped; at least one full window is required.
-func (d *Demodulator) averageBinPower(samples []float64) (map[int]float64, Cost, error) {
+// powers over a noise-only segment into ws.noise. Bins outside the pilot
+// span are skipped; at least one full window is required. Each bin's
+// window powers are summed in window order in ws.binPower, indexed by bin.
+func (d *Demodulator) averageBinPower(ws *RxWorkspace, samples []float64) (Cost, error) {
 	var cost Cost
 	n := d.cfg.FFTSize
 	if len(samples) < n {
-		return nil, cost, fmt.Errorf("noise segment of %d samples shorter than one FFT window (%d)", len(samples), n)
+		return cost, fmt.Errorf("noise segment of %d samples shorter than one FFT window (%d)", len(samples), n)
 	}
 	pilots := d.pilots
 	lo, hi := pilots[0], pilots[len(pilots)-1]
-	acc := make(map[int]float64, hi-lo+1)
+	ws.binPower = growFloat(ws.binPower, hi-lo+1)
+	acc := ws.binPower
+	clear(acc)
 	windows := 0
-	buf := dsp.GetComplex(n)
-	defer dsp.PutComplex(buf)
+	buf := ws.fftBuf[:n]
 	for start := 0; start+n <= len(samples); start += n {
 		if err := d.rplan.Forward(buf, samples[start:start+n]); err != nil {
-			return nil, cost, err
+			return cost, err
 		}
 		cost.FFTButterflies += fftCost(n)
 		for k := lo; k <= hi; k++ {
 			v := buf[k]
-			acc[k] += real(v)*real(v) + imag(v)*imag(v)
+			acc[k-lo] += real(v)*real(v) + imag(v)*imag(v)
 		}
 		windows++
 	}
-	for k := range acc {
-		acc[k] /= float64(windows)
+	ws.noise = clearedMap(ws.noise, len(acc))
+	for i, p := range acc {
+		ws.noise[lo+i] = p / float64(windows)
 	}
-	return acc, cost, nil
+	return cost, nil
 }
 
 // EVM returns the RMS error-vector magnitude of equalized points against

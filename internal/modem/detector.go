@@ -356,17 +356,15 @@ func (d *Demodulator) bandLevelsInto(ws *RxWorkspace, rec *audio.Buffer, window 
 	return ws.levels, cost, nil
 }
 
-// AmbientSegment returns the noise-only head of a recording before the
-// detected preamble, used for ambient noise measurement and the
-// Sound-Proof-style similarity filter. A small guard is trimmed before the
-// onset to avoid leakage from the rising signal edge.
-func AmbientSegment(rec *audio.Buffer, det *Detection) (*audio.Buffer, error) {
-	guard := DefaultFFTSize / 2
-	end := det.PreambleStart - guard
-	if end < 0 {
-		end = 0
+// ambientSegment returns the noise-only head of a recording before the
+// detected preamble, used for ambient noise measurement. A small guard is
+// trimmed before the onset to avoid leakage from the rising signal edge.
+func ambientSegment(rec *audio.Buffer, det *Detection) ([]float64, error) {
+	end := max(det.PreambleStart-DefaultFFTSize/2, 0)
+	if end > rec.Len() {
+		return nil, fmt.Errorf("audio: slice [0, %d) out of range for length %d", end, rec.Len())
 	}
-	return rec.Slice(0, end)
+	return rec.Samples[:end], nil
 }
 
 // bandLevels returns the per-window level profile of a recording: in-band

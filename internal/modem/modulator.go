@@ -25,18 +25,30 @@ type Modulator struct {
 // the preamble waveform, which every modulator and demodulator of that
 // preamble shares read-only (see sharedPreamble).
 func NewModulator(cfg Config) (*Modulator, error) {
-	if err := cfg.Validate(); err != nil {
+	m := &Modulator{}
+	if err := m.Reset(cfg); err != nil {
 		return nil, err
+	}
+	return m, nil
+}
+
+// Reset re-initializes m for cfg exactly as NewModulator builds a fresh
+// modulator. Everything it needs comes from process-wide caches, so a warm
+// Reset allocates nothing.
+func (m *Modulator) Reset(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	plan, err := dsp.PlanFor(cfg.FFTSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pre, err := sharedPreamble(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Modulator{cfg: cfg, plan: plan, preamble: pre.wave}, nil
+	*m = Modulator{cfg: cfg, plan: plan, preamble: pre.wave}
+	return nil
 }
 
 // Config returns the modulator's configuration.
@@ -66,8 +78,8 @@ func (m *Modulator) PreambleWaveform() *audio.Buffer {
 // zeros. It is a thin shim over ModulateInto with a pooled workspace.
 func (m *Modulator) Modulate(bits []byte) (*audio.Buffer, error) {
 	frame := &audio.Buffer{Samples: make([]float64, 0, m.cfg.FrameLen(len(bits)))}
-	ws := GetTxWorkspace()
-	defer PutTxWorkspace(ws)
+	ws := getTxWorkspace()
+	defer putTxWorkspace(ws)
 	if err := m.ModulateInto(frame, bits, ws); err != nil {
 		return nil, err
 	}
@@ -112,8 +124,8 @@ func (m *Modulator) ModulateInto(frame *audio.Buffer, bits []byte, ws *TxWorkspa
 // is a thin shim over ProbeSymbolInto with a pooled workspace.
 func (m *Modulator) ProbeSymbol() (*audio.Buffer, error) {
 	frame := &audio.Buffer{Samples: make([]float64, 0, m.cfg.FrameLen(1))}
-	ws := GetTxWorkspace()
-	defer PutTxWorkspace(ws)
+	ws := getTxWorkspace()
+	defer putTxWorkspace(ws)
 	if err := m.ProbeSymbolInto(frame, ws); err != nil {
 		return nil, err
 	}

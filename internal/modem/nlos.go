@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"wearlock/internal/audio"
-	"wearlock/internal/dsp"
 )
 
 // NLOS detection (Sec. III "NLOS filtering"): when a body blocks the direct
@@ -28,53 +27,15 @@ const DefaultNLOSThreshold = 2.5e-3
 // extends, in seconds. Indoor reflections of interest arrive within ~20 ms.
 const DelayProfileWindow = 0.020
 
-// PreambleDelayProfile approximates the channel delay profile: the squared
-// raw matched-filter (cross-correlation) output of the received signal
-// against the known preamble over a window starting at the detected onset,
-// normalized by its peak. Raw correlation is used deliberately — each
-// tap's height is then proportional to that path's amplitude, while
-// ambient noise stays near the floor at any workable SNR.
-func PreambleDelayProfile(rec *audio.Buffer, preamble *audio.Buffer, det *Detection) ([]float64, Cost, error) {
-	var cost Cost
-	window := int(DelayProfileWindow * float64(rec.Rate))
-	start := det.PreambleStart
-	end := start + window + preamble.Len()
-	if end > rec.Len() {
-		end = rec.Len()
-	}
-	if end-start < preamble.Len() {
-		start = end - preamble.Len()
-		if start < 0 {
-			start = 0
-		}
-	}
-	region := rec.Samples[start:end]
-	scores, err := dsp.CrossCorrelate(region, preamble.Samples)
-	cost.CorrelationMACs += correlationCost(len(region), preamble.Len())
-	if err != nil {
-		return nil, cost, err
-	}
-	profile := make([]float64, len(scores))
-	var peak float64
-	for i, s := range scores {
-		profile[i] = s * s // power-like profile
-		if profile[i] > peak {
-			peak = profile[i]
-		}
-	}
-	if peak > 0 {
-		for i := range profile {
-			profile[i] /= peak
-		}
-	}
-	return profile, cost, nil
-}
-
-// preambleDelayProfile is PreambleDelayProfile against the shared
-// pre-transformed preamble template, with the raw correlation landing in
-// workspace scratch. The returned profile is freshly allocated (the probe
-// analysis hands it to the caller); only the intermediate correlation is
-// allocation-free. Bit-identical to PreambleDelayProfile.
+// preambleDelayProfile approximates the channel delay profile: the
+// squared raw matched-filter (cross-correlation) output of the received
+// signal against the known preamble over a window starting at the
+// detected onset, normalized by its peak. Raw correlation is used
+// deliberately — each tap's height is then proportional to that path's
+// amplitude, while ambient noise stays near the floor at any workable
+// SNR. The correlation runs against the shared pre-transformed preamble
+// template into ws.scores; the profile lands in ws.profile, which the
+// probe analysis hands out.
 func (d *Demodulator) preambleDelayProfile(rec *audio.Buffer, det *Detection, ws *RxWorkspace) ([]float64, Cost, error) {
 	var cost Cost
 	window := int(DelayProfileWindow * float64(rec.Rate))
@@ -99,7 +60,8 @@ func (d *Demodulator) preambleDelayProfile(rec *audio.Buffer, det *Detection, ws
 	if err != nil {
 		return nil, cost, err
 	}
-	profile := make([]float64, len(ws.scores))
+	ws.profile = growFloat(ws.profile, len(ws.scores))
+	profile := ws.profile
 	var peak float64
 	for i, s := range ws.scores {
 		profile[i] = s * s // power-like profile

@@ -1,8 +1,9 @@
 package modem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Sub-channel selection (Sec. III "Channel probing and sub-channel
@@ -15,18 +16,19 @@ import (
 // CandidateDataChannels returns every bin inside the pilot span that is
 // not a pilot — the pool the selector may assign as data channels.
 func CandidateDataChannels(cfg Config) []int {
-	pilotSet := make(map[int]bool, len(cfg.PilotChannels))
-	for _, k := range cfg.PilotChannels {
-		pilotSet[k] = true
-	}
+	return CandidateDataChannelsInto(nil, cfg)
+}
+
+// CandidateDataChannelsInto is CandidateDataChannels appending to dst[:0].
+func CandidateDataChannelsInto(dst []int, cfg Config) []int {
 	pilots := cfg.sortedPilots()
-	var out []int
+	dst = dst[:0]
 	for k := pilots[0] + 1; k < pilots[len(pilots)-1]; k++ {
-		if !pilotSet[k] {
-			out = append(out, k)
+		if !slices.Contains(cfg.PilotChannels, k) {
+			dst = append(dst, k)
 		}
 	}
-	return out
+	return dst
 }
 
 // SubChannelRank orders candidate bins for selection.
@@ -41,7 +43,12 @@ type SubChannelRank struct {
 // frequency order); within a class, lower frequency wins, matching the
 // paper's dual priority.
 func RankSubChannels(candidates []int, noise map[int]float64, gain map[int]float64) []SubChannelRank {
-	ranks := make([]SubChannelRank, 0, len(candidates))
+	return RankSubChannelsInto(nil, candidates, noise, gain)
+}
+
+// RankSubChannelsInto is RankSubChannels writing the ranking into dst[:0].
+func RankSubChannelsInto(dst []SubChannelRank, candidates []int, noise map[int]float64, gain map[int]float64) []SubChannelRank {
+	ranks := dst[:0]
 	var minNoise float64
 	first := true
 	for _, k := range candidates {
@@ -70,12 +77,11 @@ func RankSubChannels(candidates []int, noise map[int]float64, gain map[int]float
 		}
 		return c
 	}
-	sort.SliceStable(ranks, func(i, j int) bool {
-		ci, cj := class(ranks[i].NoisePower), class(ranks[j].NoisePower)
-		if ci != cj {
-			return ci < cj
+	slices.SortStableFunc(ranks, func(a, b SubChannelRank) int {
+		if c := cmp.Compare(class(a.NoisePower), class(b.NoisePower)); c != 0 {
+			return c
 		}
-		return ranks[i].Bin < ranks[j].Bin
+		return cmp.Compare(a.Bin, b.Bin)
 	})
 	return ranks
 }
@@ -85,10 +91,19 @@ func RankSubChannels(candidates []int, noise map[int]float64, gain map[int]float
 // (dead bins, e.g. above the watch's low-pass cutoff). It returns the new
 // channel set in ascending bin order.
 func SelectDataChannels(ranks []SubChannelRank, numData int, minGainRatio float64) ([]int, error) {
+	return SelectDataChannelsInto(nil, ranks, numData, minGainRatio)
+}
+
+// SelectDataChannelsInto is SelectDataChannels writing the selection into
+// dst[:0].
+func SelectDataChannelsInto(dst []int, ranks []SubChannelRank, numData int, minGainRatio float64) ([]int, error) {
 	if numData <= 0 {
 		return nil, fmt.Errorf("modem: must select at least one data channel")
 	}
-	gains := make([]float64, 0, len(ranks))
+	// Every built-in layout has under 32 candidates, so the gains sort
+	// in an array on the stack.
+	var buf [32]float64
+	gains := buf[:0]
 	for _, r := range ranks {
 		if r.Gain > 0 {
 			gains = append(gains, r.Gain)
@@ -96,11 +111,11 @@ func SelectDataChannels(ranks []SubChannelRank, numData int, minGainRatio float6
 	}
 	var gainFloor float64
 	if len(gains) > 0 && minGainRatio > 0 {
-		sort.Float64s(gains)
+		slices.Sort(gains)
 		median := gains[len(gains)/2]
 		gainFloor = median * minGainRatio
 	}
-	selected := make([]int, 0, numData)
+	selected := dst[:0]
 	for _, r := range ranks {
 		if gainFloor > 0 && r.Gain > 0 && r.Gain < gainFloor {
 			continue
@@ -113,7 +128,7 @@ func SelectDataChannels(ranks []SubChannelRank, numData int, minGainRatio float6
 	if len(selected) < numData {
 		return nil, fmt.Errorf("modem: only %d usable sub-channels of %d requested", len(selected), numData)
 	}
-	sort.Ints(selected)
+	slices.Sort(selected)
 	return selected, nil
 }
 
@@ -121,8 +136,14 @@ func SelectDataChannels(ranks []SubChannelRank, numData int, minGainRatio float6
 // the selection. The pilot layout is unchanged (pilot spacing is what the
 // equalizer relies on).
 func ApplySelection(cfg Config, dataChannels []int) (Config, error) {
+	return WithDataChannels(cfg, append([]int(nil), dataChannels...))
+}
+
+// WithDataChannels is ApplySelection without the copy: the returned
+// configuration's data channels are dataChannels itself.
+func WithDataChannels(cfg Config, dataChannels []int) (Config, error) {
 	out := cfg
-	out.DataChannels = append([]int(nil), dataChannels...)
+	out.DataChannels = dataChannels
 	if err := out.Validate(); err != nil {
 		return Config{}, fmt.Errorf("modem: selected channel set invalid: %w", err)
 	}

@@ -13,7 +13,7 @@ import (
 // result returned by DemodulateInto, whose slices alias the workspace —
 // it stays valid only until the workspace's next use, and callers who
 // need longer keep a Clone. A workspace serves one call at a time; give
-// each goroutine its own (or use the shared pools below).
+// each goroutine its own.
 
 // TxWorkspace holds the scratch buffers for allocation-free modulation.
 // The zero value is ready to use; buffers grow on first use and are then
@@ -50,6 +50,13 @@ func (ws *TxWorkspace) ensure(cfg Config, numSymbols int) {
 type RxWorkspace struct {
 	res RxResult
 	det Detection
+
+	probe    ProbeAnalysis // AnalyzeProbeInto's result shell
+	probeDet Detection     // the probe analysis's own detection
+	noise    map[int]float64
+	gain     map[int]float64
+	binPower []float64 // per-bin noise power accumulator over the pilot span
+	profile  []float64 // preamble delay profile
 
 	bits     []byte       // decoded bits, grown to the frame's bit count
 	points   []complex128 // equalized points, symbol-major
@@ -120,26 +127,25 @@ func growFloat(dst []float64, n int) []float64 {
 	return dst[:n]
 }
 
-// The shared workspace pools back the classic allocating APIs
-// (Modulate/Demodulate), so sessions that construct a fresh
-// Modulator/Demodulator per unlock still reuse scratch across the fleet.
-// Hot paths that must be provably allocation-free hold explicit
+// The shared workspace pools back the allocating shims (Modulate,
+// ProbeSymbol, Demodulate, AnalyzeProbe). Hot paths that must be provably
+// allocation-free, the unlock session among them, hold explicit
 // workspaces instead: a sync.Pool may miss (and allocate) under GC.
 var (
 	_txPool = sync.Pool{New: func() any { return &TxWorkspace{} }}
 	_rxPool = sync.Pool{New: func() any { return &RxWorkspace{} }}
 )
 
-// GetTxWorkspace borrows a modulation workspace from the shared pool.
-func GetTxWorkspace() *TxWorkspace { return _txPool.Get().(*TxWorkspace) }
+// getTxWorkspace borrows a modulation workspace from the shared pool.
+func getTxWorkspace() *TxWorkspace { return _txPool.Get().(*TxWorkspace) }
 
-// PutTxWorkspace returns a workspace to the shared pool. The caller must
+// putTxWorkspace returns a workspace to the shared pool. The caller must
 // not use it afterwards.
-func PutTxWorkspace(ws *TxWorkspace) { _txPool.Put(ws) }
+func putTxWorkspace(ws *TxWorkspace) { _txPool.Put(ws) }
 
-// GetRxWorkspace borrows a demodulation workspace from the shared pool.
-func GetRxWorkspace() *RxWorkspace { return _rxPool.Get().(*RxWorkspace) }
+// getRxWorkspace borrows a demodulation workspace from the shared pool.
+func getRxWorkspace() *RxWorkspace { return _rxPool.Get().(*RxWorkspace) }
 
-// PutRxWorkspace returns a workspace to the shared pool. Results returned
+// putRxWorkspace returns a workspace to the shared pool. Results returned
 // by DemodulateInto with this workspace become invalid.
-func PutRxWorkspace(ws *RxWorkspace) { _rxPool.Put(ws) }
+func putRxWorkspace(ws *RxWorkspace) { _rxPool.Put(ws) }

@@ -13,6 +13,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math"
 	"sync"
 )
@@ -38,18 +39,33 @@ func Token(key []byte, counter uint64) (uint32, error) {
 	if len(key) == 0 {
 		return 0, fmt.Errorf("otp: empty key")
 	}
-	mac := hmac.New(sha1.New, key)
+	return (&hotp{key: key}).token(counter), nil
+}
+
+// hotp computes the tokens of one key. Its HMAC state is built at the
+// first token and Reset for every later one, so a Generator or Verifier
+// that keeps one allocates nothing per token. Not safe for concurrent use;
+// its owner's mutex guards it.
+type hotp struct {
+	key []byte
+	mac hash.Hash
+	sum [sha1.Size]byte
+}
+
+func (h *hotp) token(counter uint64) uint32 {
+	if h.mac == nil {
+		h.mac = hmac.New(sha1.New, h.key)
+	} else {
+		h.mac.Reset()
+	}
 	var msg [8]byte
 	binary.BigEndian.PutUint64(msg[:], counter)
-	if _, err := mac.Write(msg[:]); err != nil {
-		return 0, fmt.Errorf("otp: computing HMAC: %w", err)
-	}
-	sum := mac.Sum(nil)
+	h.mac.Write(msg[:]) // a hash.Hash Write never fails
+	sum := h.mac.Sum(h.sum[:0])
 	// Dynamic truncation: the low 4 bits of the last byte select a 4-byte
 	// window; mask the top bit.
 	offset := sum[len(sum)-1] & 0x0f
-	value := binary.BigEndian.Uint32(sum[offset:offset+4]) & 0x7fffffff
-	return value, nil
+	return binary.BigEndian.Uint32(sum[offset:offset+4]) & 0x7fffffff
 }
 
 // Digits renders a token as an n-digit decimal code (token mod 10^n), the
@@ -118,7 +134,7 @@ const DefaultResyncLookAhead = 16
 // concurrent use.
 type Verifier struct {
 	mu          sync.Mutex
-	key         []byte
+	hotp        hotp
 	counter     uint64
 	lookAhead   int
 	maxFailures int
@@ -138,7 +154,7 @@ func NewVerifier(key []byte, counter uint64) (*Verifier, error) {
 	k := make([]byte, len(key))
 	copy(k, key)
 	return &Verifier{
-		key:         k,
+		hotp:        hotp{key: k},
 		counter:     counter,
 		lookAhead:   DefaultLookAhead,
 		maxFailures: DefaultMaxFailures,
@@ -171,10 +187,7 @@ func (v *Verifier) Verify(token uint32) (bool, error) {
 	}
 	window := v.lookAhead + v.resyncExtra
 	for i := 0; i <= window; i++ {
-		want, err := Token(v.key, v.counter+uint64(i))
-		if err != nil {
-			return false, err
-		}
+		want := v.hotp.token(v.counter + uint64(i))
 		if subtle.ConstantTimeEq(int32(want), int32(token)) == 1 {
 			v.counter += uint64(i) + 1
 			v.failures = 0
@@ -266,7 +279,7 @@ func (v *Verifier) Restore(st VerifierState, extraLookAhead int) error {
 // Verifier. It is safe for concurrent use.
 type Generator struct {
 	mu      sync.Mutex
-	key     []byte
+	hotp    hotp
 	counter uint64
 }
 
@@ -277,17 +290,14 @@ func NewGenerator(key []byte, counter uint64) (*Generator, error) {
 	}
 	k := make([]byte, len(key))
 	copy(k, key)
-	return &Generator{key: k, counter: counter}, nil
+	return &Generator{hotp: hotp{key: k}, counter: counter}, nil
 }
 
 // Next produces the token for the current counter and advances it.
 func (g *Generator) Next() (uint32, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	token, err := Token(g.key, g.counter)
-	if err != nil {
-		return 0, err
-	}
+	token := g.hotp.token(g.counter)
 	g.counter++
 	return token, nil
 }

@@ -23,6 +23,9 @@ package service
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"wearlock/internal/core"
@@ -110,32 +113,36 @@ func (s *Service) recoverState() {
 	}
 
 	restoreStart := time.Now()
-	for _, dev := range s.devices {
-		dev.mu.Lock()
-		ds, ok := state.Devices[dev.id]
-		switch {
-		case ok && !distrusted[dev.id]:
-			rerr := dev.src.SkipTo(ds.RngDraws)
-			if rerr == nil {
-				rerr = dev.sys.RestoreState(toCoreExport(ds), otp.DefaultResyncLookAhead)
+	// Devices restore independently, so GOMAXPROCS workers share them.
+	// Re-pairs append to the WAL and to Recovery.Repaired, so the workers
+	// only note which devices need one (and at which draw); the re-pairs
+	// then run serially in device-ID order, keeping the WAL order and the
+	// first recorded error deterministic.
+	repairAt := make([]uint64, len(s.devices))
+	needsRepair := make([]bool, len(s.devices))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(s.devices)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(s.devices) {
+					return
+				}
+				dev := s.devices[i]
+				needsRepair[i], repairAt[i] = restoreDevice(dev, state, distrusted[dev.id], info.Damaged())
 			}
-			if rerr != nil {
-				// A record the merge layer accepted but the system refuses
-				// (impossible counters, bad key length) is corruption by
-				// another name; degrade to re-pair rather than abort.
-				s.repairDeviceLocked(dev, ds.RngDraws)
-			}
-		case ok:
-			// Distrusted: the store cannot prove the restored counter is
-			// current, so resuming could re-accept spent tokens.
-			s.repairDeviceLocked(dev, ds.RngDraws)
-		case info.Damaged():
-			// Absent from a damaged log: the device's records may be among
-			// the destroyed bytes. Rebuilding the original seed-derived
-			// pairing at counter zero would be a genuine replay window.
-			s.repairDeviceLocked(dev, dev.src.Draws())
+		}()
+	}
+	wg.Wait()
+	for i, dev := range s.devices {
+		if needsRepair[i] {
+			dev.mu.Lock()
+			s.repairDeviceLocked(dev, repairAt[i])
+			dev.mu.Unlock()
 		}
-		dev.mu.Unlock()
 	}
 	s.recovery.RestoreDuration = time.Since(restoreStart)
 	s.m.recoveryRestoreSeconds.Set(s.recovery.RestoreDuration.Seconds())
@@ -158,6 +165,36 @@ func (s *Service) recoverState() {
 	}
 	s.recovery.Duration = time.Since(start)
 	s.m.recoverySeconds.Set(s.recovery.Duration.Seconds())
+}
+
+// restoreDevice restores one device from the recovered store state and
+// reports whether it must be re-paired instead, and at which draw of its
+// stream.
+func restoreDevice(dev *devicePair, state store.State, distrusted, damaged bool) (repair bool, draws uint64) {
+	dev.mu.Lock()
+	defer dev.mu.Unlock()
+	ds, ok := state.Devices[dev.id]
+	switch {
+	case ok && !distrusted:
+		rerr := dev.src.SkipTo(ds.RngDraws)
+		if rerr == nil {
+			rerr = dev.sys.RestoreState(toCoreExport(ds), otp.DefaultResyncLookAhead)
+		}
+		// A record the merge layer accepted but the system refuses
+		// (impossible counters, bad key length) is corruption by
+		// another name; degrade to re-pair rather than abort.
+		return rerr != nil, ds.RngDraws
+	case ok:
+		// Distrusted: the store cannot prove the restored counter is
+		// current, so resuming could re-accept spent tokens.
+		return true, ds.RngDraws
+	case damaged:
+		// Absent from a damaged log: the device's records may be among
+		// the destroyed bytes. Rebuilding the original seed-derived
+		// pairing at counter zero would be a genuine replay window.
+		return true, dev.src.Draws()
+	}
+	return false, 0
 }
 
 // repairDeviceLocked re-pairs one device (fresh key, counter zero) and

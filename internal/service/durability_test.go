@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -497,6 +498,83 @@ func TestDurableRecoveryReportsReplayRestoreAndFallbacks(t *testing.T) {
 	} {
 		if !strings.Contains(page.String(), want) {
 			t.Errorf("metrics page lacks %q", want)
+		}
+	}
+}
+
+// Devices restore in parallel, but re-pairs run serially in device-ID
+// order: with several refused records the Repaired list is ascending and
+// the recorded error is the lowest-ID device whose re-pair failed.
+func TestRecoveryRepairsInDeviceOrder(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig(dir)
+	cfg.Devices = 16
+	refused := map[int]bool{2: true, 5: true, 9: true, 13: true} // bad keyguard state: restore fails, re-pair works
+	broken := map[int]bool{4: true, 11: true}                     // draw 0 precedes pairing: restore and re-pair both fail
+	fresh := cfg
+	fresh.StateDir = ""
+	s0, err := New(fresh)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	st, err := store.Open(store.Options{Dir: dir, NoFsync: true})
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	for _, dev := range s0.devices {
+		ds := s0.exportDevice(dev)
+		switch {
+		case refused[dev.id]:
+			ds.GuardState = 99
+		case broken[dev.id]:
+			ds.RngDraws = 0
+		}
+		if err := st.CommitDevice(ds); err != nil {
+			t.Fatalf("CommitDevice %d: %v", dev.id, err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("store.Close: %v", err)
+	}
+	_ = s0.Shutdown(context.Background())
+
+	for run := 0; run < 3; run++ {
+		// Recovery compacts after re-pairs; each run restores a copy of
+		// the original state directory.
+		rdir := t.TempDir()
+		copyDir(t, dir, rdir)
+		rcfg := cfg
+		rcfg.StateDir = rdir
+		s, err := New(rcfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		_ = s.WaitReady(context.Background())
+		rec, _ := s.Ready()
+		if want := []int{2, 5, 9, 13}; !slices.Equal(rec.Repaired, want) {
+			t.Errorf("run %d: repaired %v, want %v", run, rec.Repaired, want)
+		}
+		if rec.Err == nil || !strings.Contains(rec.Err.Error(), "re-pairing device 4:") {
+			t.Errorf("run %d: recovery error %v, want the re-pair failure of device 4", run, rec.Err)
+		}
+		_ = s.Shutdown(context.Background())
+	}
+}
+
+// copyDir copies the regular files of src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
