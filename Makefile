@@ -4,9 +4,16 @@
 
 GO ?= go
 
-.PHONY: ci vet lint lint-scenarios build test race bench bench-module test-chaos test-store test-vtime test-cluster test-replica fuzz-smoke bench-sim bench-service bench-chaos bench-dsp bench-store bench-vtime bench-cluster bench-failover
+.PHONY: loc ci vet lint lint-scenarios build test race bench bench-module test-chaos test-store test-vtime test-cluster test-replica fuzz-smoke bench-sim bench-service bench-chaos bench-dsp bench-store bench-vtime bench-cluster bench-failover
 
 ci: vet lint lint-scenarios build race bench bench-module test-chaos test-store test-vtime test-cluster test-replica bench-dsp bench-service bench-store bench-vtime bench-cluster bench-failover
+
+# Non-test and test Go line counts, so each change can report its net LOC
+# (run it at both commits and subtract). .bench_build/ is bench/run.sh's
+# build cache, not source.
+loc:
+	@find . -path ./.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l | awk '{print "non-test Go:", $$1}'
+	@find . -path ./.bench_build -prune -o -name '*_test.go' -print0 | xargs -0 cat | wc -l | awk '{print "test Go:", $$1}'
 
 vet:
 	$(GO) vet ./...

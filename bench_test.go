@@ -10,6 +10,7 @@ package wearlock_test
 //	go run ./cmd/experiments -scale full
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -88,7 +89,7 @@ func BenchmarkUnlockSession(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

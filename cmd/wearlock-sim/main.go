@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -134,7 +135,7 @@ func run() int {
 
 	unlocked := 0
 	for i := 0; i < *n; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wearlock-sim: session %d: %v\n", i+1, err)
 			return 1

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -80,7 +81,7 @@ func run() error {
 	recorder := &attack.RecordingPath{Inner: wearlock.NewLinkPath(link)}
 	var victim *core.Result
 	for i := 0; i < 5; i++ {
-		victim, err = sys2.UnlockVia(sc, recorder)
+		victim, err = sys2.Unlock(context.Background(), sc, recorder)
 		if err != nil {
 			return err
 		}
@@ -96,7 +97,7 @@ func run() error {
 
 	stale := recorder.Recordings[len(recorder.Recordings)-1]
 	replay := &attack.ReplayPath{Captured: stale, ProcessingDelay: 350 * time.Millisecond}
-	res, err := sys2.UnlockVia(sc, replay)
+	res, err := sys2.Unlock(context.Background(), sc, replay)
 	if err != nil {
 		return err
 	}
@@ -107,7 +108,7 @@ func run() error {
 		return err
 	}
 	ideal := &attack.ReplayPath{Captured: stale, Inner: wearlock.NewLinkPath(link3)}
-	res, err = sys2.UnlockVia(sc, ideal)
+	res, err = sys2.Unlock(context.Background(), sc, ideal)
 	if err != nil {
 		return err
 	}
@@ -122,7 +123,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	res, err = sys2.UnlockVia(sc, relay)
+	res, err = sys2.Unlock(context.Background(), sc, relay)
 	if err != nil {
 		return err
 	}

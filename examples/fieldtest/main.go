@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -41,7 +42,7 @@ func run() error {
 			berN, unlocks := 0, 0
 			modes := map[wearlock.Modulation]int{}
 			for a := 0; a < attempts; a++ {
-				res, err := sys.Unlock(sc)
+				res, err := sys.Unlock(context.Background(), sc, nil)
 				if err != nil {
 					return err
 				}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -52,7 +53,7 @@ func run() error {
 		var watchJ, phoneJ float64
 		n := 0
 		for r := 0; r < rounds; r++ {
-			res, err := sys.Unlock(sc)
+			res, err := sys.Unlock(context.Background(), sc, nil)
 			if err != nil {
 				return err
 			}

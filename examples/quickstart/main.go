@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -31,7 +32,7 @@ func run() error {
 	scenario := wearlock.DefaultScenario()
 	fmt.Printf("keyguard before: %s\n\n", sys.Keyguard().State())
 
-	res, err := sys.Unlock(scenario)
+	res, err := sys.Unlock(context.Background(), scenario, nil)
 	if err != nil {
 		return err
 	}
@@ -46,7 +47,7 @@ func run() error {
 	attacker := scenario
 	attacker.SameBody = false
 	attacker.Distance = 2.0
-	res, err = sys.Unlock(attacker)
+	res, err = sys.Unlock(context.Background(), attacker, nil)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@
 package attack
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -219,7 +220,7 @@ func CoLocatedAttempt(sys *core.System, distance float64, n int) ([]*core.Result
 	sc.SameRoom = true  // close enough to share the noise field
 	out := make([]*core.Result, 0, n)
 	for i := 0; i < n; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package attack_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -94,9 +95,9 @@ func TestReplayAttackFails(t *testing.T) {
 	recorder := &attack.RecordingPath{Inner: core.NewLinkPath(link)}
 	var victim *core.Result
 	for i := 0; i < 5; i++ {
-		victim, err = sys.UnlockVia(sc, recorder)
+		victim, err = sys.Unlock(context.Background(), sc, recorder)
 		if err != nil {
-			t.Fatalf("victim UnlockVia: %v", err)
+			t.Fatalf("victim Unlock: %v", err)
 		}
 		if victim.Unlocked {
 			break
@@ -117,9 +118,9 @@ func TestReplayAttackFails(t *testing.T) {
 
 	// Realistic replay rig: several hundred ms of store-and-forward.
 	realistic := &attack.ReplayPath{Captured: stale, ProcessingDelay: 400 * time.Millisecond}
-	res, err := sys.UnlockVia(sc, realistic)
+	res, err := sys.Unlock(context.Background(), sc, realistic)
 	if err != nil {
-		t.Fatalf("replay UnlockVia: %v", err)
+		t.Fatalf("replay Unlock: %v", err)
 	}
 	if res.Unlocked {
 		t.Fatal("realistic replay unlocked the phone")
@@ -137,9 +138,9 @@ func TestReplayAttackFails(t *testing.T) {
 			t.Fatalf("AcousticLink: %v", err)
 		}
 		ideal := &attack.ReplayPath{Captured: stale, Inner: core.NewLinkPath(link2)}
-		res, err = sys.UnlockVia(sc, ideal)
+		res, err = sys.Unlock(context.Background(), sc, ideal)
 		if err != nil {
-			t.Fatalf("ideal replay UnlockVia: %v", err)
+			t.Fatalf("ideal replay Unlock: %v", err)
 		}
 		if res.Unlocked {
 			t.Fatal("zero-latency replay of a stale token unlocked the phone")
@@ -189,9 +190,9 @@ func TestRelayAttackCaughtByTiming(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRelayPath: %v", err)
 	}
-	res, err := sys.UnlockVia(sc, relay)
+	res, err := sys.Unlock(context.Background(), sc, relay)
 	if err != nil {
-		t.Fatalf("UnlockVia: %v", err)
+		t.Fatalf("Unlock: %v", err)
 	}
 	if res.Unlocked {
 		t.Fatal("relayed session unlocked the phone")
@@ -282,9 +283,9 @@ func TestDistanceBoundingCatchesFastRelay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRelayPath: %v", err)
 	}
-	res, err := sys.UnlockVia(sc, relay)
+	res, err := sys.Unlock(context.Background(), sc, relay)
 	if err != nil {
-		t.Fatalf("UnlockVia: %v", err)
+		t.Fatalf("Unlock: %v", err)
 	}
 	if res.Unlocked {
 		t.Fatal("sub-window relay unlocked the phone")
@@ -305,7 +306,7 @@ func TestDistanceBoundingAllowsHonestSessions(t *testing.T) {
 	sc := core.DefaultScenario()
 	unlocked := 0
 	for i := 0; i < 4; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}

@@ -119,22 +119,6 @@ func (r *Ring) Shards() []string {
 	return names
 }
 
-// ShardFor maps a device ID to the raw ring successor: the first virtual
-// node clockwise from the device's hash, ignoring load bounds. Empty
-// ring returns "". Routing uses Assignments, which layers the bounded-
-// load rule on top; ShardFor is the placement primitive underneath it.
-func (r *Ring) ShardFor(device int) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	h := deviceHash(device)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0 // wrap: the circle's successor of the largest hash is the smallest
-	}
-	return r.points[i].shard
-}
-
 // Owned enumerates the device IDs in [0, devices) that the named shard
 // owns under the current membership, in ascending order.
 func (r *Ring) Owned(name string, devices int) []int {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -32,7 +33,7 @@ func TestWarmUnlockAllocationCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 		unlock := func() {
-			res, err := sys.Unlock(sc)
+			res, err := sys.Unlock(context.Background(), sc, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

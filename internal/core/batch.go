@@ -104,10 +104,7 @@ func RunBatch(spec BatchSpec) (*BatchResult, error) {
 				if spec.Chaos != nil {
 					sc.Faults = fault.ForSession(spec.Chaos, spec.Seed, int64(i))
 				}
-				if spec.Config.Resilience.Enabled {
-					return sys.UnlockResilientCtx(ctx, sc)
-				}
-				return sys.UnlockCtx(ctx, sc)
+				return sys.Unlock(ctx, sc, nil)
 			},
 		}
 	}

@@ -73,9 +73,9 @@ type Config struct {
 	// from a seed.
 	OTPKey []byte
 
-	// Resilience parameterizes the retry/degradation policy used by
-	// UnlockResilient. The zero value (disabled) keeps the classic
-	// single-attempt behavior everywhere.
+	// Resilience parameterizes the retry/degradation policy Unlock walks.
+	// The zero value (disabled) keeps the classic single-attempt behavior
+	// everywhere.
 	Resilience ResilienceConfig
 }
 

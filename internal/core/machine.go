@@ -36,15 +36,15 @@ type UnlockStep struct {
 	Final *Result
 }
 
-// UnlockMachine is the resilient unlock session decomposed into discrete
-// steps, so a discrete-event scheduler can interleave many sessions over
-// virtual time: each Step call performs exactly one ladder rung (or the
-// PIN fallback) and reports how much virtual time it charged, instead of
-// walking the whole retry loop in one call. The serial UnlockResilientCtx
-// path drives the same machine to completion in a tight loop, so the two
-// execution styles share one implementation and are bit-identical by
-// construction: RNG draws, OTP counter movements, keyguard transitions,
-// and timeline entries happen in the same order either way.
+// UnlockMachine is the unlock session decomposed into discrete steps, so
+// a discrete-event scheduler can interleave many sessions over virtual
+// time: each Step call performs exactly one ladder rung (or the PIN
+// fallback) and reports how much virtual time it charged, instead of
+// walking the whole retry loop in one call. System.Unlock drives the same
+// machine to completion in a tight loop, so the two execution styles
+// share one implementation and are bit-identical by construction: RNG
+// draws, OTP counter movements, keyguard transitions, and timeline
+// entries happen in the same order either way.
 //
 // A machine is single-use and not safe for concurrent use; like the
 // System it runs on, callers serialize per device.
@@ -72,16 +72,15 @@ type UnlockMachine struct {
 // attempt (attack harness and tests).
 //
 // When resilience is disabled the machine degenerates to a single step
-// that runs the classic one-attempt session.
+// that runs the classic one-attempt session, and allocates none of the
+// ladder's merged timeline and energy ledger.
 func (s *System) NewUnlockMachine(sc Scenario, fixed AcousticPath) *UnlockMachine {
-	return &UnlockMachine{
-		sys:      s,
-		sc:       sc,
-		fixed:    fixed,
-		rc:       s.cfg.Resilience,
-		timeline: &Timeline{},
-		energy:   NewEnergyLedger(),
+	m := &UnlockMachine{sys: s, sc: sc, fixed: fixed, rc: s.cfg.Resilience}
+	if m.rc.Enabled {
+		m.timeline = &Timeline{}
+		m.energy = NewEnergyLedger()
 	}
+	return m
 }
 
 // Done reports whether the machine has produced its terminal result.
@@ -112,15 +111,21 @@ func (m *UnlockMachine) Step(ctx context.Context) (UnlockStep, error) {
 	return m.stepAttempt(ctx)
 }
 
-// stepClassic is the single-attempt session behind Unlock/UnlockVia when
-// the resilience policy is off.
+// path returns the acoustic path for the next attempt: the fixed one, or
+// a fresh honest link from the scenario.
+func (m *UnlockMachine) path() (AcousticPath, error) {
+	if m.fixed != nil {
+		return m.fixed, nil
+	}
+	return m.sys.sessionPath(m.sc)
+}
+
+// stepClassic is the single-attempt session Unlock runs when the
+// resilience policy is off.
 func (m *UnlockMachine) stepClassic(ctx context.Context) (UnlockStep, error) {
-	path := m.fixed
-	if path == nil {
-		var err error
-		if path, err = m.sys.sessionPath(m.sc); err != nil {
-			return UnlockStep{}, err
-		}
+	path, err := m.path()
+	if err != nil {
+		return UnlockStep{}, err
 	}
 	r, err := m.sys.unlockAttempt(ctx, m.sc, path, attemptOpts{})
 	if err != nil {
@@ -163,12 +168,9 @@ func (m *UnlockMachine) stepAttempt(ctx context.Context) (UnlockStep, error) {
 		preWait = wait
 	}
 
-	path := m.fixed
-	if path == nil {
-		var err error
-		if path, err = m.sys.sessionPath(m.sc); err != nil {
-			return UnlockStep{}, err
-		}
+	path, err := m.path()
+	if err != nil {
+		return UnlockStep{}, err
 	}
 	r, err := m.sys.unlockAttempt(ctx, m.sc, path, opts)
 	if err != nil {

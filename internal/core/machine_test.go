@@ -59,7 +59,7 @@ func TestUnlockMachineStepAccounting(t *testing.T) {
 		}
 
 		sysS, scS := chaosSystem(t, seed, i)
-		serial, err := sysS.UnlockResilientCtx(context.Background(), scS)
+		serial, err := sysS.Unlock(context.Background(), scS, nil)
 		if err != nil {
 			t.Fatalf("session %d serial: %v", i, err)
 		}
@@ -92,7 +92,7 @@ func TestRebuildSystemContinuesStream(t *testing.T) {
 	for i := int64(0); i < 3; i++ {
 		sc := core.DefaultScenario()
 		sc.Faults = fault.ForSession(sch, seed, i)
-		if _, err := orig.UnlockResilientCtx(context.Background(), sc); err != nil {
+		if _, err := orig.Unlock(context.Background(), sc, nil); err != nil {
 			t.Fatalf("warmup session %d: %v", i, err)
 		}
 	}
@@ -110,11 +110,11 @@ func TestRebuildSystemContinuesStream(t *testing.T) {
 
 	sc := core.DefaultScenario()
 	sc.Faults = fault.ForSession(sch, seed, 3)
-	ro, err := orig.UnlockResilientCtx(context.Background(), sc)
+	ro, err := orig.Unlock(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := rebuilt.UnlockResilientCtx(context.Background(), sc)
+	rr, err := rebuilt.Unlock(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestKeptRecordingsSurvivePooledSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		kept.AcousticPath = NewLinkPath(link)
-		if _, err := keeper.UnlockVia(sc, kept); err != nil {
+		if _, err := keeper.Unlock(context.Background(), sc, kept); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestKeptRecordingsSurvivePooledSessions(t *testing.T) {
 				return
 			}
 			for i := 0; i < perWorker; i++ {
-				res, err := sys.UnlockCtx(context.Background(), scenarios[(w+i)%len(scenarios)])
+				res, err := sys.Unlock(context.Background(), scenarios[(w+i)%len(scenarios)], nil)
 				if err != nil {
 					errs[w] = err
 					return

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -170,49 +169,6 @@ func (s *System) rungFor(attempt int, rc ResilienceConfig) (DegradationLevel, at
 		return DegradeToneACK, attemptOpts{forceRobust: true, toneOnly: true}
 	default:
 		return DegradeRobustMode, attemptOpts{forceRobust: true, repetition: boostRepetition(s.cfg.Repetition)}
-	}
-}
-
-// UnlockResilient runs one unlock session under the resilience policy:
-// transient failures retry with exponential backoff, each retry descending
-// the degradation ladder, and exhaustion falls back to the manual PIN.
-func (s *System) UnlockResilient(sc Scenario) (*Result, error) {
-	return s.UnlockResilientCtx(context.Background(), sc)
-}
-
-// UnlockResilientCtx is UnlockResilient with a cancellation context. Each
-// attempt builds a fresh acoustic link from the scenario, so channel
-// randomness (burst position, multipath draw) re-rolls per attempt exactly
-// as a re-recorded transmission would.
-func (s *System) UnlockResilientCtx(ctx context.Context, sc Scenario) (*Result, error) {
-	return s.unlockResilient(ctx, sc, nil)
-}
-
-// UnlockResilientVia runs the resilient session over a fixed acoustic path
-// (attack harness / tests). Every attempt reuses the path.
-func (s *System) UnlockResilientVia(ctx context.Context, sc Scenario, path AcousticPath) (*Result, error) {
-	if path == nil {
-		return nil, fmt.Errorf("core: nil acoustic path")
-	}
-	return s.unlockResilient(ctx, sc, path)
-}
-
-// unlockResilient drives an UnlockMachine to completion. The stepwise
-// machine in machine.go is the single implementation of the ladder; this
-// serial walk and the virtual-time engine's event-at-a-time walk differ
-// only in when wall-clock time passes between steps, which the simulated
-// timeline never observes — that is the bit-identity contract the vtime
-// equivalence suite pins.
-func (s *System) unlockResilient(ctx context.Context, sc Scenario, fixed AcousticPath) (*Result, error) {
-	m := s.NewUnlockMachine(sc, fixed)
-	for {
-		st, err := m.Step(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if st.Done {
-			return st.Final, nil
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -86,7 +87,7 @@ func TestResilientPINFallback(t *testing.T) {
 	}
 	sc := core.DefaultScenario()
 	sc.Faults = fault.CutLinkAfter(0) // link dead from the first op
-	res, err := sys.UnlockResilient(sc)
+	res, err := sys.Unlock(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestResilientSecurityAbortNotRetried(t *testing.T) {
 	}
 	sc := core.DefaultScenario()
 	sc.SameBody = false // phone on a table / in an attacker's hand
-	res, err := sys.UnlockResilient(sc)
+	res, err := sys.Unlock(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestResilientCleanPathUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.UnlockResilient(core.DefaultScenario())
+	res, err := sys.Unlock(context.Background(), core.DefaultScenario(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func findHalfDeliveryCut(t *testing.T) int {
 		}
 		sc := core.DefaultScenario()
 		sc.Faults = fault.CutLinkAfter(n)
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func TestHOTPResyncAfterHalfDeliveredPhase2(t *testing.T) {
 	for i := 0; i <= lookahead; i++ {
 		sc := core.DefaultScenario()
 		sc.Faults = fault.CutLinkAfter(cut)
-		res, err := plain.Unlock(sc)
+		res, err := plain.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +219,7 @@ func TestHOTPResyncAfterHalfDeliveredPhase2(t *testing.T) {
 	if int(g-v) <= lookahead {
 		t.Fatalf("premise broken: counter gap %d inside look-ahead %d", g-v, lookahead)
 	}
-	res, err := plain.Unlock(core.DefaultScenario())
+	res, err := plain.Unlock(context.Background(), core.DefaultScenario(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestHOTPResyncAfterHalfDeliveredPhase2(t *testing.T) {
 	for i := 0; i <= lookahead; i++ {
 		sc := core.DefaultScenario()
 		sc.Faults = fault.CutLinkAfter(cut)
-		res, err := resilient.UnlockResilient(sc)
+		res, err := resilient.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +248,7 @@ func TestHOTPResyncAfterHalfDeliveredPhase2(t *testing.T) {
 			t.Fatalf("resilient session %d left counters desynchronized: gen %d, ver %d", i, g, v)
 		}
 	}
-	res, err = resilient.UnlockResilient(core.DefaultScenario())
+	res, err = resilient.Unlock(context.Background(), core.DefaultScenario(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestResilientLadderRescuesCollapsedChannel(t *testing.T) {
 		}
 		sc := core.DefaultScenario()
 		sc.Faults = fault.ForSession(sch, 5, int64(i))
-		res, err := sys.UnlockResilient(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestSoakAttackerNeverUnlocksBeyondBoundary(t *testing.T) {
 		sc.SameBody = false                 // attacker's hand
 		sc.SameRoom = rng.Intn(2) == 0
 		sc.SameHand = false
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatalf("round %d (%s, %.1f m): %v", i, sc.Env.Name, sc.Distance, err)
 		}
@@ -62,7 +63,7 @@ func TestSoakLegitimateUsability(t *testing.T) {
 		sc := core.DefaultScenario()
 		sc.Env = envs[rng.Intn(len(envs))]
 		sc.Distance = 0.1 + rng.Float64()*0.3 // hand-held range
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
@@ -92,7 +93,7 @@ func TestSkipPathNeverFiresForAttacker(t *testing.T) {
 		sc.SameBody = false
 		sc.Activity = activity
 		for i := 0; i < 5; i++ {
-			res, err := sys.Unlock(sc)
+			res, err := sys.Unlock(context.Background(), sc, nil)
 			if err != nil {
 				t.Fatalf("Unlock: %v", err)
 			}
@@ -116,7 +117,7 @@ func TestNearUltrasoundSystem(t *testing.T) {
 	sc.Distance = 0.2
 	unlocked := 0
 	for i := 0; i < 4; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}
@@ -141,7 +142,7 @@ func TestWiFiTransportFaster(t *testing.T) {
 		sys := newSystem(t, func(c *core.Config) { c.Transport = transport }, seed)
 		sc := core.DefaultScenario()
 		for i := 0; i < 4; i++ {
-			res, err := sys.Unlock(sc)
+			res, err := sys.Unlock(context.Background(), sc, nil)
 			if err != nil {
 				t.Fatalf("Unlock: %v", err)
 			}
@@ -190,7 +191,7 @@ func TestProtocolSurvivesJammer(t *testing.T) {
 		defaultSet[k] = true
 	}
 	for i := 0; i < 5; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}
@@ -221,7 +222,7 @@ func TestResultDiagnosticsPopulated(t *testing.T) {
 	var res *core.Result
 	var err error
 	for i := 0; i < 4; i++ {
-		res, err = sys.Unlock(core.DefaultScenario())
+		res, err = sys.Unlock(context.Background(), core.DefaultScenario(), nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}

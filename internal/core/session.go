@@ -112,7 +112,7 @@ type Result struct {
 	Timeline *Timeline
 	Energy   *EnergyLedger
 
-	// Resilience diagnostics (left at zero values outside UnlockResilient).
+	// Resilience diagnostics (left at zero values when the ladder is off).
 	// Attempts counts unlock attempts including the first; Degradation is
 	// the deepest ladder rung the session reached.
 	Attempts    int
@@ -191,10 +191,41 @@ const (
 	_micPowerW      = 0.02                  // watch recording power
 )
 
-// Unlock runs one full protocol session for the scenario over its honest
-// acoustic path.
-func (s *System) Unlock(sc Scenario) (*Result, error) {
-	return s.UnlockCtx(context.Background(), sc)
+// Unlock runs one unlock session for the scenario and is the only way
+// into one. A nil path builds the honest acoustic link from the scenario
+// for each attempt, so channel randomness re-rolls per attempt exactly as
+// a re-recorded transmission would; a non-nil path (attack harness,
+// tests) carries every attempt. cfg.Resilience alone decides whether the
+// session is one classic attempt or walks the degradation ladder down to
+// the manual PIN fallback.
+//
+// Cancellation is checked between protocol phases (never mid-DSP), so a
+// canceled session returns promptly with ctx's error and the system state
+// stays consistent: the keyguard and OTP counters only advance in phases
+// that ran to completion.
+//
+// Unlock drives an UnlockMachine to completion; the virtual-time engine
+// steps the same machine one event at a time, so the two are
+// bit-identical.
+func (s *System) Unlock(ctx context.Context, sc Scenario, path AcousticPath) (*Result, error) {
+	m := s.NewUnlockMachine(sc, path)
+	for {
+		st, err := m.Step(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if st.Done {
+			return st.Final, nil
+		}
+	}
+}
+
+// UnlockViaCtx forwards to Unlock.
+//
+// Deprecated: use Unlock. The bench module (bench/replay.go) still calls
+// it; the forwarder goes when that caller moves to Unlock.
+func (s *System) UnlockViaCtx(ctx context.Context, sc Scenario, path AcousticPath) (*Result, error) {
+	return s.Unlock(ctx, sc, path)
 }
 
 // profiles returns the session's effective device profiles: the scenario's
@@ -234,32 +265,6 @@ func (s *System) boundPhase(name string, d time.Duration) (time.Duration, error)
 	return d, nil
 }
 
-// UnlockCtx is Unlock with a cancellation context: the session aborts
-// with ctx's error at the next phase boundary once ctx is done. The
-// service layer uses it to enforce per-request deadlines.
-func (s *System) UnlockCtx(ctx context.Context, sc Scenario) (*Result, error) {
-	path, err := s.sessionPath(sc)
-	if err != nil {
-		return nil, err
-	}
-	return s.UnlockViaCtx(ctx, sc, path)
-}
-
-// UnlockVia runs one session with an explicit acoustic path (the attack
-// harness passes adversarial paths).
-func (s *System) UnlockVia(sc Scenario, path AcousticPath) (*Result, error) {
-	return s.UnlockViaCtx(context.Background(), sc, path)
-}
-
-// UnlockViaCtx runs one session with an explicit acoustic path under a
-// cancellation context. Cancellation is checked between protocol phases
-// (never mid-DSP), so a canceled session returns promptly with ctx's
-// error and the system state stays consistent: the keyguard and OTP
-// counters only advance in phases that ran to completion.
-func (s *System) UnlockViaCtx(ctx context.Context, sc Scenario, path AcousticPath) (*Result, error) {
-	return s.unlockAttempt(ctx, sc, path, attemptOpts{})
-}
-
 // attemptOpts parameterizes one attempt for the degradation ladder.
 type attemptOpts struct {
 	// forceRobust skips the strict MaxBER pass of mode selection and goes
@@ -271,8 +276,8 @@ type attemptOpts struct {
 	toneOnly bool
 }
 
-// unlockAttempt is one pass of the protocol — the body behind UnlockViaCtx
-// and each rung of the resilient ladder — on an idle workspace.
+// unlockAttempt is one pass of the protocol — the classic session and
+// each rung of the resilient ladder — on an idle workspace.
 func (s *System) unlockAttempt(ctx context.Context, sc Scenario, path AcousticPath, opts attemptOpts) (*Result, error) {
 	ws := getWorkspace()
 	res, err := s.attempt(ctx, sc, path, opts, ws)
@@ -293,9 +298,6 @@ func (s *System) attempt(ctx context.Context, sc Scenario, path AcousticPath, op
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
-	}
-	if path == nil {
-		return nil, fmt.Errorf("core: nil acoustic path")
 	}
 	res := &Result{
 		BER:               -1,

@@ -17,7 +17,7 @@ func TestUnlockAbortsWhenLinkDown(t *testing.T) {
 	}
 	sc := DefaultScenario()
 	sc.Distance = 20 // Bluetooth presence tops out around 12 m
-	res, err := sys.Unlock(sc)
+	res, err := sys.Unlock(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatalf("Unlock: %v", err)
 	}
@@ -42,11 +42,11 @@ func TestUnlockCtxCancellation(t *testing.T) {
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sys.UnlockCtx(canceled, DefaultScenario()); err != context.Canceled {
-		t.Errorf("pre-canceled UnlockCtx: %v, want context.Canceled", err)
+	if _, err := sys.Unlock(canceled, DefaultScenario(), nil); err != context.Canceled {
+		t.Errorf("pre-canceled Unlock: %v, want context.Canceled", err)
 	}
 
-	// An expired deadline behaves the same through UnlockViaCtx.
+	// An expired deadline behaves the same over a caller-supplied path.
 	sc := DefaultScenario()
 	cfg := DefaultConfig()
 	sys2, err := NewSystem(cfg, rand.New(rand.NewSource(3)))
@@ -59,14 +59,14 @@ func TestUnlockCtxCancellation(t *testing.T) {
 	}
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	if _, err := sys2.UnlockViaCtx(expired, sc, NewLinkPath(link)); err != context.DeadlineExceeded {
-		t.Errorf("expired UnlockViaCtx: %v, want context.DeadlineExceeded", err)
+	if _, err := sys2.Unlock(expired, sc, NewLinkPath(link)); err != context.DeadlineExceeded {
+		t.Errorf("expired Unlock: %v, want context.DeadlineExceeded", err)
 	}
 
 	// A live context still completes the session.
-	res, err := sys.UnlockCtx(context.Background(), DefaultScenario())
+	res, err := sys.Unlock(context.Background(), DefaultScenario(), nil)
 	if err != nil {
-		t.Fatalf("live UnlockCtx: %v", err)
+		t.Fatalf("live Unlock: %v", err)
 	}
 	if res.Outcome == 0 {
 		t.Error("no outcome recorded")

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -37,7 +38,7 @@ func TestUnlockNominal(t *testing.T) {
 	unlocked := 0
 	const trials = 5
 	for i := 0; i < trials; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}
@@ -59,7 +60,7 @@ func TestUnlockNominal(t *testing.T) {
 // on-air time present, and a sub-second-ish total on the default config.
 func TestUnlockTimeline(t *testing.T) {
 	sys := newSystem(t, nil, 2)
-	res, err := sys.Unlock(core.DefaultScenario())
+	res, err := sys.Unlock(context.Background(), core.DefaultScenario(), nil)
 	if err != nil {
 		t.Fatalf("Unlock: %v", err)
 	}
@@ -98,7 +99,7 @@ func TestMotionFilterStopsAttacker(t *testing.T) {
 	aborted := 0
 	const trials = 5
 	for i := 0; i < trials; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}
@@ -121,7 +122,7 @@ func TestNoiseFilterStopsRemoteWatch(t *testing.T) {
 	stopped := 0
 	const trials = 5
 	for i := 0; i < trials; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}
@@ -147,7 +148,7 @@ func TestDistanceBoundary(t *testing.T) {
 	sc := core.DefaultScenario()
 	sc.Distance = 4.0
 	for i := 0; i < 5; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}
@@ -183,9 +184,9 @@ func TestTimingWindowStopsDelayedPath(t *testing.T) {
 		t.Fatalf("link: %v", err)
 	}
 	path := &delayedPath{inner: core.NewLinkPath(link), delay: 400 * time.Millisecond}
-	res, err := sys.UnlockVia(sc, path)
+	res, err := sys.Unlock(context.Background(), sc, path)
 	if err != nil {
-		t.Fatalf("UnlockVia: %v", err)
+		t.Fatalf("Unlock: %v", err)
 	}
 	if res.Outcome != core.OutcomeAbortedTiming {
 		t.Errorf("outcome %s, want aborted-timing-window", res.Outcome)
@@ -200,7 +201,7 @@ func TestLinkDownAborts(t *testing.T) {
 	sys := newSystem(t, nil, 8)
 	sc := core.DefaultScenario()
 	sc.Distance = 30 // beyond Bluetooth range
-	res, err := sys.Unlock(sc)
+	res, err := sys.Unlock(context.Background(), sc, nil)
 	if err != nil {
 		t.Fatalf("Unlock: %v", err)
 	}
@@ -220,7 +221,7 @@ func TestLocalProcessingUnlocks(t *testing.T) {
 		sys := newSystem(t, func(c *core.Config) { c.Offload = offloadOn }, 9)
 		sc := core.DefaultScenario()
 		for i := 0; i < trials; i++ {
-			res, err := sys.Unlock(sc)
+			res, err := sys.Unlock(context.Background(), sc, nil)
 			if err != nil {
 				t.Fatalf("Unlock (offload=%v): %v", offloadOn, err)
 			}
@@ -264,7 +265,7 @@ func TestLockoutAfterFailures(t *testing.T) {
 	sc.Env = acoustic.Cafe()
 	failures := 0
 	for i := 0; i < 30 && sys.Keyguard().State() != keyguard.StateLockedOut; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}
@@ -281,7 +282,7 @@ func TestLockoutAfterFailures(t *testing.T) {
 		if sys.Keyguard().State() != keyguard.StateUnlocked {
 			t.Error("manual unlock did not clear lockout")
 		}
-		res, err := sys.Unlock(core.DefaultScenario())
+		res, err := sys.Unlock(context.Background(), core.DefaultScenario(), nil)
 		if err != nil {
 			t.Fatalf("Unlock after manual: %v", err)
 		}
@@ -305,7 +306,7 @@ func TestSkipUnlockRequiresStrongSimilarity(t *testing.T) {
 	sc.Activity = motion.Walking
 	skips := 0
 	for i := 0; i < 6; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}
@@ -346,7 +347,7 @@ func TestScenarioValidation(t *testing.T) {
 	sys := newSystem(t, nil, 12)
 	sc := core.DefaultScenario()
 	sc.Distance = 0
-	if _, err := sys.Unlock(sc); err == nil {
+	if _, err := sys.Unlock(context.Background(), sc, nil); err == nil {
 		t.Error("accepted zero distance")
 	}
 }
@@ -362,7 +363,7 @@ func TestManualUnlockResyncsCounters(t *testing.T) {
 	sc.Env = acoustic.Cafe()
 	sc.SameRoom = true
 	for i := 0; i < 12; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}
@@ -376,7 +377,7 @@ func TestManualUnlockResyncsCounters(t *testing.T) {
 	nominal := core.DefaultScenario()
 	unlocked := false
 	for i := 0; i < 4 && !unlocked; i++ {
-		res, err := sys.Unlock(nominal)
+		res, err := sys.Unlock(context.Background(), nominal, nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}
@@ -390,19 +391,21 @@ func TestManualUnlockResyncsCounters(t *testing.T) {
 	}
 }
 
+// An invalid scenario is refused whether the session builds its own link
+// (nil path) or runs over a caller-supplied one.
 func TestUnlockViaValidation(t *testing.T) {
 	sys := newSystem(t, nil, 201)
-	if _, err := sys.UnlockVia(core.DefaultScenario(), nil); err == nil {
-		t.Error("accepted nil acoustic path")
-	}
 	bad := core.DefaultScenario()
 	bad.Distance = -1
+	if _, err := sys.Unlock(context.Background(), bad, nil); err == nil {
+		t.Error("accepted invalid scenario without a path")
+	}
 	rng := rand.New(rand.NewSource(1))
 	link, err := core.DefaultScenario().AcousticLink(modem.BandAudible, 44100, rng)
 	if err != nil {
 		t.Fatalf("AcousticLink: %v", err)
 	}
-	if _, err := sys.UnlockVia(bad, core.NewLinkPath(link)); err == nil {
+	if _, err := sys.Unlock(context.Background(), bad, core.NewLinkPath(link)); err == nil {
 		t.Error("accepted invalid scenario")
 	}
 	if _, err := bad.AcousticLink(modem.BandAudible, 44100, rng); err == nil {
@@ -418,7 +421,7 @@ func TestLockedOutShortCircuits(t *testing.T) {
 		t.Fatalf("SetMaxFailures: %v", err)
 	}
 	sys.Keyguard().ReportFailure()
-	res, err := sys.Unlock(core.DefaultScenario())
+	res, err := sys.Unlock(context.Background(), core.DefaultScenario(), nil)
 	if err != nil {
 		t.Fatalf("Unlock: %v", err)
 	}
@@ -439,7 +442,7 @@ func TestCoverSpeakerDegradesChannel(t *testing.T) {
 	unlocked := 0
 	const trials = 6
 	for i := 0; i < trials; i++ {
-		res, err := sys.Unlock(sc)
+		res, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}

@@ -54,9 +54,6 @@ func NewCorrelator(template []float64) (*Correlator, error) {
 	return c, nil
 }
 
-// TemplateLen reports the template length.
-func (c *Correlator) TemplateLen() int { return len(c.template) }
-
 // OutLen reports the correlation output length for a signal of the given
 // length: sigLen - len(template) + 1.
 func (c *Correlator) OutLen(sigLen int) int { return sigLen - len(c.template) + 1 }

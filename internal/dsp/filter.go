@@ -152,22 +152,6 @@ func (f *FIRFilter) interior4(dst, x []float64, lo, hi int) int {
 	return i
 }
 
-// ApplyCausal filters x without group-delay compensation, as a streaming
-// convolution would: output sample i depends only on inputs <= i.
-func (f *FIRFilter) ApplyCausal(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i := range out {
-		var sum float64
-		for j, tap := range f.taps {
-			if k := i - j; k >= 0 {
-				sum += tap * x[k]
-			}
-		}
-		out[i] = sum
-	}
-	return out
-}
-
 func sinc(x float64) float64 {
 	if x == 0 {
 		return 1

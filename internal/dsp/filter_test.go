@@ -102,22 +102,6 @@ func TestNewFIRFilterCopiesTaps(t *testing.T) {
 	}
 }
 
-func TestApplyCausalDelaysOutput(t *testing.T) {
-	// A 3-tap moving average applied causally: output i depends only on
-	// inputs <= i.
-	f, err := NewFIRFilter([]float64{1, 0, 0})
-	if err != nil {
-		t.Fatalf("NewFIRFilter: %v", err)
-	}
-	x := []float64{1, 2, 3, 4}
-	y := f.ApplyCausal(x)
-	for i := range x {
-		if y[i] != x[i] {
-			t.Errorf("identity-tap causal filter changed sample %d: %f", i, y[i])
-		}
-	}
-}
-
 // applyGuarded is the single range-tested loop ApplyInto's edge/interior
 // split must reproduce bit for bit.
 func applyGuarded(taps, x []float64) []float64 {

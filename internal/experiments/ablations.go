@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"wearlock/internal/acoustic"
@@ -161,7 +162,7 @@ func AblationMotionFilter(scale Scale, seed int64) (*AblationResult, error) {
 			if i%2 == 1 { // attacker grab
 				sc.SameBody = false
 			}
-			r, err := sys.Unlock(sc)
+			r, err := sys.Unlock(context.Background(), sc, nil)
 			if err != nil {
 				return nil, err
 			}

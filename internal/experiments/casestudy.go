@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"wearlock/internal/acoustic"
@@ -69,7 +70,7 @@ func CaseStudy(scale Scale, seed int64) (*CaseStudyResult, error) {
 		}
 		row := CaseStudyRowResult{Participant: p.name, Grip: p.grip, Attempts: attempts}
 		for a := 0; a < attempts; a++ {
-			r, err := sys.Unlock(p.sc())
+			r, err := sys.Unlock(context.Background(), p.sc(), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -104,7 +105,7 @@ func CoveredSpeakerTrial(scale Scale, seed int64) (successes, attempts int, err 
 	sc := classroomScenario()
 	sc.CoverSpeaker = true
 	for a := 0; a < attempts; a++ {
-		r, err := sys.Unlock(sc)
+		r, err := sys.Unlock(context.Background(), sc, nil)
 		if err != nil {
 			return 0, 0, err
 		}

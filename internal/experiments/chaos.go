@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -90,7 +91,7 @@ func ChaosOpts(opts Options) (*ChaosResult, error) {
 			}
 			sc := core.DefaultScenario()
 			sc.Faults = fault.ForSession(sch, sim.SeedFor(opts.Seed, int64(i)), int64(sess))
-			res, err := sys.UnlockResilient(sc)
+			res, err := sys.Unlock(context.Background(), sc, nil)
 			if err != nil {
 				return ChaosPoint{}, fmt.Errorf("chaos intensity %.2f session %d: %w", intensity, sess, err)
 			}

@@ -273,6 +273,30 @@ func TestTable1FieldShapes(t *testing.T) {
 	}
 }
 
+// The modal-mode label of a Table I cell must not depend on map order:
+// tied counts go to the most robust mode.
+func TestTable1ModalModeTies(t *testing.T) {
+	cases := []struct {
+		name   string
+		counts map[modem.Modulation]int
+		want   modem.Modulation
+	}{
+		{"none", map[modem.Modulation]int{}, 0},
+		{"single", map[modem.Modulation]int{modem.PSK8: 3}, modem.PSK8},
+		{"clear winner", map[modem.Modulation]int{modem.QPSK: 1, modem.PSK8: 3}, modem.PSK8},
+		{"two-way tie", map[modem.Modulation]int{modem.QPSK: 2, modem.PSK8: 2}, modem.QPSK},
+		{"three-way tie", map[modem.Modulation]int{modem.PSK8: 1, modem.QASK: 1, modem.QPSK: 1}, modem.QASK},
+		{"tie below winner", map[modem.Modulation]int{modem.QASK: 1, modem.QPSK: 1, modem.PSK8: 2}, modem.PSK8},
+	}
+	for _, tc := range cases {
+		for i := 0; i < 20; i++ { // map iteration order varies run to run
+			if got := modalMode(tc.counts); got != tc.want {
+				t.Fatalf("%s: modalMode = %v, want %v", tc.name, got, tc.want)
+			}
+		}
+	}
+}
+
 func TestTable2Shapes(t *testing.T) {
 	res, err := Table2(ScaleQuick, 1)
 	if err != nil {

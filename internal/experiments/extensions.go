@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -63,7 +64,7 @@ func ExtDistanceBounding(scale Scale, seed int64) (*ExtDistanceBoundingResult, e
 			if err != nil {
 				return nil, err
 			}
-			r, err := sys.UnlockVia(sc, relay)
+			r, err := sys.Unlock(context.Background(), sc, relay)
 			if err != nil {
 				return nil, err
 			}

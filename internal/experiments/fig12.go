@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -67,7 +68,7 @@ func Fig12(scale Scale, seed int64) (*Fig12Result, error) {
 		sc := core.DefaultScenario()
 		var samples []float64
 		for len(samples) < trials {
-			r, err := sys.Unlock(sc)
+			r, err := sys.Unlock(context.Background(), sc, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -50,7 +51,7 @@ func Fig6(scale Scale, seed int64) (*Fig6Result, error) {
 		var processing []float64
 		var watchJ, phoneJ float64
 		for i := 0; i < rounds; i++ {
-			r, err := sys.Unlock(sc)
+			r, err := sys.Unlock(context.Background(), sc, nil)
 			if err != nil {
 				return nil, err
 			}

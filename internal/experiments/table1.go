@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"wearlock/internal/acoustic"
@@ -61,7 +62,7 @@ func Table1(scale Scale, seed int64) (*Table1Result, error) {
 				modeCounts := make(map[modem.Modulation]int)
 				unlocks := 0
 				for i := 0; i < attempts; i++ {
-					r, err := sys.Unlock(sc)
+					r, err := sys.Unlock(context.Background(), sc, nil)
 					if err != nil {
 						return nil, err
 					}
@@ -78,19 +79,12 @@ func Table1(scale Scale, seed int64) (*Table1Result, error) {
 						unlocks++
 					}
 				}
-				var best modem.Modulation
-				bestCount := 0
-				for m, c := range modeCounts {
-					if c > bestCount {
-						best, bestCount = m, c
-					}
-				}
 				res.Rows = append(res.Rows, Table1Row{
 					Location: env.Name,
 					SameHand: sameHand,
 					Band:     band,
 					BER:      mean(bers),
-					Mode:     best,
+					Mode:     modalMode(modeCounts),
 					Unlocks:  unlocks,
 					Attempts: attempts,
 				})
@@ -98,6 +92,21 @@ func Table1(scale Scale, seed int64) (*Table1Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// modalMode returns the most frequently selected mode, 0 when none was.
+// The modulations are walked in ascending order and only a strictly
+// larger count replaces the pick, so a tie goes to the most robust mode
+// instead of to whichever key map iteration visits first.
+func modalMode(counts map[modem.Modulation]int) modem.Modulation {
+	var best modem.Modulation
+	bestCount := 0
+	for _, m := range modem.AllModulations() {
+		if c := counts[m]; c > bestCount {
+			best, bestCount = m, c
+		}
+	}
+	return best
 }
 
 // AverageBER returns the grand mean across all cells with measurements.

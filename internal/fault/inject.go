@@ -199,8 +199,9 @@ func (sf *SessionFaults) LinkFault() (drop bool, latencyMult float64, extra time
 	return sf.roll(sf.linkDropP), mult, sf.latencyExtra
 }
 
-// MessageFault implements proto.FaultInjector: consulted once per framed
-// control message.
+// MessageFault rolls the control-message faults for one framed message:
+// silently dropped, delivered twice, or held back behind the next send.
+// The three conditions are mutually exclusive.
 func (sf *SessionFaults) MessageFault() (drop, dup, hold bool) {
 	if sf == nil {
 		return false, false, false

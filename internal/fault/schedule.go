@@ -1,18 +1,19 @@
 // Package fault is the deterministic fault-injection layer of the chaos
 // harness. A Schedule declares which faults can strike — acoustic burst
 // jamming and SNR collapse on the channel, drops/latency spikes on the
-// wireless control link, message loss/duplication/reorder on the proto
-// layer, device slowdown, and worker-pool exhaustion at admission — and
-// ForSession rolls the dice once per session from a seed derived with the
-// batch engine's sim.SeedFor contract, so an identical (schedule, seed,
-// session index) triple arms the identical faults no matter how many
-// workers execute the run or in what order.
+// wireless control link, control-message loss/duplication/reorder (rolled
+// by MessageFault; no transport consumes them yet), device slowdown, and
+// worker-pool exhaustion at admission — and ForSession rolls the dice once
+// per session from a seed derived with the batch engine's sim.SeedFor
+// contract, so an identical (schedule, seed, session index) triple arms
+// the identical faults no matter how many workers execute the run or in
+// what order.
 //
 // The package sits below every layer it perturbs: it defines no protocol
 // types and implements the small injection interfaces the consumer layers
-// declare (acoustic.Interferer, wireless.FaultInjector,
-// proto.FaultInjector) structurally, so acoustic/wireless/proto/core never
-// import it — only the composition roots (service, experiments, cmd) do.
+// declare (acoustic.Interferer, wireless.FaultInjector) structurally, so
+// acoustic/wireless/core never import it — only the composition roots
+// (service, experiments, cmd) do.
 package fault
 
 import (

@@ -143,12 +143,6 @@ func (t *ModeTable) Modes() []Modulation {
 	return out
 }
 
-// Curve returns the calibration curve for a modulation, if present.
-func (t *ModeTable) Curve(m Modulation) (*BERCurve, bool) {
-	c, ok := t.curves[m]
-	return c, ok
-}
-
 // ErrNoMode is returned when no modulation meets the BER constraint.
 type ErrNoMode struct {
 	EbN0dB float64

@@ -139,9 +139,6 @@ func sharedPreamble(cfg Config) (*preambleEntry, error) {
 // Config returns the demodulator's configuration.
 func (d *Demodulator) Config() Config { return d.cfg }
 
-// SetDetectorConfig overrides the signal-detection front end parameters.
-func (d *Demodulator) SetDetectorConfig(cfg DetectorConfig) { d.detector = cfg }
-
 // SetEqualizerMethod overrides the pilot interpolation method (ablations).
 func (d *Demodulator) SetEqualizerMethod(m EqualizerMethod) { d.eqMethod = m }
 

@@ -76,17 +76,3 @@ func EbN0FromPSNR(psnr float64, cfg Config) float64 {
 	bandwidth := cfg.OccupiedBandwidthHz()
 	return dsp.DB(psnr * bandwidth / rate)
 }
-
-// NoiseBinPowers returns the measured power on each requested bin of a
-// spectrum; the sub-channel selector ranks candidate channels with this.
-func NoiseBinPowers(spectrum []complex128, bins []int) (map[int]float64, error) {
-	out := make(map[int]float64, len(bins))
-	for _, k := range bins {
-		if k < 0 || k >= len(spectrum) {
-			return nil, fmt.Errorf("modem: bin %d outside spectrum of %d bins", k, len(spectrum))
-		}
-		v := spectrum[k]
-		out[k] = real(v)*real(v) + imag(v)*imag(v)
-	}
-	return out, nil
-}

@@ -15,13 +15,8 @@ import (
 // The returned distance is normalized by the warping path length so that
 // scores are comparable across trace lengths — the form Table II reports.
 // The second return value is the number of cells evaluated, which the
-// device cost model converts to execution time.
-func DTW(a, b []float64) (float64, int64, error) {
-	var ws Workspace
-	return ws.DTW(a, b)
-}
-
-// DTW is the package-level DTW keeping its rows in the workspace.
+// device cost model converts to execution time. The DP rows live in the
+// workspace.
 func (ws *Workspace) DTW(a, b []float64) (float64, int64, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return 0, 0, fmt.Errorf("motion: DTW of empty sequence (%d, %d)", len(a), len(b))

@@ -8,8 +8,9 @@ import (
 )
 
 func TestDTWIdenticalSequences(t *testing.T) {
+	var ws Workspace
 	a := []float64{1, 2, 3, 2, 1, 0, -1}
-	d, cells, err := DTW(a, a)
+	d, cells, err := ws.DTW(a, a)
 	if err != nil {
 		t.Fatalf("DTW: %v", err)
 	}
@@ -22,10 +23,11 @@ func TestDTWIdenticalSequences(t *testing.T) {
 }
 
 func TestDTWEmptyInput(t *testing.T) {
-	if _, _, err := DTW(nil, []float64{1}); err == nil {
+	var ws Workspace
+	if _, _, err := ws.DTW(nil, []float64{1}); err == nil {
 		t.Error("DTW accepted empty sequence")
 	}
-	if _, _, err := DTW([]float64{1}, nil); err == nil {
+	if _, _, err := ws.DTW([]float64{1}, nil); err == nil {
 		t.Error("DTW accepted empty sequence")
 	}
 }
@@ -48,11 +50,12 @@ func TestDTWShiftInvariance(t *testing.T) {
 	for i := range random {
 		random[i] = rng.NormFloat64()
 	}
-	dShift, _, err := DTW(base, shifted)
+	var ws Workspace
+	dShift, _, err := ws.DTW(base, shifted)
 	if err != nil {
 		t.Fatalf("DTW: %v", err)
 	}
-	dRand, _, err := DTW(base, random)
+	dRand, _, err := ws.DTW(base, random)
 	if err != nil {
 		t.Fatalf("DTW: %v", err)
 	}
@@ -63,6 +66,7 @@ func TestDTWShiftInvariance(t *testing.T) {
 
 // Properties: DTW is symmetric and non-negative.
 func TestDTWProperties(t *testing.T) {
+	var ws Workspace
 	f := func(seed int64, an, bn uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(an)%40 + 2
@@ -75,8 +79,8 @@ func TestDTWProperties(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		dab, _, err1 := DTW(a, b)
-		dba, _, err2 := DTW(b, a)
+		dab, _, err1 := ws.DTW(a, b)
+		dba, _, err2 := ws.DTW(b, a)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -24,8 +24,6 @@ type Conn struct {
 
 	mu      sync.Mutex
 	simTime time.Duration // accumulated simulated radio time at this endpoint
-	faults  FaultInjector
-	held    [][]byte // reorder buffer: frames delayed behind the next send
 
 	// shut is shared by both endpoints of a Pair: closing either side
 	// tears down the connection. The sync.Once makes Close idempotent
@@ -42,20 +40,6 @@ type shutdown struct {
 }
 
 func (s *shutdown) close() { s.once.Do(func() { close(s.ch) }) }
-
-// FaultInjector perturbs the control-message stream. The fault layer
-// implements it structurally (this package never imports it); each framed
-// Send consults the injector once after the radio latency is charged.
-type FaultInjector interface {
-	// MessageFault reports whether the message is silently dropped,
-	// delivered twice, or held back behind the next send (reorder). The
-	// three conditions are mutually exclusive.
-	MessageFault() (drop, dup, hold bool)
-}
-
-// SetFaults installs a fault injector on this endpoint (chaos runs). Call
-// before traffic starts; it is not synchronized against in-flight Sends.
-func (c *Conn) SetFaults(fi FaultInjector) { c.faults = fi }
 
 // Pair creates the two connected endpoints over one wireless link.
 func Pair(link *wireless.Link) (phone, watch *Conn) {
@@ -94,38 +78,12 @@ func (c *Conn) Send(ctx context.Context, msg *Message) (time.Duration, error) {
 	c.mu.Lock()
 	c.simTime += latency
 	c.mu.Unlock()
-	// Fault decisions happen after the radio time is charged: a lost
-	// frame still cost air time at the sender.
-	frames := [][]byte{data}
-	if c.faults != nil {
-		drop, dup, hold := c.faults.MessageFault()
-		switch {
-		case drop:
-			// Silently lost; the receiver finds out via its phase timeout.
-			return latency, nil
-		case dup:
-			frames = [][]byte{data, data}
-		case hold:
-			// Held behind the next send — out-of-order delivery. Frames
-			// still held at teardown are simply lost.
-			c.mu.Lock()
-			c.held = append(c.held, data)
-			c.mu.Unlock()
-			return latency, nil
-		}
-	}
-	c.mu.Lock()
-	frames = append(frames, c.held...)
-	c.held = nil
-	c.mu.Unlock()
-	for _, frame := range frames {
-		select {
-		case c.out <- frame:
-		case <-c.shut.ch:
-			return 0, fmt.Errorf("proto: %s send %s: connection closed", c.name, msg.Type)
-		case <-ctx.Done():
-			return 0, fmt.Errorf("proto: %s send %s: %w", c.name, msg.Type, ctx.Err())
-		}
+	select {
+	case c.out <- data:
+	case <-c.shut.ch:
+		return 0, fmt.Errorf("proto: %s send %s: connection closed", c.name, msg.Type)
+	case <-ctx.Done():
+		return 0, fmt.Errorf("proto: %s send %s: %w", c.name, msg.Type, ctx.Err())
 	}
 	return latency, nil
 }

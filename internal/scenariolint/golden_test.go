@@ -57,20 +57,18 @@ func loadGolden(t *testing.T) goldenFile {
 // sessionFingerprint replays one unlock session exactly the way the
 // pre-port snapshot did (and the way wearlockd admits work): RNG from
 // SeedFor(seed, i), per-session faults from ForSession(sch, seed, i),
-// the resilient ladder iff chaos is armed.
+// the resilient ladder iff chaos is armed (streamSetup then enables it
+// in cfg).
 func sessionFingerprint(cfg core.Config, sc core.Scenario, sch *fault.Schedule, seed, i int64) (string, error) {
 	rng := rand.New(rand.NewSource(sim.SeedFor(seed, i)))
 	sys, err := core.NewSystem(cfg, rng)
 	if err != nil {
 		return "", err
 	}
-	var res *core.Result
 	if sch != nil {
 		sc.Faults = fault.ForSession(sch, seed, i)
-		res, err = sys.UnlockResilientCtx(context.Background(), sc)
-	} else {
-		res, err = sys.UnlockCtx(context.Background(), sc)
 	}
+	res, err := sys.Unlock(context.Background(), sc, nil)
 	if err != nil {
 		return "", err
 	}

@@ -593,18 +593,13 @@ func (s *Service) runOnDevice(ctx context.Context, dev *devicePair, sc core.Scen
 		dev.mu.Unlock()
 		return nil, ErrFenced
 	}
-	var res *core.Result
-	var err error
-	if s.cfg.Core.Resilience.Enabled {
-		// The resilient path already maps lockouts and exhausted ladders
-		// onto the PIN fallback (and resynchronizes the OTP pair).
-		res, err = dev.sys.UnlockResilientCtx(ctx, sc)
-	} else {
-		res, err = dev.sys.UnlockCtx(ctx, sc)
-		if err == nil && res.Outcome == core.OutcomeLockedOut {
-			dev.sys.ManualUnlock()
-			s.m.manualUnlocks.Inc()
-		}
+	res, err := dev.sys.Unlock(ctx, sc, nil)
+	// With the resilience ladder on, a lockout already ended in the PIN
+	// fallback (OutcomeFallbackPIN), so this only fires for classic
+	// sessions.
+	if err == nil && res.Outcome == core.OutcomeLockedOut {
+		dev.sys.ManualUnlock()
+		s.m.manualUnlocks.Inc()
 	}
 	// Accepted ⇒ durable: the session is only reported done after its
 	// counter advances hit the platter. Sessions that errored still

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"wearlock/internal/core"
+	"wearlock/internal/keyguard"
 	"wearlock/internal/vtime"
 )
 
@@ -475,6 +476,69 @@ func TestDevicePinning(t *testing.T) {
 			t.Fatalf("Wait: %v", err)
 		}
 		cancel()
+	}
+}
+
+// A keyguard lockout never strands a device. With the resilience ladder
+// off, runOnDevice clears the lockout itself and counts it as a manual
+// unlock; with the ladder on, the session ends in the PIN fallback, which
+// counts the manual unlock once. Either way the next session on the
+// device runs the protocol instead of short-circuiting.
+func TestLockoutClearedByManualUnlock(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		ladder bool
+		want   core.Outcome
+	}{
+		{"ladder-off", false, core.OutcomeLockedOut},
+		{"ladder-on", true, core.OutcomeFallbackPIN},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Devices = 1
+			if tc.ladder {
+				cfg.Core.Resilience = core.DefaultResilience()
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer func() { _ = s.Shutdown(context.Background()) }()
+			guard := s.devices[0].sys.Keyguard()
+			if err := guard.SetMaxFailures(1); err != nil {
+				t.Fatalf("SetMaxFailures: %v", err)
+			}
+			guard.ReportFailure() // one rejected token locks the device out
+			run := func() View {
+				t.Helper()
+				sess, err := s.Submit(Request{Scenario: "quiet", Device: 0})
+				if err != nil {
+					t.Fatalf("Submit: %v", err)
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				if err := sess.Wait(ctx); err != nil {
+					t.Fatalf("Wait: %v", err)
+				}
+				return sess.Snapshot()
+			}
+
+			if v := run(); v.State != "done" || v.Outcome != tc.want.String() {
+				t.Fatalf("locked-out session: state %s outcome %q, want done/%s", v.State, v.Outcome, tc.want)
+			}
+			if got := s.m.manualUnlocks.Value(); got != 1 {
+				t.Errorf("wearlockd_manual_unlocks_total = %d, want 1", got)
+			}
+			if st := guard.State(); st == keyguard.StateLockedOut {
+				t.Fatal("keyguard still locked out after the session")
+			}
+			// A locked-out session short-circuits with an empty timeline;
+			// this one must run the protocol (its own outcome is whatever
+			// the channel gives).
+			if v := run(); v.State != "done" || v.UnlockDelayMS == 0 {
+				t.Errorf("session after the lockout: state %s outcome %q delay %.1f ms, want a protocol run", v.State, v.Outcome, v.UnlockDelayMS)
+			}
+		})
 	}
 }
 

@@ -18,9 +18,6 @@ type Stats struct {
 // Add records one observation.
 func (s *Stats) Add(v float64) { s.xs = append(s.xs, v) }
 
-// AddAll records a batch of observations.
-func (s *Stats) AddAll(vs ...float64) { s.xs = append(s.xs, vs...) }
-
 // Merge folds another collector's observations into s.
 func (s *Stats) Merge(o *Stats) {
 	if o != nil {

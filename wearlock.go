@@ -7,6 +7,10 @@
 //
 //   - System pairs a simulated phone and watch and runs unlock sessions
 //     against physical Scenarios (distance, room, grip, activity).
+//     System.Unlock(ctx, scenario, path) is the one way into a session:
+//     a nil path builds the honest acoustic link, a non-nil one (say, an
+//     attack path) carries every attempt, and Config.Resilience decides
+//     whether failed attempts walk the retry ladder down to the PIN.
 //   - Modem-level types expose the acoustic OFDM modem directly:
 //     modulate bits to a waveform, push it through a simulated acoustic
 //     link, demodulate, and inspect BER/SNR diagnostics.
@@ -16,7 +20,7 @@
 // Quick start:
 //
 //	sys, err := wearlock.NewSystem(wearlock.DefaultConfig(), rng)
-//	res, err := sys.Unlock(wearlock.DefaultScenario())
+//	res, err := sys.Unlock(ctx, wearlock.DefaultScenario(), nil)
 //	if res.Unlocked { ... }
 //
 // See examples/ for runnable programs and internal/experiments for the
@@ -112,8 +116,8 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // other hand at 15 cm, office ambience, user sitting.
 func DefaultScenario() Scenario { return core.DefaultScenario() }
 
-// NewLinkPath wraps a simulated acoustic link as the honest transmission
-// path for UnlockVia.
+// NewLinkPath wraps a simulated acoustic link as an honest transmission
+// path a caller can hand to System.Unlock (or wrap in an attack path).
 func NewLinkPath(link *acoustic.Link) AcousticPath { return core.NewLinkPath(link) }
 
 // RunBatch executes a batch of independent unlock sessions across

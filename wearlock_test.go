@@ -1,6 +1,7 @@
 package wearlock_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	unlocked := false
 	for i := 0; i < 3 && !unlocked; i++ {
-		res, err := sys.Unlock(wearlock.DefaultScenario())
+		res, err := sys.Unlock(context.Background(), wearlock.DefaultScenario(), nil)
 		if err != nil {
 			t.Fatalf("Unlock: %v", err)
 		}
