@@ -89,21 +89,28 @@ test-vtime:
 # multi-daemon integration tests — real gateway and shards over loopback
 # HTTP, including the live-handoff chaos drill (a shard joins under
 # closed-loop load; zero counter regressions, zero accepted replays,
-# zero dropped requests).
+# zero dropped requests). The canonical JSON codec's differential tests
+# run here too, and its allocation ceilings once more without -race,
+# under which they skip.
 test-cluster:
-	$(GO) test -race -count=1 ./internal/cluster
+	$(GO) test -race -count=1 ./internal/cluster ./internal/canonjson
+	$(GO) test -count=1 ./internal/cluster -run 'Allocation'
 	$(GO) test -race -count=1 ./internal/service -run 'TestShard|TestRetryAfter'
 	$(GO) test -race -count=1 ./cmd/benchcluster
 
 # The replication suite (DESIGN.md §16): WAL tail subscription
 # semantics, the shipper/receiver stream protocol under chaos
 # (drop/dup/truncate with snapshot resync), fencing both directions,
-# manual-clock heartbeat-loss failover, and the end-to-end
-# primary/standby promotion tests — race-enabled.
+# manual-clock heartbeat-loss failover, the end-to-end primary/standby
+# promotion tests, and the WLC1 replica frame codec (byte identity with
+# json.Marshal, the strict-path oracle; its allocation ceiling once more
+# without -race) — race-enabled.
 test-replica:
 	$(GO) test -race -count=1 ./internal/replica
 	$(GO) test -race -count=1 ./internal/store -run 'TestTail'
-	$(GO) test -race -count=1 ./internal/cluster -run 'TestHeartbeat|TestFailover|TestGatewayReadyz'
+	$(GO) test -race -count=1 ./internal/cluster -run 'TestHeartbeat|TestFailover|TestGatewayReadyz|TestWireCodec|FuzzWireProtocol'
+	$(GO) test -count=1 ./internal/cluster -run 'TestWireCodec'
+	$(GO) test -race -count=1 ./internal/canonjson
 	$(GO) test -race -count=1 ./internal/service -run 'TestReplica'
 
 # Brief run of each fuzz target against its checked-in corpus plus a few
@@ -118,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzWireProtocol -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzNamespaceSessionID -fuzztime=10s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzUnlockBody -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzReplicaStream -fuzztime=10s ./internal/replica
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzCountingSource -fuzztime=10s ./internal/sim

@@ -21,15 +21,6 @@ import (
 // untouched, and gateway-side failures (unreachable shard, mid-handoff
 // routing churn) degrade to 503 + Retry-After, never a dropped request.
 
-// unlockBody mirrors the wearlockd POST /v1/unlock request shape — the
-// gateway parses it only to resolve and pin the device before forwarding.
-type unlockBody struct {
-	Scenario  string `json:"scenario,omitempty"`
-	Device    *int   `json:"device,omitempty"`
-	Wait      *bool  `json:"wait,omitempty"`
-	TimeoutMS int    `json:"timeout_ms,omitempty"`
-}
-
 type gwError struct {
 	Error string `json:"error"`
 }
@@ -97,9 +88,11 @@ func unavailable(w http.ResponseWriter, msg string) {
 }
 
 func (g *Gateway) handleUnlock(w http.ResponseWriter, r *http.Request) {
-	var req unlockBody
+	// The gateway parses the body only to resolve and pin the device
+	// before forwarding it.
+	var req UnlockRequest
 	if r.Body != nil && r.ContentLength != 0 {
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+		if err := ReadUnlockRequest(io.LimitReader(r.Body, MaxUnlockBody), r.ContentLength, &req); err != nil {
 			writeJSON(w, http.StatusBadRequest, gwError{Error: fmt.Sprintf("bad request body: %v", err)})
 			return
 		}
@@ -120,11 +113,9 @@ func (g *Gateway) handleUnlock(w http.ResponseWriter, r *http.Request) {
 		device = int(g.nextDev.Add(1) % uint64(g.cfg.TotalDevices))
 	}
 	req.Device = &device
-	body, err := json.Marshal(&req)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, gwError{Error: err.Error()})
-		return
-	}
+	// A fresh buffer per request: the transport may still hold the body
+	// reader after RoundTrip returns.
+	body := AppendUnlockRequest(make([]byte, 0, len(req.Scenario)+64), &req)
 
 	shard := g.shardFor(device)
 	resp, err := g.forward(r.Context(), shard, http.MethodPost, "/v1/unlock", body)

@@ -9,7 +9,9 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
+	"strconv"
 
+	"wearlock/internal/canonjson"
 	"wearlock/internal/store"
 )
 
@@ -370,26 +372,135 @@ type Message struct {
 	Payload any
 }
 
-// Encode frames a message for the wire.
+// Encode frames a message for the wire in a fresh buffer.
 func Encode(t MsgType, payload any) ([]byte, error) {
+	return AppendFrame(nil, t, payload)
+}
+
+// AppendFrame appends one framed message to dst, encoding the payload in
+// place after the header. The replica stream's hot messages,
+// *ReplicaAppendRequest and *ReplicaAppendResponse, are written in the
+// canonical layout without reflection; every other payload takes
+// json.Marshal. Either way the bytes are json.Marshal's. On error dst
+// comes back unchanged.
+func AppendFrame(dst []byte, t MsgType, payload any) ([]byte, error) {
 	if t == 0 || t >= msgTypeEnd {
-		return nil, fmt.Errorf("cluster: encoding unknown message type %d", t)
+		return dst, fmt.Errorf("cluster: encoding unknown message type %d", t)
 	}
-	body, err := json.Marshal(payload)
+	start := len(dst)
+	dst = append(dst, wireMagic...)
+	dst = append(dst, WireVersion, byte(t), 0, 0, 0, 0, 0, 0, 0, 0)
+	var err error
+	if p, ok := payload.(*ReplicaAppendRequest); ok && p != nil {
+		dst, err = p.appendJSON(dst)
+	} else if p, ok := payload.(*ReplicaAppendResponse); ok && p != nil {
+		dst = p.appendJSON(dst)
+	} else {
+		var body []byte
+		body, err = json.Marshal(payload)
+		dst = append(dst, body...)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("cluster: encoding %s payload: %w", t, err)
+		return dst[:start], fmt.Errorf("cluster: encoding %s payload: %w", t, err)
 	}
+	body := dst[start+wireHeaderLen:]
 	if len(body) > MaxWireSize {
-		return nil, fmt.Errorf("cluster: %s payload %d bytes exceeds max %d", t, len(body), MaxWireSize)
+		return dst[:start], fmt.Errorf("cluster: %s payload %d bytes exceeds max %d", t, len(body), MaxWireSize)
 	}
-	buf := make([]byte, wireHeaderLen+len(body))
-	copy(buf, wireMagic)
-	buf[4] = WireVersion
-	buf[5] = byte(t)
-	binary.LittleEndian.PutUint32(buf[6:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(buf[10:], crc32.Checksum(body, wireCastagnoli))
-	copy(buf[wireHeaderLen:], body)
-	return buf, nil
+	binary.LittleEndian.PutUint32(dst[start+6:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[start+10:], crc32.Checksum(body, wireCastagnoli))
+	return dst, nil
+}
+
+// appendJSON appends json.Marshal(p)'s bytes to dst.
+func (p *ReplicaAppendRequest) appendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"epoch":`...)
+	dst = strconv.AppendUint(dst, p.Epoch, 10)
+	dst = append(dst, `,"shard_id":`...)
+	dst = canonjson.AppendStr(dst, p.ShardID)
+	dst = append(dst, `,"batch_seq":`...)
+	dst = strconv.AppendUint(dst, p.BatchSeq, 10)
+	if p.Reset {
+		dst = append(dst, `,"reset":true`...)
+	}
+	dst = append(dst, `,"first_seq":`...)
+	dst = strconv.AppendUint(dst, p.FirstSeq, 10)
+	dst = append(dst, `,"last_seq":`...)
+	dst = strconv.AppendUint(dst, p.LastSeq, 10)
+	dst = append(dst, `,"records":`...)
+	if p.Records == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range p.Records {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			var err error
+			if dst, err = store.AppendRecord(dst, &p.Records[i]); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), nil
+}
+
+// read is appendJSON's inverse over the canonical layout only.
+func (p *ReplicaAppendRequest) read(c *canonjson.Reader, size int) {
+	c.Lit(`{"epoch":`)
+	p.Epoch = c.Uint()
+	c.Lit(`,"shard_id":`)
+	p.ShardID = c.Str()
+	c.Lit(`,"batch_seq":`)
+	p.BatchSeq = c.Uint()
+	p.Reset = c.Next(`,"reset":true`)
+	c.Lit(`,"first_seq":`)
+	p.FirstSeq = c.Uint()
+	c.Lit(`,"last_seq":`)
+	p.LastSeq = c.Uint()
+	c.Lit(`,"records":`)
+	if !c.Next("null") {
+		c.Lit("[")
+		if c.Next("]") {
+			p.Records = []store.Record{}
+		} else {
+			// A device record encodes to 150–300 bytes; size the slice
+			// from the payload so it rarely regrows.
+			p.Records = make([]store.Record, 0, size/150+1)
+			for {
+				p.Records = append(p.Records, store.Record{})
+				store.ReadRecord(c, &p.Records[len(p.Records)-1])
+				if !c.Next(",") {
+					break
+				}
+			}
+			c.Lit("]")
+		}
+	}
+	c.Lit("}")
+}
+
+// appendJSON appends json.Marshal(p)'s bytes to dst.
+func (p *ReplicaAppendResponse) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"follower_id":`...)
+	dst = canonjson.AppendStr(dst, p.FollowerID)
+	dst = append(dst, `,"applied_seq":`...)
+	dst = strconv.AppendUint(dst, p.AppliedSeq, 10)
+	dst = append(dst, `,"expected_batch":`...)
+	dst = strconv.AppendUint(dst, p.ExpectedBatch, 10)
+	return append(dst, '}')
+}
+
+// read is appendJSON's inverse over the canonical layout only.
+func (p *ReplicaAppendResponse) read(c *canonjson.Reader) {
+	c.Lit(`{"follower_id":`)
+	p.FollowerID = c.Str()
+	c.Lit(`,"applied_seq":`)
+	p.AppliedSeq = c.Uint()
+	c.Lit(`,"expected_batch":`)
+	p.ExpectedBatch = c.Uint()
+	c.Lit("}")
 }
 
 // frameLength checks a header (at least wireHeaderLen bytes) and returns
@@ -433,39 +544,77 @@ func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 // error; Decode never panics and never returns a partially-filled
 // message alongside a nil error (the FuzzWireProtocol contract).
 func Decode(data []byte) (Message, error) {
-	var m Message
+	t, payload, err := unframe(data)
+	if err != nil {
+		return Message{}, err
+	}
+	body, ok := decodeCanonical(t, payload)
+	if !ok {
+		body = payloadFor(t)
+		if err := decodeStrict(t, payload, body); err != nil {
+			return Message{}, err
+		}
+	}
+	return Message{Type: t, Payload: body}, nil
+}
+
+// unframe checks a whole frame — header, length, CRC, a known type —
+// and returns its type and payload.
+func unframe(data []byte) (MsgType, []byte, error) {
 	if len(data) < wireHeaderLen {
-		return m, fmt.Errorf("cluster: wire frame %d bytes, need at least %d", len(data), wireHeaderLen)
+		return 0, nil, fmt.Errorf("cluster: wire frame %d bytes, need at least %d", len(data), wireHeaderLen)
 	}
 	length, err := frameLength(data)
 	if err != nil {
-		return m, err
+		return 0, nil, err
 	}
 	t := MsgType(data[5])
 	if int64(wireHeaderLen)+int64(length) != int64(len(data)) {
-		return m, fmt.Errorf("cluster: wire frame length mismatch: header says %d payload bytes, have %d",
+		return 0, nil, fmt.Errorf("cluster: wire frame length mismatch: header says %d payload bytes, have %d",
 			length, len(data)-wireHeaderLen)
 	}
 	payload := data[wireHeaderLen:]
 	if crc32.Checksum(payload, wireCastagnoli) != binary.LittleEndian.Uint32(data[10:]) {
-		return m, fmt.Errorf("cluster: wire payload CRC mismatch")
+		return 0, nil, fmt.Errorf("cluster: wire payload CRC mismatch")
 	}
-	body := payloadFor(t)
-	if body == nil {
-		return m, fmt.Errorf("cluster: unknown wire message type %d", uint8(t))
+	if t == 0 || t >= msgTypeEnd {
+		return 0, nil, fmt.Errorf("cluster: unknown wire message type %d", uint8(t))
 	}
+	return t, payload, nil
+}
+
+// decodeCanonical decodes a hot message's payload without reflection;
+// ok reports that it was canonical end to end. Any other payload, or a
+// hot one with a single byte out of layout (a noted record included),
+// is left to decodeStrict as a whole.
+func decodeCanonical(t MsgType, payload []byte) (body any, ok bool) {
+	c := canonjson.NewReader(payload)
+	switch t {
+	case MsgReplicaAppend:
+		p := new(ReplicaAppendRequest)
+		p.read(&c, len(payload))
+		body = p
+	case MsgReplicaAppendAck:
+		p := new(ReplicaAppendResponse)
+		p.read(&c)
+		body = p
+	}
+	return body, body != nil && c.Done()
+}
+
+// decodeStrict is the wire's reference decoder: exactly one JSON value,
+// no unknown fields at any depth, nothing but whitespace after it.
+func decodeStrict(t MsgType, payload []byte, body any) error {
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(body); err != nil {
-		return m, fmt.Errorf("cluster: decoding %s payload: %w", t, err)
+		return fmt.Errorf("cluster: decoding %s payload: %w", t, err)
 	}
 	// Trailing JSON after the first value is framing damage, not a message.
 	if _, err := dec.Token(); err != io.EOF {
-		return m, fmt.Errorf("cluster: trailing data after %s payload", t)
+		return fmt.Errorf("cluster: trailing data after %s payload", t)
 	}
-	m.Type = t
-	m.Payload = body
-	return m, nil
+	return nil
 }
 
 // DecodeAs decodes and asserts the expected type, unwrapping MsgError

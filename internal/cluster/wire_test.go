@@ -128,7 +128,10 @@ func TestDecodeAs(t *testing.T) {
 
 // FuzzWireProtocol is the decoder's safety contract: arbitrary bytes
 // never panic, and every valid encoding the fuzzer mutates from the
-// seed corpus either decodes cleanly or errors — no third state.
+// seed corpus either decodes cleanly or errors — no third state. It is
+// also the canonical codec's differential proof: Decode agrees with the
+// strict json.Decoder path on type, payload and error for every input,
+// and a decoded replica message re-encodes to json.Marshal's frame.
 func FuzzWireProtocol(f *testing.F) {
 	seeds := [][]byte{nil, []byte("WLC1"), bytes.Repeat([]byte{0xff}, 64)}
 	if frame, err := Encode(MsgRegister, &RegisterRequest{ShardID: "s0", Epoch: 1, TotalDevices: 4, Owned: []int{0, 1}}); err == nil {
@@ -148,10 +151,21 @@ func FuzzWireProtocol(f *testing.F) {
 		Records: []store.Record{{Seq: 9, Device: &store.DeviceState{ID: 3, Key: []byte("k"), GenCounter: 2}}}}); err == nil {
 		seeds = append(seeds, frame)
 	}
+	for _, m := range hotMessages() {
+		seeds = append(seeds, jsonFrame(hotType(m.payload), m.payload))
+	}
+	for _, s := range wireCodecSeeds {
+		seeds = append(seeds, rawFrame(s.t, []byte(s.body)), []byte(s.body))
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkWireAgainstOracle(t, data)
+		// The CRC keeps most mutations out of a frame's payload, so the
+		// input is also framed as each replica message's payload.
+		checkWireAgainstOracle(t, rawFrame(MsgReplicaAppend, data))
+		checkWireAgainstOracle(t, rawFrame(MsgReplicaAppendAck, data))
 		m, err := Decode(data)
 		if err == nil {
 			if m.Type == 0 || m.Payload == nil {

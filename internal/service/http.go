@@ -7,22 +7,9 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-)
 
-// UnlockRequest is the POST /v1/unlock body. All fields are optional; an
-// empty body requests one synchronous "default"-scenario session.
-type UnlockRequest struct {
-	// Scenario names a catalog entry (see GET /healthz for the list).
-	Scenario string `json:"scenario,omitempty"`
-	// Device pins a device pair; omitted or negative picks round-robin.
-	Device *int `json:"device,omitempty"`
-	// Wait selects synchronous mode (default true): the response carries
-	// the terminal session state. With wait=false the daemon answers 202
-	// immediately and the caller polls GET /v1/sessions/{id}.
-	Wait *bool `json:"wait,omitempty"`
-	// TimeoutMS overrides the daemon's per-request deadline.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-}
+	"wearlock/internal/cluster"
+)
 
 // errorBody is the JSON error envelope.
 type errorBody struct {
@@ -31,7 +18,8 @@ type errorBody struct {
 
 // Handler returns the daemon's HTTP API:
 //
-//	POST /v1/unlock           run an unlock session (429 on backpressure)
+//	POST /v1/unlock           run an unlock session (429 on backpressure);
+//	                          the body is a cluster.UnlockRequest
 //	GET  /v1/sessions/{id}    session status/result
 //	GET  /healthz             liveness, capacity, scenario catalog
 //	GET  /readyz              readiness: 503 "recovering" during startup replay
@@ -98,9 +86,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Service) handleUnlock(w http.ResponseWriter, r *http.Request) {
-	var req UnlockRequest
+	var req cluster.UnlockRequest
 	if r.Body != nil && r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body := http.MaxBytesReader(w, r.Body, cluster.MaxUnlockBody)
+		if err := cluster.ReadUnlockRequest(body, r.ContentLength, &req); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 			return
 		}

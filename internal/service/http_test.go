@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"wearlock/internal/cluster"
 	"wearlock/internal/core"
 	"wearlock/internal/scenario/catalog"
 )
@@ -63,7 +64,7 @@ func TestHTTPEndToEndUnlock(t *testing.T) {
 	var view View
 	unlocked := false
 	for attempt := 0; attempt < 5 && !unlocked; attempt++ {
-		resp, data := postUnlock(t, ts.URL, UnlockRequest{Scenario: "quiet"})
+		resp, data := postUnlock(t, ts.URL, cluster.UnlockRequest{Scenario: "quiet"})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, data)
 		}
@@ -145,7 +146,7 @@ func TestHTTPAsyncUnlock(t *testing.T) {
 	cfg.QueueDepth = 64
 	_, ts := startTestServer(t, cfg)
 	wait := false
-	resp, data := postUnlock(t, ts.URL, UnlockRequest{Scenario: "quiet", Wait: &wait})
+	resp, data := postUnlock(t, ts.URL, cluster.UnlockRequest{Scenario: "quiet", Wait: &wait})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async status %d: %s", resp.StatusCode, data)
 	}
@@ -188,7 +189,7 @@ func TestHTTPBackpressureAndDrain(t *testing.T) {
 	accepted := 0
 	deadline := time.Now().Add(5 * time.Second)
 	for accepted < 4 && time.Now().Before(deadline) {
-		resp, _ := postUnlock(t, ts.URL, UnlockRequest{Wait: &wait})
+		resp, _ := postUnlock(t, ts.URL, cluster.UnlockRequest{Wait: &wait})
 		if resp.StatusCode == http.StatusAccepted {
 			accepted++
 		}
@@ -202,7 +203,7 @@ func TestHTTPBackpressureAndDrain(t *testing.T) {
 	var data []byte
 	deadline = time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, data = postUnlock(t, ts.URL, UnlockRequest{Wait: &wait})
+		resp, data = postUnlock(t, ts.URL, cluster.UnlockRequest{Wait: &wait})
 		if resp.StatusCode == http.StatusTooManyRequests {
 			break
 		}
@@ -223,7 +224,7 @@ func TestHTTPBackpressureAndDrain(t *testing.T) {
 	for !s.Draining() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	resp, data = postUnlock(t, ts.URL, UnlockRequest{Wait: &wait})
+	resp, data = postUnlock(t, ts.URL, cluster.UnlockRequest{Wait: &wait})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining status %d: %s", resp.StatusCode, data)
 	}
@@ -253,14 +254,40 @@ func TestHTTPBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body status %d, want 400", resp.StatusCode)
 	}
-	resp, data := postUnlock(t, ts.URL, UnlockRequest{Scenario: "no-such"})
+	resp, data := postUnlock(t, ts.URL, cluster.UnlockRequest{Scenario: "no-such"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown scenario status %d: %s", resp.StatusCode, data)
 	}
 	dev := 10_000
-	resp, data = postUnlock(t, ts.URL, UnlockRequest{Device: &dev})
+	resp, data = postUnlock(t, ts.URL, cluster.UnlockRequest{Device: &dev})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad device status %d: %s", resp.StatusCode, data)
+	}
+}
+
+// A body over cluster.MaxUnlockBody is refused with 400, as the gateway
+// refuses it, whether the client states its length or streams it
+// chunked, and the daemon goes on serving.
+func TestHTTPOversizeBodyRefused(t *testing.T) {
+	_, ts := startTestServer(t, testConfig())
+	body := `{"scenario":"` + strings.Repeat("x", 2<<20) + `"}`
+	for name, rd := range map[string]io.Reader{
+		"sized":   strings.NewReader(body),
+		"chunked": io.MultiReader(strings.NewReader(body)),
+	} {
+		resp, err := http.Post(ts.URL+"/v1/unlock", "application/json", rd)
+		if err != nil {
+			t.Fatalf("%s: POST: %v", name, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "bad request body") {
+			t.Errorf("%s: oversize body answered %d: %.200s", name, resp.StatusCode, data)
+		}
+		resp, data = postUnlock(t, ts.URL, cluster.UnlockRequest{Scenario: "quiet"})
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: next request answered %d: %s", name, resp.StatusCode, data)
+		}
 	}
 }
 

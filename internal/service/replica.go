@@ -252,6 +252,7 @@ type replStream struct {
 	metric *telemetry.Counter // wearlockd_replica_stream_dials_total
 	conn   net.Conn           // nil until (re)dialled
 	br     *bufio.Reader
+	out    []byte // the batch frame, kept across batches
 	buf    []byte // the answer frame, kept across batches
 }
 
@@ -259,8 +260,8 @@ type replStream struct {
 // deadline, dialling and upgrading first if need be. A refusal keeps the
 // connection; any other error closes it, so the shipper's retry redials.
 func (st *replStream) Send(ctx context.Context, req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
-	frame, err := cluster.Encode(cluster.MsgReplicaAppend, req)
-	if err != nil {
+	var err error
+	if st.out, err = cluster.AppendFrame(st.out[:0], cluster.MsgReplicaAppend, req); err != nil {
 		return nil, err
 	}
 	dialled := st.conn == nil
@@ -287,7 +288,7 @@ func (st *replStream) Send(ctx context.Context, req *cluster.ReplicaAppendReques
 	}
 	var m cluster.Message
 	if err == nil {
-		if _, err = st.conn.Write(frame); err == nil {
+		if _, err = st.conn.Write(st.out); err == nil {
 			if st.buf, err = cluster.ReadFrame(st.br, st.buf); err == nil {
 				m, err = cluster.Decode(st.buf)
 			}
@@ -434,9 +435,9 @@ func (s *Service) handleReplicaStream(w http.ResponseWriter, r *http.Request) {
 					status = st
 				}
 			}
-			out, err = cluster.Encode(cluster.MsgError, &cluster.ErrorPayload{Error: aerr.Error(), Status: status})
+			out, err = cluster.AppendFrame(out[:0], cluster.MsgError, &cluster.ErrorPayload{Error: aerr.Error(), Status: status})
 		} else {
-			out, err = cluster.Encode(cluster.MsgReplicaAppendAck, resp)
+			out, err = cluster.AppendFrame(out[:0], cluster.MsgReplicaAppendAck, resp)
 		}
 		if err == nil {
 			_, err = conn.Write(out)

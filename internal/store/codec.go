@@ -1,30 +1,30 @@
 package store
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"strconv"
+
+	"wearlock/internal/canonjson"
 )
 
 // The record codec (DESIGN.md §15.3). WAL records, checkpoint footers
-// and the snapshot file are JSON exactly as json.Marshal writes Record
-// and snapshotPayload: keys in field order, no whitespace, base64 keys,
-// minimal integers, true/false, omitempty members left out. The encoder
-// writes that layout without reflection; the decoder reads it without
-// reflection and hands every other input — whitespace, reordered or
-// case-variant keys, duplicates, escapes, a non-empty note, overflow,
-// leading zeros, trailing bytes — to json.Unmarshal. The set of payloads
-// accepted and every decoded value are therefore encoding/json's, and
-// FuzzRecordCodec holds the two to that.
+// and the snapshot file are JSON in the canonical layout (package
+// canonjson) json.Marshal writes for Record and snapshotPayload. The
+// encoder writes that layout without reflection; the decoder reads it
+// without reflection and hands every other input — whitespace,
+// reordered or case-variant keys, duplicates, escapes, a non-empty note,
+// overflow, leading zeros, trailing bytes — to json.Unmarshal. The set
+// of payloads accepted and every decoded value are therefore
+// encoding/json's, and FuzzRecordCodec holds the two to that.
 
-// appendRecord appends rec's JSON encoding, byte-identical to
+// AppendRecord appends rec's JSON encoding, byte-identical to
 // json.Marshal(rec), to dst. Records carrying a note take json.Marshal
 // itself: notes are free text and need its escaping rules.
-func appendRecord(dst []byte, rec *Record) ([]byte, error) {
+func AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 	if rec.Note != "" {
 		b, err := json.Marshal(rec)
 		return append(dst, b...), err
@@ -40,6 +40,25 @@ func appendRecord(dst []byte, rec *Record) ([]byte, error) {
 		dst = appendService(dst, rec.Service)
 	}
 	return append(dst, '}'), nil
+}
+
+// ReadRecord reads one record in the canonical layout AppendRecord
+// writes into *rec, which must be the zero Record. A record that leaves
+// the layout — one with a note included — fails c and leaves *rec
+// partly filled; it never falls back on its own, so a caller decoding a
+// larger message can hand the whole message to its strict decoder.
+func ReadRecord(c *canonjson.Reader, rec *Record) {
+	c.Lit(`{"seq":`)
+	rec.Seq = c.Uint()
+	if c.Next(`,"device":`) {
+		rec.Device = new(DeviceState)
+		readDevice(c, rec.Device)
+	}
+	if c.Next(`,"service":`) {
+		rec.Service = new(ServiceState)
+		readService(c, rec.Service)
+	}
+	c.Lit("}")
 }
 
 // appendSnapshot appends sp's JSON encoding, byte-identical to
@@ -69,13 +88,7 @@ func appendDevice(dst []byte, d *DeviceState) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendInt(dst, int64(d.ID), 10)
 	dst = append(dst, `,"key":`...)
-	if d.Key == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '"')
-		dst = base64.StdEncoding.AppendEncode(dst, d.Key)
-		dst = append(dst, '"')
-	}
+	dst = canonjson.AppendBytes(dst, d.Key)
 	dst = append(dst, `,"gen_counter":`...)
 	dst = strconv.AppendUint(dst, d.GenCounter, 10)
 	dst = append(dst, `,"ver_counter":`...)
@@ -107,7 +120,7 @@ func appendService(dst []byte, sv *ServiceState) []byte {
 // in place after the header. On error dst comes back unchanged.
 func appendRecordFrame(dst []byte, rec *Record) ([]byte, error) {
 	start := len(dst)
-	dst, err := appendRecord(openFrame(dst, recordMagic), rec)
+	dst, err := AppendRecord(openFrame(dst, recordMagic), rec)
 	if err != nil {
 		return dst[:start], fmt.Errorf("store: encoding record: %w", err)
 	}
@@ -142,19 +155,9 @@ func closeFrame(dst []byte, start int) []byte {
 // reports that the payload left the canonical layout and was decoded by
 // json.Unmarshal.
 func decodeRecord(payload []byte, rec *Record) (slow bool, err error) {
-	c := canonReader{b: payload, ok: true}
-	c.lit(`{"seq":`)
-	rec.Seq = c.uint()
-	if c.next(`,"device":`) {
-		rec.Device = new(DeviceState)
-		c.device(rec.Device)
-	}
-	if c.next(`,"service":`) {
-		rec.Service = new(ServiceState)
-		c.service(rec.Service)
-	}
-	c.lit("}")
-	if c.done() {
+	c := canonjson.NewReader(payload)
+	ReadRecord(&c, rec)
+	if c.Done() {
 		return false, nil
 	}
 	*rec = Record{}
@@ -164,186 +167,66 @@ func decodeRecord(payload []byte, rec *Record) (slow bool, err error) {
 // decodeSnapshot decodes a checkpoint or snapshot payload into *sp,
 // which must be the zero snapshotPayload, with decodeRecord's contract.
 func decodeSnapshot(payload []byte, sp *snapshotPayload) (slow bool, err error) {
-	c := canonReader{b: payload, ok: true}
-	c.lit(`{"last_seq":`)
-	sp.LastSeq = c.uint()
-	c.lit(`,"service":`)
-	c.service(&sp.Service)
-	c.lit(`,"devices":`)
-	if !c.next("null") {
-		c.lit("[")
-		if !c.next("]") {
+	c := canonjson.NewReader(payload)
+	c.Lit(`{"last_seq":`)
+	sp.LastSeq = c.Uint()
+	c.Lit(`,"service":`)
+	readService(&c, &sp.Service)
+	c.Lit(`,"devices":`)
+	if !c.Next("null") {
+		c.Lit("[")
+		if !c.Next("]") {
 			// A device encodes to 150–300 bytes; size the slice from
 			// the payload so it rarely regrows.
 			sp.Devices = make([]DeviceState, 0, len(payload)/150+1)
-			for c.ok {
+			for {
 				sp.Devices = append(sp.Devices, DeviceState{})
-				c.device(&sp.Devices[len(sp.Devices)-1])
-				if !c.next(",") {
+				readDevice(&c, &sp.Devices[len(sp.Devices)-1])
+				if !c.Next(",") {
 					break
 				}
 			}
-			c.lit("]")
+			c.Lit("]")
 		} else {
 			sp.Devices = []DeviceState{}
 		}
 	}
-	c.lit("}")
-	if c.done() {
+	c.Lit("}")
+	if c.Done() {
 		return false, nil
 	}
 	*sp = snapshotPayload{}
 	return true, json.Unmarshal(payload, sp)
 }
 
-// canonReader walks a payload expected in the canonical layout. The
-// first mismatch clears ok; later calls are no-ops, and the caller
-// falls back to json.Unmarshal.
-type canonReader struct {
-	b  []byte
-	i  int
-	ok bool
+func readDevice(c *canonjson.Reader, d *DeviceState) {
+	c.Lit(`{"id":`)
+	d.ID = int(c.Int(math.MaxInt))
+	c.Lit(`,"key":`)
+	d.Key = c.Bytes()
+	c.Lit(`,"gen_counter":`)
+	d.GenCounter = c.Uint()
+	c.Lit(`,"ver_counter":`)
+	d.VerCounter = c.Uint()
+	c.Lit(`,"ver_failures":`)
+	d.VerFailures = int(c.Int(math.MaxInt))
+	c.Lit(`,"ver_locked_out":`)
+	d.VerLockedOut = c.Bool()
+	c.Lit(`,"guard_state":`)
+	d.GuardState = int(c.Int(math.MaxInt))
+	c.Lit(`,"guard_failures":`)
+	d.GuardFailures = int(c.Int(math.MaxInt))
+	c.Lit(`,"now_unix_nano":`)
+	d.NowUnixNano = c.Int(math.MaxInt64)
+	c.Lit(`,"rng_draws":`)
+	d.RngDraws = c.Uint()
+	c.Lit("}")
 }
 
-func (c *canonReader) done() bool { return c.ok && c.i == len(c.b) }
-
-// next consumes s if the input continues with it.
-func (c *canonReader) next(s string) bool {
-	if c.ok && len(c.b)-c.i >= len(s) && string(c.b[c.i:c.i+len(s)]) == s {
-		c.i += len(s)
-		return true
-	}
-	return false
-}
-
-// lit consumes s or fails.
-func (c *canonReader) lit(s string) {
-	if !c.next(s) {
-		c.ok = false
-	}
-}
-
-// uint reads a minimal unsigned decimal ("0" or no leading zero) that
-// fits in a uint64.
-func (c *canonReader) uint() uint64 {
-	b, i := c.b, c.i
-	if !c.ok || i >= len(b) || b[i]-'0' > 9 {
-		c.ok = false
-		return 0
-	}
-	if b[i] == '0' {
-		c.i = i + 1
-		return 0
-	}
-	// Nineteen digits cannot overflow; a twentieth might, a twenty-first
-	// always does.
-	j := i
-	var v uint64
-	for j < len(b) && j-i < 19 && b[j]-'0' <= 9 {
-		v = v*10 + uint64(b[j]-'0')
-		j++
-	}
-	if j < len(b) && b[j]-'0' <= 9 {
-		d := uint64(b[j] - '0')
-		if v > (math.MaxUint64-d)/10 || j+1 < len(b) && b[j+1]-'0' <= 9 {
-			c.ok = false
-			return 0
-		}
-		v = v*10 + d
-		j++
-	}
-	c.i = j
-	return v
-}
-
-// int reads a minimal signed decimal within [-max-1, max]; "-0" is not
-// canonical.
-func (c *canonReader) int(max int64) int64 {
-	neg := c.next("-")
-	if neg && c.ok && c.i < len(c.b) && c.b[c.i] == '0' {
-		c.ok = false
-	}
-	v := c.uint()
-	switch {
-	case neg && v <= uint64(max)+1:
-		return int64(-v)
-	case !neg && v <= uint64(max):
-		return int64(v)
-	}
-	c.ok = false
-	return 0
-}
-
-func (c *canonReader) bool() bool {
-	if c.next("true") {
-		return true
-	}
-	c.lit("false")
-	return false
-}
-
-// bytes reads a base64 string (or the null json.Marshal writes for a nil
-// slice) exactly as encoding/json decodes it into a []byte.
-func (c *canonReader) bytes() []byte {
-	if c.next("null") {
-		return nil
-	}
-	c.lit(`"`)
-	b, i := c.b, c.i
-	for i < len(b) && base64Chars[b[i]] {
-		i++
-	}
-	src := b[c.i:i]
-	c.i = i
-	c.lit(`"`)
-	if !c.ok {
-		return nil
-	}
-	key := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
-	n, err := base64.StdEncoding.Decode(key, src)
-	if err != nil {
-		c.ok = false
-		return nil
-	}
-	return key[:n]
-}
-
-// base64Chars marks the standard base64 alphabet and its padding.
-var base64Chars = func() (t [256]bool) {
-	for _, ch := range "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=" {
-		t[ch] = true
-	}
-	return t
-}()
-
-func (c *canonReader) device(d *DeviceState) {
-	c.lit(`{"id":`)
-	d.ID = int(c.int(math.MaxInt))
-	c.lit(`,"key":`)
-	d.Key = c.bytes()
-	c.lit(`,"gen_counter":`)
-	d.GenCounter = c.uint()
-	c.lit(`,"ver_counter":`)
-	d.VerCounter = c.uint()
-	c.lit(`,"ver_failures":`)
-	d.VerFailures = int(c.int(math.MaxInt))
-	c.lit(`,"ver_locked_out":`)
-	d.VerLockedOut = c.bool()
-	c.lit(`,"guard_state":`)
-	d.GuardState = int(c.int(math.MaxInt))
-	c.lit(`,"guard_failures":`)
-	d.GuardFailures = int(c.int(math.MaxInt))
-	c.lit(`,"now_unix_nano":`)
-	d.NowUnixNano = c.int(math.MaxInt64)
-	c.lit(`,"rng_draws":`)
-	d.RngDraws = c.uint()
-	c.lit("}")
-}
-
-func (c *canonReader) service(sv *ServiceState) {
-	c.lit(`{"seq":`)
-	sv.Seq = c.uint()
-	c.lit(`,"next_dev":`)
-	sv.NextDev = c.uint()
-	c.lit("}")
+func readService(c *canonjson.Reader, sv *ServiceState) {
+	c.Lit(`{"seq":`)
+	sv.Seq = c.Uint()
+	c.Lit(`,"next_dev":`)
+	sv.NextDev = c.Uint()
+	c.Lit("}")
 }

@@ -71,7 +71,7 @@ func BenchmarkRecordEncode(b *testing.B) {
 
 func BenchmarkRecordDecode(b *testing.B) {
 	rec := benchRecord()
-	payload, _ := appendRecord(nil, &rec)
+	payload, _ := AppendRecord(nil, &rec)
 	b.Run("codec", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

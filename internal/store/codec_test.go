@@ -99,9 +99,9 @@ func TestAppendRecordMatchesJSONMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := appendRecord([]byte("prefix"), &rec)
+		got, err := AppendRecord([]byte("prefix"), &rec)
 		if err != nil || !bytes.Equal(got[:6], []byte("prefix")) || !bytes.Equal(got[6:], want) {
-			t.Fatalf("record %d: appendRecord = %s (err %v), want prefix + %s", i, got, err, want)
+			t.Fatalf("record %d: AppendRecord = %s (err %v), want prefix + %s", i, got, err, want)
 		}
 		framed, err := appendRecordFrame([]byte("prefix"), &rec)
 		if err != nil || !bytes.Equal(framed[6:], frameReference(recordMagic, want)) {
@@ -135,7 +135,7 @@ func TestAppendRecordFrameRejectsOversizeRecord(t *testing.T) {
 // path to the record json.Unmarshal returns.
 func TestDecodeRecordCanonicalFastPath(t *testing.T) {
 	for i, rec := range codecRecords() {
-		payload, err := appendRecord(nil, &rec)
+		payload, err := AppendRecord(nil, &rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,10 +232,10 @@ func checkCodecAgainstJSON(t *testing.T, data []byte) {
 		t.Fatalf("decodeRecord(%q) = %+v, %v; json.Unmarshal = %+v, %v", data, rec, err, recRef, errRef)
 	}
 	if err == nil {
-		enc, err := appendRecord(nil, &rec)
+		enc, err := AppendRecord(nil, &rec)
 		ref, errRef := json.Marshal(&rec)
 		if err != nil || errRef != nil || !bytes.Equal(enc, ref) {
-			t.Fatalf("re-encoding %q: appendRecord = %s (%v), json.Marshal = %s (%v)", data, enc, err, ref, errRef)
+			t.Fatalf("re-encoding %q: AppendRecord = %s (%v), json.Marshal = %s (%v)", data, enc, err, ref, errRef)
 		}
 		var back Record
 		slow, err := decodeRecord(enc, &back)
@@ -277,7 +277,7 @@ func sameError(a, b error) bool {
 // json.Marshal's bytes and decode back unchanged on the fast path.
 func FuzzRecordCodec(f *testing.F) {
 	for _, rec := range codecRecords()[:20] {
-		payload, err := appendRecord(nil, &rec)
+		payload, err := AppendRecord(nil, &rec)
 		if err != nil {
 			f.Fatal(err)
 		}
