@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"wearlock/internal/cluster"
+	"wearlock/internal/invariant"
 )
 
 // adoptFaultProxy fronts one shard and fails the Nth Adopt import with
@@ -165,7 +166,7 @@ func TestClusterJoinAbortKeepsCommittedMoves(t *testing.T) {
 		}
 	}
 
-	before := maxCounters(tc)
+	before := tc.durableState()
 
 	// At the injected fault the first move is committed and its override
 	// routes to s2: drive traffic onto that range so the target's durable
@@ -246,21 +247,12 @@ func TestClusterJoinAbortKeepsCommittedMoves(t *testing.T) {
 		}
 	}
 
-	// Invariants across abort and resume: no counter regressed, and no
-	// device unlocked more often than its authoritative counter advanced
-	// (an accepted replay — exactly what re-granting sources their stale
-	// pre-handoff ranges would produce).
-	after := maxCounters(tc)
-	for id, b := range before {
-		if after[id] < b {
-			t.Errorf("device %d counter regressed %d -> %d", id, b, after[id])
-		}
-	}
+	// Invariants across abort and resume: the oracle over the
+	// authoritative max-across-shards state. Re-granting sources their
+	// stale pre-handoff ranges would show as an accepted replay.
 	mu.Lock()
 	defer mu.Unlock()
-	for id, n := range unlocks {
-		if delta := after[id] - before[id]; uint64(n) > delta {
-			t.Errorf("device %d unlocked %d times but its counter advanced %d — accepted replay", id, n, delta)
-		}
+	if err := invariant.Check(invariant.Event{Before: before, After: tc.durableState(), Accepted: unlocks}).Err(); err != nil {
+		t.Error(err)
 	}
 }

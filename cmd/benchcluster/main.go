@@ -15,9 +15,11 @@
 //
 // Handoff drill: a 2-shard durable cluster takes live traffic while a
 // third shard joins via POST /cluster/v1/shards (snapshot shipping +
-// WAL tail replay). The drill fails if any device's max-across-shards
-// HOTP verifier counter regressed, if any device unlocked more times
-// than its counter advanced (an accepted replay), or if any client
+// WAL tail replay). The drill fails if the safety oracle
+// (internal/invariant) finds, over the max-across-shards durable state,
+// a lost device, a changed key or a lower HOTP counter (a regression),
+// or a device that unlocked more times than its verifier counter
+// advanced (an accepted replay), or if any client
 // request ended without either a success or a retryable 429/503 with
 // Retry-After (a drop).
 //
@@ -43,7 +45,9 @@ import (
 	"time"
 
 	"wearlock/internal/cluster"
+	"wearlock/internal/invariant"
 	"wearlock/internal/service"
+	"wearlock/internal/store"
 )
 
 // benchConfig is the recorded bench parameterization.
@@ -143,7 +147,7 @@ func run() int {
 	}
 
 	// Handoff drill.
-	dr, err := runDrill(cfg)
+	dr, err := runDrill(cfg, 1500*time.Millisecond)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchcluster: handoff drill: %v\n", err)
 		return 1
@@ -423,28 +427,22 @@ func runPhase(k int, cfg benchConfig, duration time.Duration) (phaseResult, erro
 	}, nil
 }
 
-// maxCounters reduces every shard's durable state to the per-device
-// maximum HOTP verifier counter — the cluster-wide authoritative value,
-// since only the owning shard advances a device and handoff ships
-// monotone state.
-func maxCounters(tc *testCluster) map[int]uint64 {
-	out := map[int]uint64{}
+// durableState merges every shard's durable state into the
+// cluster-wide view the safety oracle judges.
+func (tc *testCluster) durableState() store.State {
+	var states []store.State
 	for _, svc := range tc.services {
-		st, ok := svc.StoreState()
-		if !ok {
-			continue
-		}
-		for id, d := range st.Devices {
-			if d.VerCounter > out[id] {
-				out[id] = d.VerCounter
-			}
+		if st, ok := svc.StoreState(); ok {
+			states = append(states, st)
 		}
 	}
-	return out
+	return invariant.Merge(states...)
 }
 
-// runDrill performs the live-handoff invariant drill.
-func runDrill(cfg benchConfig) (drillResult, error) {
+// runDrill performs the live-handoff invariant drill, driving load for
+// settle before the join and again after it. It fails if the join
+// leaves any of the three shards owning no devices.
+func runDrill(cfg benchConfig, settle time.Duration) (drillResult, error) {
 	stateDir, err := os.MkdirTemp("", "benchcluster-*")
 	if err != nil {
 		return drillResult{}, err
@@ -457,11 +455,11 @@ func runDrill(cfg benchConfig) (drillResult, error) {
 	}
 	defer tc.close()
 
-	before := maxCounters(tc)
+	before := tc.durableState()
 
 	stop := make(chan struct{})
 	lc, wg := driveLoad(tc.base, 8, stop)
-	time.Sleep(1500 * time.Millisecond)
+	time.Sleep(settle)
 
 	// Join a third shard mid-load through the gateway's admin API — the
 	// same snapshot-shipping path an operator would use.
@@ -497,12 +495,39 @@ func runDrill(cfg benchConfig) (drillResult, error) {
 	}
 	handoffSecs := time.Since(hStart).Seconds()
 
-	time.Sleep(1500 * time.Millisecond)
+	time.Sleep(settle)
 	close(stop)
 	wg.Wait()
 
-	after := maxCounters(tc)
+	// The joined shard serves its range: the topology lists three shards,
+	// each owning devices.
+	var topology struct {
+		Shards []struct {
+			Name  string `json:"name"`
+			Owned int    `json:"owned"`
+		} `json:"shards"`
+	}
+	if resp, err = client.Get(tc.base + "/cluster/v1/topology"); err != nil {
+		return drillResult{}, err
+	}
+	err = json.NewDecoder(resp.Body).Decode(&topology)
+	resp.Body.Close()
+	if err != nil {
+		return drillResult{}, fmt.Errorf("topology: %w", err)
+	}
+	if len(topology.Shards) != 3 {
+		return drillResult{}, fmt.Errorf("topology has %d shards after join, want 3", len(topology.Shards))
+	}
+	for _, sh := range topology.Shards {
+		if sh.Owned == 0 {
+			return drillResult{}, fmt.Errorf("shard %s owns no devices after rebalance", sh.Name)
+		}
+	}
 
+	vs := invariant.Check(invariant.Event{Before: before, After: tc.durableState(), Accepted: lc.unlockedByDevice})
+	if err := vs.Err(); err != nil {
+		fmt.Fprintf(os.Stderr, "benchcluster: handoff drill: %v\n", err)
+	}
 	dr := drillResult{
 		HandoffSeconds: handoffSecs,
 		Requests:       lc.requests.Load(),
@@ -511,23 +536,15 @@ func runDrill(cfg benchConfig) (drillResult, error) {
 		Retried503:     lc.retried503.Load(),
 		FencedRetried:  lc.fencedRetried.Load(),
 		Dropped:        lc.dropped.Load(),
+		// A lost device or a changed key leaves no counter to be
+		// monotone, so both count as regressions.
+		CounterRegressions: vs.Count(invariant.LostDevice, invariant.KeyChange, invariant.CounterRegression),
+		AcceptedReplays:    vs.Count(invariant.AcceptedReplay),
 	}
 	for _, h := range joined.Handoffs {
 		dr.DevicesMoved += len(h.Devices)
 		dr.TailRecords += h.TailRecords
 	}
-	for id, b := range before {
-		if after[id] < b {
-			dr.CounterRegressions++
-		}
-	}
-	lc.mu.Lock()
-	for id, n := range lc.unlockedByDevice {
-		if delta := after[id] - before[id]; uint64(n) > delta {
-			dr.AcceptedReplays++
-		}
-	}
-	lc.mu.Unlock()
 	return dr, nil
 }
 

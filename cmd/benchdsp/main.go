@@ -14,8 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
-	"testing"
+	"time"
 
 	"wearlock/internal/acoustic"
 	"wearlock/internal/audio"
@@ -76,22 +77,77 @@ func collectCases() ([]benchCase, error) {
 	return out, nil
 }
 
-func measure(fn func() error) (testing.BenchmarkResult, error) {
-	// Warm scratch buffers and caches so steady state is what's measured.
-	if err := fn(); err != nil {
-		return testing.BenchmarkResult{}, err
+// Each pair is timed over rounds back-to-back windows of about
+// roundTime per side, alternating which side runs first, and gated on
+// the median per-round old/new ratio: drift on a shared host then moves
+// both sides of a round, where one long run per side charged it all to
+// whichever side it landed on.
+const (
+	rounds    = 21
+	roundTime = 50 * time.Millisecond
+)
+
+// sample runs fn n times after a GC and returns ns, heap allocations
+// and bytes per call.
+func sample(fn func() error, n int) (ns float64, allocs, bytes int64, err error) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for i := 0; i < n && err == nil; i++ {
+		err = fn()
 	}
-	var innerErr error
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := fn(); err != nil {
-				innerErr = err
-				b.FailNow()
-			}
+	ns = float64(time.Since(start).Nanoseconds()) / float64(n)
+	runtime.ReadMemStats(&after)
+	return ns, int64((after.Mallocs - before.Mallocs) / uint64(n)), int64((after.TotalAlloc - before.TotalAlloc) / uint64(n)), err
+}
+
+// calibrate warms fn's scratch and caches, so steady state is what gets
+// measured, and returns the call count that runs about roundTime with
+// its steady-state allocations and bytes per call.
+func calibrate(fn func() error) (n int, allocs, bytes int64, err error) {
+	if err := fn(); err != nil {
+		return 0, 0, 0, err
+	}
+	for n = 1; ; n *= 2 {
+		ns, allocs, bytes, err := sample(fn, n)
+		if err != nil || ns*float64(n) >= float64(roundTime/4) {
+			return max(1, int(float64(roundTime)/ns)), allocs, bytes, err
 		}
-	})
-	return res, innerErr
+	}
+}
+
+func median(xs []float64) float64 {
+	xs = slices.Clone(xs)
+	slices.Sort(xs)
+	return xs[len(xs)/2]
+}
+
+// measurePair times one old/new pair over interleaved rounds.
+func measurePair(c benchCase) (caseReport, error) {
+	cr := caseReport{Name: c.name, MinSpeedup: c.minSpeedup, ZeroAlloc: c.requireZeroAllocNew}
+	nOld, oldAllocs, oldBytes, errOld := calibrate(c.old)
+	nNew, newAllocs, newBytes, errNew := calibrate(c.new)
+	olds, news, ratios := make([]float64, rounds), make([]float64, rounds), make([]float64, rounds)
+	for r := 0; r < rounds && errOld == nil && errNew == nil; r++ {
+		if r%2 == 0 {
+			olds[r], _, _, errOld = sample(c.old, nOld)
+			news[r], _, _, errNew = sample(c.new, nNew)
+		} else {
+			news[r], _, _, errNew = sample(c.new, nNew)
+			olds[r], _, _, errOld = sample(c.old, nOld)
+		}
+		ratios[r] = olds[r] / news[r]
+	}
+	if errOld != nil {
+		return cr, fmt.Errorf("old: %w", errOld)
+	}
+	if errNew != nil {
+		return cr, fmt.Errorf("new: %w", errNew)
+	}
+	cr.OldNsPerOp, cr.NewNsPerOp, cr.Speedup = median(olds), median(news), median(ratios)
+	cr.OldAllocs, cr.OldBytes, cr.NewAllocs, cr.NewBytes = oldAllocs, oldBytes, newAllocs, newBytes
+	return cr, nil
 }
 
 func main() {
@@ -106,33 +162,15 @@ func main() {
 	}
 
 	rep := report{
-		Description: "old-vs-new DSP fast-path benchmarks (ns/op via testing.Benchmark); speedup = old/new",
+		Description: fmt.Sprintf("old-vs-new DSP fast-path benchmarks: %d rounds time old and new back to back (~%v each, "+
+			"alternating which runs first); ns/op is each side's median and speedup the median per-round old/new ratio", rounds, roundTime),
 	}
 	failed := false
 	for _, c := range cases {
-		oldRes, err := measure(c.old)
+		cr, err := measurePair(c)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdsp: %s/old: %v\n", c.name, err)
+			fmt.Fprintf(os.Stderr, "benchdsp: %s: %v\n", c.name, err)
 			os.Exit(1)
-		}
-		newRes, err := measure(c.new)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdsp: %s/new: %v\n", c.name, err)
-			os.Exit(1)
-		}
-		oldNs := float64(oldRes.T.Nanoseconds()) / float64(oldRes.N)
-		newNs := float64(newRes.T.Nanoseconds()) / float64(newRes.N)
-		cr := caseReport{
-			Name:       c.name,
-			OldNsPerOp: oldNs,
-			NewNsPerOp: newNs,
-			Speedup:    oldNs / newNs,
-			OldAllocs:  oldRes.AllocsPerOp(),
-			NewAllocs:  newRes.AllocsPerOp(),
-			OldBytes:   oldRes.AllocedBytesPerOp(),
-			NewBytes:   newRes.AllocedBytesPerOp(),
-			MinSpeedup: c.minSpeedup,
-			ZeroAlloc:  c.requireZeroAllocNew,
 		}
 		rep.Cases = append(rep.Cases, cr)
 		status := "ok"
@@ -147,7 +185,7 @@ func main() {
 			}
 		}
 		fmt.Printf("%-32s old %10.0f ns/op %3d allocs  new %10.0f ns/op %3d allocs  %5.2fx  %s\n",
-			c.name, oldNs, cr.OldAllocs, newNs, cr.NewAllocs, cr.Speedup, status)
+			c.name, cr.OldNsPerOp, cr.OldAllocs, cr.NewNsPerOp, cr.NewAllocs, cr.Speedup, status)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")

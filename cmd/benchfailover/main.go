@@ -10,9 +10,9 @@
 // implies the follower's disk), kill the primary process state and its
 // port, and drive the gateway's heartbeat loop on a manual clock until
 // it fences the epoch and promotes the standby. After every promotion
-// the drill checks that each acked device survived with the same
-// pairing key and counters no lower, and that no device unlocked more
-// times than its verifier counter advanced.
+// the safety oracle (internal/invariant) checks that each acked device
+// survived with the same pairing key and counters no lower, and that no
+// device unlocked more times than its verifier counter advanced.
 //
 // Downtime ratio: one heavy round pads the primary's WAL with enough
 // records that startup replay is expensive, measures that cold-restart
@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"wearlock/internal/cluster"
+	"wearlock/internal/invariant"
 	"wearlock/internal/service"
 	"wearlock/internal/store"
 	"wearlock/internal/vtime"
@@ -305,14 +306,6 @@ func bootPair(primaryCfg, followerCfg service.Config, devices int) (*pair, error
 	if err != nil {
 		return nil, fmt.Errorf("FollowPrimary: %w", err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for !p.primary.ReplicaAttached() {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("follower never attached: %+v", p.primary.ReplicaStatus())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
 	p.clock = vtime.NewManualClock(time.Unix(1_700_000_000, 0))
 	p.gw, err = cluster.NewGateway(cluster.GatewayConfig{
 		Shards:          []cluster.ShardConfig{{Name: "s0", BaseURL: primaryURL}},
@@ -378,26 +371,6 @@ func unlockUntilAcked(client *http.Client, base string, dev int) error {
 	return fmt.Errorf("no acked unlock in 20 attempts (last status %d, err %v)", lastStatus, lastErr)
 }
 
-// checkSurvival compares the promoted follower's durable state against
-// the primary's last acknowledged state: every device present, same
-// pairing key, counters no lower.
-func checkSurvival(before, after store.State) (lost, keys, regress int) {
-	for id, b := range before.Devices {
-		a, ok := after.Devices[id]
-		if !ok {
-			lost++
-			continue
-		}
-		if !bytes.Equal(a.Key, b.Key) {
-			keys++
-		}
-		if a.GenCounter < b.GenCounter || a.VerCounter < b.VerCounter {
-			regress++
-		}
-	}
-	return lost, keys, regress
-}
-
 // runCycle is one seeded kill/failover round.
 func runCycle(i int, cfg benchConfig) (cycleResult, error) {
 	stateDir, err := os.MkdirTemp("", "benchfailover-*")
@@ -423,7 +396,8 @@ func runCycle(i int, cfg benchConfig) (cycleResult, error) {
 
 	cr := cycleResult{Cycle: i}
 	client := &http.Client{Timeout: 30 * time.Second}
-	acks := make([]int, cfg.Devices)
+	initial, _ := p.primary.StoreState()
+	acks := map[int]int{}
 
 	// Acked traffic through the gateway. Synchronous replication: each
 	// unlocked 200 below means the session is already on the standby's
@@ -466,7 +440,9 @@ func runCycle(i int, cfg benchConfig) (cycleResult, error) {
 	if !ok {
 		return cr, fmt.Errorf("promoted follower has no store state")
 	}
-	cr.LostDevices, cr.KeyChanges, cr.CounterRegressions = checkSurvival(before, after)
+	// Survival: every device the primary acked is on the promoted
+	// standby, same pairing key, counters no lower.
+	vs := invariant.Check(invariant.Event{Before: before, After: after})
 
 	// The same gateway URL serves again, against the promoted standby.
 	for dev := 0; dev < cfg.Devices; dev++ {
@@ -481,11 +457,14 @@ func runCycle(i int, cfg benchConfig) (cycleResult, error) {
 	// counter must have advanced at least N times — counting a token
 	// twice would show up as more unlocks than counter movement.
 	final, _ := p.follower.StoreState()
-	for dev := 0; dev < cfg.Devices; dev++ {
-		if uint64(acks[dev]) > final.Devices[dev].VerCounter {
-			cr.AcceptedReplays++
-		}
+	vs = append(vs, invariant.Check(invariant.Event{Before: initial, After: final, Accepted: acks})...)
+	if err := vs.Err(); err != nil {
+		fmt.Fprintf(os.Stderr, "benchfailover: cycle %d: %v\n", i, err)
 	}
+	cr.LostDevices = vs.Count(invariant.LostDevice)
+	cr.KeyChanges = vs.Count(invariant.KeyChange)
+	cr.CounterRegressions = vs.Count(invariant.CounterRegression)
+	cr.AcceptedReplays = vs.Count(invariant.AcceptedReplay)
 	return cr, nil
 }
 
@@ -630,9 +609,12 @@ func runDowntime(cfg benchConfig) (downtimeResult, error) {
 	if !ok {
 		return dt, fmt.Errorf("promoted follower has no store state")
 	}
-	lost, keys, regress := checkSurvival(before, after)
-	dt.LostDevices = lost + keys
-	dt.CounterRegressions = regress
+	vs := invariant.Check(invariant.Event{Before: before, After: after})
+	if err := vs.Err(); err != nil {
+		fmt.Fprintf(os.Stderr, "benchfailover: downtime cycle: %v\n", err)
+	}
+	dt.LostDevices = vs.Count(invariant.LostDevice, invariant.KeyChange)
+	dt.CounterRegressions = vs.Count(invariant.CounterRegression)
 	if dt.ColdReplayMS > 0 {
 		dt.Ratio = dt.UnavailabilityMS / dt.ColdReplayMS
 	}

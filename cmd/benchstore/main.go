@@ -48,6 +48,7 @@ import (
 	"syscall"
 	"time"
 
+	"wearlock/internal/invariant"
 	"wearlock/internal/store"
 )
 
@@ -414,10 +415,11 @@ func killChild(dir string) int {
 }
 
 // runKillChaos SIGKILLs the committing subprocess for the given number
-// of cycles and checks after each kill that every acknowledged commit
-// survived replay: per-device recovered counters must cover the last
-// acked value (zero acked-but-lost) and must never fall below the
-// previous cycle's recovered floor (zero regressions).
+// of cycles and has the safety oracle check after each kill that every
+// acknowledged commit survived replay: per-device recovered counters
+// must cover the last acked value (zero acked-but-lost), and every
+// device must keep its key and never fall below the previous cycle's
+// recovered counters (zero regressions).
 func runKillChaos(cycles int, seed int64) (*chaosBench, error) {
 	dir, err := os.MkdirTemp("", "benchstore-chaos-")
 	if err != nil {
@@ -427,7 +429,7 @@ func runKillChaos(cycles int, seed int64) (*chaosBench, error) {
 	rng := rand.New(rand.NewSource(seed))
 
 	cb := &chaosBench{Cycles: cycles}
-	floor := map[int]uint64{} // device → recovered counter floor
+	var prev store.State // the previous cycle's recovered state
 	for cycle := 0; cycle < cycles; cycle++ {
 		cmd := exec.Command(os.Args[0], "-kill-child", "-kill-dir", dir)
 		out, err := cmd.StdoutPipe()
@@ -437,7 +439,7 @@ func runKillChaos(cycles int, seed int64) (*chaosBench, error) {
 		if err := cmd.Start(); err != nil {
 			return nil, err
 		}
-		acked := map[int]uint64{}
+		acked := map[int]invariant.Floor{}
 		sc := bufio.NewScanner(out)
 		// Let a random number of acks through before killing so deaths
 		// land at varying points in the batch/segment cadence.
@@ -461,8 +463,8 @@ func runKillChaos(cycles int, seed int64) (*chaosBench, error) {
 				cmd.Wait()
 				return nil, fmt.Errorf("cycle %d: bad ack %q", cycle, line)
 			}
-			if v > acked[dev] {
-				acked[dev] = v
+			if v > acked[dev].Gen {
+				acked[dev] = invariant.Floor{Gen: v, Ver: v}
 			}
 			acks++
 		}
@@ -482,28 +484,13 @@ func runKillChaos(cycles int, seed int64) (*chaosBench, error) {
 			cb.Corruptions += info.Corruptions + len(info.Distrusted)
 			fmt.Fprintf(os.Stderr, "benchstore: chaos cycle %d: kill -9 produced damage: %+v\n", cycle, info)
 		}
-		for dev, v := range acked {
-			d, ok := st.Devices[dev]
-			if !ok || d.GenCounter < v {
-				cb.AckedLost++
-				got := uint64(0)
-				if ok {
-					got = d.GenCounter
-				}
-				fmt.Fprintf(os.Stderr, "benchstore: chaos cycle %d: device %d acked %d but recovered %d\n",
-					cycle, dev, v, got)
-			}
+		vs := invariant.Check(invariant.Event{Before: prev, After: st, Acked: acked})
+		if err := vs.Err(); err != nil {
+			fmt.Fprintf(os.Stderr, "benchstore: chaos cycle %d: %v\n", cycle, err)
 		}
-		for dev, prev := range floor {
-			if d, ok := st.Devices[dev]; !ok || d.GenCounter < prev {
-				cb.Regressions++
-				fmt.Fprintf(os.Stderr, "benchstore: chaos cycle %d: device %d counter regressed below floor %d\n",
-					cycle, dev, prev)
-			}
-		}
-		for dev, d := range st.Devices {
-			floor[dev] = d.GenCounter
-		}
+		cb.AckedLost += vs.Count(invariant.AckedNotDurable)
+		cb.Regressions += vs.Count(invariant.LostDevice, invariant.KeyChange, invariant.CounterRegression)
+		prev = st
 	}
 	cb.Pass = cb.AckedLost == 0 && cb.Regressions == 0 && cb.Corruptions == 0
 	return cb, nil

@@ -55,6 +55,7 @@ import (
 
 	"wearlock/internal/cluster"
 	"wearlock/internal/core"
+	"wearlock/internal/invariant"
 	"wearlock/internal/scenario/catalog"
 	"wearlock/internal/service"
 	"wearlock/internal/sim"
@@ -1020,14 +1021,6 @@ func newFailoverRig(devices, queue int, seed int64, stateDir string, pace float6
 	if err != nil {
 		return nil, fmt.Errorf("FollowPrimary: %w", err)
 	}
-	deadline := time.Now().Add(time.Minute)
-	for !r.primary.ReplicaAttached() {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("standby never attached: %+v", r.primary.ReplicaStatus())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
 	r.clock = vtime.NewManualClock(time.Unix(1_700_000_000, 0))
 	fleet := service.DefaultConfig().Devices
 	if devices > 0 {
@@ -1141,28 +1134,16 @@ func (r *failoverRig) evaluate(killAfter time.Duration, acked map[int]int, nonRe
 	if !ok {
 		problems = append(problems, "promoted standby has no store state")
 	} else {
-		for id, b := range r.initial.Devices {
-			a, present := final.Devices[id]
-			if !present {
-				rep.LostOrReplayed++
-				continue
-			}
-			if !bytes.Equal(a.Key, b.Key) {
-				rep.KeyChanges++
-			}
-			if a.GenCounter < b.GenCounter || a.VerCounter < b.VerCounter {
-				rep.CounterRegressions++
-			}
-		}
 		// Client-observed survival: each acked unlock advanced the
 		// device's verifier exactly once, so the follower's counter delta
 		// must cover the acked count — fewer means an acked session was
 		// lost or a replayed token was double-counted.
-		for id, n := range acked {
-			delta := final.Devices[id].VerCounter - r.initial.Devices[id].VerCounter
-			if uint64(n) > delta {
-				rep.LostOrReplayed++
-			}
+		vs := invariant.Check(invariant.Event{Before: r.initial, After: final, Accepted: acked})
+		rep.KeyChanges = vs.Count(invariant.KeyChange)
+		rep.CounterRegressions = vs.Count(invariant.CounterRegression)
+		rep.LostOrReplayed = vs.Count(invariant.LostDevice, invariant.AcceptedReplay)
+		if err := vs.Err(); err != nil {
+			fmt.Fprintf(os.Stderr, "loadgen: failover: %v\n", err)
 		}
 		if rep.KeyChanges > 0 {
 			problems = append(problems, fmt.Sprintf("%d pairing keys changed across promotion", rep.KeyChanges))

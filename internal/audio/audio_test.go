@@ -227,9 +227,9 @@ func TestPinkNoiseSpectralTilt(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Noise: %v", err)
 		}
-		spec, err := dsp.FFTReal(buf.Samples[:8192])
-		if err != nil {
-			t.Fatalf("FFTReal: %v", err)
+		spec := make([]complex128, 8192)
+		if err := dsp.RealForward(spec, buf.Samples[:8192]); err != nil {
+			t.Fatalf("RealForward: %v", err)
 		}
 		var p float64
 		for k := lowBin; k < highBin; k++ {
@@ -250,9 +250,9 @@ func TestBabbleNoiseBandLimited(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Noise: %v", err)
 	}
-	spec, err := dsp.FFTReal(buf.Samples[:16384])
-	if err != nil {
-		t.Fatalf("FFTReal: %v", err)
+	spec := make([]complex128, 16384)
+	if err := dsp.RealForward(spec, buf.Samples[:16384]); err != nil {
+		t.Fatalf("RealForward: %v", err)
 	}
 	binHz := 44100.0 / 16384
 	var inBand, above float64

@@ -211,26 +211,6 @@ func IFFT(x []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// FFTReal transforms a real-valued signal. The result has the same length
-// as the input and exhibits Hermitian symmetry: X[n-k] = conj(X[k]). It is
-// a thin allocating shim over RealPlan; hot paths should hold a RealPlan
-// (or call RealForward) with a reused destination buffer instead.
-func FFTReal(x []float64) ([]complex128, error) {
-	if len(x) == 1 {
-		// Length-1 transform is the identity; RealPlan starts at 2.
-		return []complex128{complex(x[0], 0)}, nil
-	}
-	rp, err := RealPlanFor(len(x))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]complex128, len(x))
-	if err := rp.Forward(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // NextPow2 returns the smallest power of two that is >= n, with a minimum
 // of 1.
 func NextPow2(n int) int {

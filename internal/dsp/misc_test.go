@@ -297,9 +297,9 @@ func TestGoertzelMatchesFFT(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2*math.Pi*3000*float64(i)/rate) + 0.1*rng.NormFloat64()
 	}
-	spec, err := FFTReal(x)
-	if err != nil {
-		t.Fatalf("FFTReal: %v", err)
+	spec := make([]complex128, n)
+	if err := RealForward(spec, x); err != nil {
+		t.Fatalf("RealForward: %v", err)
 	}
 	for _, bin := range []int{10, 17, 30} {
 		g, err := Goertzel(x, float64(bin)*rate/n, rate)

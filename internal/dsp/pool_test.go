@@ -90,8 +90,8 @@ func TestPlanCacheConcurrentFFT(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		spec, err := FFTReal(x)
-		if err != nil {
+		spec := make([]complex128, n)
+		if err := RealForward(spec, x); err != nil {
 			t.Fatal(err)
 		}
 		refs[n] = spec

@@ -95,9 +95,9 @@ func TestModulateSpectrumContents(t *testing.T) {
 		t.Fatalf("Modulate: %v", err)
 	}
 	bodyStart := cfg.PreambleLen + cfg.PostPreambleGuard + cfg.CPLen
-	spec, err := dsp.FFTReal(frame.Samples[bodyStart : bodyStart+cfg.FFTSize])
-	if err != nil {
-		t.Fatalf("FFTReal: %v", err)
+	spec := make([]complex128, cfg.FFTSize)
+	if err := dsp.RealForward(spec, frame.Samples[bodyStart:bodyStart+cfg.FFTSize]); err != nil {
+		t.Fatalf("RealForward: %v", err)
 	}
 	// Derive the per-symbol scale from the first pilot; taking the real
 	// part at TX halves subcarrier amplitudes, which the scale absorbs.
@@ -157,9 +157,9 @@ func TestProbeSymbolLightsAllBins(t *testing.T) {
 		t.Fatalf("ProbeSymbol: %v", err)
 	}
 	bodyStart := cfg.PreambleLen + cfg.PostPreambleGuard + cfg.CPLen
-	spec, err := dsp.FFTReal(probe.Samples[bodyStart : bodyStart+cfg.FFTSize])
-	if err != nil {
-		t.Fatalf("FFTReal: %v", err)
+	spec := make([]complex128, cfg.FFTSize)
+	if err := dsp.RealForward(spec, probe.Samples[bodyStart:bodyStart+cfg.FFTSize]); err != nil {
+		t.Fatalf("RealForward: %v", err)
 	}
 	ref := cmplx.Abs(spec[cfg.PilotChannels[0]])
 	if ref == 0 {

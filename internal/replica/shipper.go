@@ -3,6 +3,7 @@ package replica
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -205,6 +206,24 @@ func (sh *Shipper) Fenced() bool {
 	return sh.state == stateFenced
 }
 
+// WaitAttached blocks until the follower has acked the bootstrap and
+// the stream is live. It fails with ErrFenced once a newer epoch fenced
+// the primary, with an error once the shipper detaches or closes first,
+// and with ctx's error when ctx ends.
+func (sh *Shipper) WaitAttached(ctx context.Context) error {
+	return sh.await(ctx, func() (bool, error) {
+		switch sh.state {
+		case stateAttached:
+			return true, nil
+		case stateFenced:
+			return true, ErrFenced
+		case stateDetached, stateClosed:
+			return true, fmt.Errorf("replica: shipper %s before the follower attached", stateName(sh.state))
+		}
+		return false, nil
+	})
+}
+
 // WaitReplicated blocks until the record at seq is covered by the
 // follower's acks (within the configured MaxLag), the shipper is
 // detached or closed (the session proceeds unreplicated — the
@@ -214,27 +233,26 @@ func (sh *Shipper) Fenced() bool {
 // silently void the contract at exactly the moment a follower is
 // bootstrapping.
 func (sh *Shipper) WaitReplicated(ctx context.Context, seq uint64) error {
-	target := seq
-	if ml := sh.cfg.MaxLag; ml > 0 {
-		if seq > ml {
-			target = seq - ml
-		} else {
-			target = 0
-		}
-	}
-	sh.mu.Lock()
-	for {
+	target := seq - min(seq, sh.cfg.MaxLag)
+	return sh.await(ctx, func() (bool, error) {
 		switch sh.state {
 		case stateFenced:
-			sh.mu.Unlock()
-			return ErrFenced
+			return true, ErrFenced
 		case stateDetached, stateClosed:
-			sh.mu.Unlock()
-			return nil
+			return true, nil
 		}
-		if sh.ackedSeq >= target {
+		return sh.ackedSeq >= target, nil
+	})
+}
+
+// await blocks until done, called with sh.mu held after every state or
+// ack change, reports true, and returns its error; or until ctx ends.
+func (sh *Shipper) await(ctx context.Context, done func() (bool, error)) error {
+	sh.mu.Lock()
+	for {
+		if ok, err := done(); ok {
 			sh.mu.Unlock()
-			return nil
+			return err
 		}
 		ch := sh.waitCh
 		sh.mu.Unlock()

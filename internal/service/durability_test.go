@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"wearlock/internal/invariant"
 	"wearlock/internal/sim"
 	"wearlock/internal/store"
 )
@@ -97,18 +98,8 @@ func TestDurableGracefulRestart(t *testing.T) {
 		t.Fatalf("clean restart reported damage: %+v", rec)
 	}
 	after, _ := s2.StoreState()
-	for id, b := range before.Devices {
-		a, ok := after.Devices[id]
-		if !ok {
-			t.Fatalf("device %d lost across restart", id)
-		}
-		if !bytes.Equal(a.Key, b.Key) {
-			t.Errorf("device %d pairing key changed across clean restart", id)
-		}
-		if a.GenCounter < b.GenCounter || a.VerCounter < b.VerCounter {
-			t.Errorf("device %d counters regressed: gen %d->%d ver %d->%d",
-				id, b.GenCounter, a.GenCounter, b.VerCounter, a.VerCounter)
-		}
+	if err := invariant.Check(invariant.Event{Before: before, After: after}).Err(); err != nil {
+		t.Fatalf("across clean restart: %v", err)
 	}
 	// The restored fleet keeps serving, and its new sessions commit.
 	for dev := 0; dev < cfg.Devices; dev++ {
@@ -171,31 +162,13 @@ func TestRestartAfterCorruptionRepairsDistrusted(t *testing.T) {
 	if len(rec.Repaired) == 0 {
 		t.Fatalf("corruption detected but nothing repaired: %+v", rec)
 	}
-	repaired := make(map[int]bool, len(rec.Repaired))
-	for _, id := range rec.Repaired {
-		repaired[id] = true
-	}
 	after, _ := s2.StoreState()
-	for dev := 0; dev < cfg.Devices; dev++ {
-		a, ok := after.Devices[dev]
-		if !ok {
-			t.Fatalf("device %d missing after recovery", dev)
-		}
-		b := before.Devices[dev]
-		if repaired[dev] {
-			if bytes.Equal(a.Key, b.Key) {
-				t.Errorf("repaired device %d kept its old pairing key", dev)
-			}
-			if a.GenCounter != 0 && a.GenCounter >= b.GenCounter {
-				t.Errorf("repaired device %d counter %d looks resumed, want fresh", dev, a.GenCounter)
-			}
-		} else {
-			if !bytes.Equal(a.Key, b.Key) {
-				t.Errorf("trusted device %d re-keyed without cause", dev)
-			}
-			if a.GenCounter < b.GenCounter {
-				t.Errorf("trusted device %d counter regressed %d -> %d", dev, b.GenCounter, a.GenCounter)
-			}
+	if err := invariant.Check(invariant.Event{Before: before, After: after, Repaired: rec.Repaired}).Err(); err != nil {
+		t.Errorf("across repair: %v", err)
+	}
+	for _, dev := range rec.Repaired {
+		if a, b := after.Devices[dev], before.Devices[dev]; a.GenCounter != 0 && a.GenCounter >= b.GenCounter {
+			t.Errorf("repaired device %d counter %d looks resumed, want fresh", dev, a.GenCounter)
 		}
 	}
 	// Repair retired the corrupt WAL via compaction: a further restart
@@ -510,7 +483,7 @@ func TestRecoveryRepairsInDeviceOrder(t *testing.T) {
 	cfg := durableConfig(dir)
 	cfg.Devices = 16
 	refused := map[int]bool{2: true, 5: true, 9: true, 13: true} // bad keyguard state: restore fails, re-pair works
-	broken := map[int]bool{4: true, 11: true}                     // draw 0 precedes pairing: restore and re-pair both fail
+	broken := map[int]bool{4: true, 11: true}                    // draw 0 precedes pairing: restore and re-pair both fail
 	fresh := cfg
 	fresh.StateDir = ""
 	s0, err := New(fresh)

@@ -182,7 +182,11 @@ func (s *Service) replWaitReplicated(ctx context.Context, c pendingCommit) error
 
 // --- Primary side -------------------------------------------------------
 
-// handleReplicaRegister starts (or restarts) shipping to a follower.
+// handleReplicaRegister starts (or restarts) shipping to a follower and
+// answers once the follower has acked the bootstrap. A follower told it
+// is following stops retrying, so a shipper that cannot attach (the
+// follower is unreachable at the URL it sent, the primary is fenced, or
+// the request ended) is removed and the register fails.
 func (s *Service) handleReplicaRegister(w http.ResponseWriter, r *http.Request) {
 	req, err := readWire[cluster.ReplicaRegisterRequest](r, cluster.MsgReplicaRegister)
 	if err != nil {
@@ -238,6 +242,16 @@ func (s *Service) handleReplicaRegister(w http.ResponseWriter, r *http.Request) 
 	s.repl.shipper, s.repl.stream = sh, out
 	s.repl.mu.Unlock()
 	replStop(old, oldOut)
+	if err := sh.WaitAttached(r.Context()); err != nil {
+		s.repl.mu.Lock()
+		if s.repl.shipper == sh { // else a newer register or shutdown replaced it
+			s.repl.shipper, s.repl.stream = nil, nil
+		}
+		s.repl.mu.Unlock()
+		replStop(sh, out)
+		wireError(w, http.StatusBadGateway, fmt.Errorf("service: replicating to %s: %w", req.FollowerURL, err))
+		return
+	}
 	writeWire(w, http.StatusOK, cluster.MsgReplicaRegisterAck, &cluster.ReplicaRegisterResponse{
 		ShardID: s.shardID(),
 		LastSeq: s.store.State().LastSeq,

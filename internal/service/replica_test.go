@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"wearlock/internal/cluster"
+	"wearlock/internal/invariant"
 	"wearlock/internal/replica"
 	"wearlock/internal/store"
 	"wearlock/internal/vtime"
@@ -28,19 +30,7 @@ type replicaPair struct {
 
 func newReplicaPair(t *testing.T) *replicaPair {
 	t.Helper()
-	cfgP := durableConfig(t.TempDir())
-	cfgP.ShardID = "s0"
-	p, err := New(cfgP)
-	if err != nil {
-		t.Fatalf("primary New: %v", err)
-	}
-	t.Cleanup(func() { _ = p.Shutdown(context.Background()) })
-	if err := p.WaitReady(context.Background()); err != nil {
-		t.Fatalf("primary WaitReady: %v", err)
-	}
-	psrv := httptest.NewServer(p.Handler())
-	t.Cleanup(psrv.Close)
-
+	p, psrv := newLonePrimary(t)
 	f, fsrv := newLoneFollower(t)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -48,14 +38,53 @@ func newReplicaPair(t *testing.T) *replicaPair {
 	if err := f.FollowPrimary(ctx, psrv.URL, fsrv.URL); err != nil {
 		t.Fatalf("FollowPrimary: %v", err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !p.ReplicaAttached() {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never attached: %+v", p.ReplicaStatus())
-		}
-		time.Sleep(time.Millisecond)
-	}
 	return &replicaPair{primary: p, follower: f, primarySrv: psrv, followerSrv: fsrv}
+}
+
+// newLonePrimary starts a durable primary of shard s0 with no follower.
+func newLonePrimary(t *testing.T) (*Service, *httptest.Server) {
+	t.Helper()
+	cfg := durableConfig(t.TempDir())
+	cfg.ShardID = "s0"
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatalf("primary New: %v", err)
+	}
+	t.Cleanup(func() { _ = p.Shutdown(context.Background()) })
+	if err := p.WaitReady(context.Background()); err != nil {
+		t.Fatalf("primary WaitReady: %v", err)
+	}
+	srv := httptest.NewServer(p.Handler())
+	t.Cleanup(srv.Close)
+	return p, srv
+}
+
+// FollowPrimary succeeds only once replication is live: a follower
+// that advertises an address nothing listens on is refused (and keeps
+// retrying) instead of being told it follows while the primary's
+// shipper detaches and acks sessions unreplicated. The failed register
+// leaves no shipper behind.
+func TestReplicaRegisterRefusedUntilAttached(t *testing.T) {
+	p, psrv := newLonePrimary(t)
+	f, _ := newLoneFollower(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nowhere := "http://" + ln.Addr().String()
+	ln.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := f.FollowPrimary(ctx, psrv.URL, nowhere); err == nil {
+		t.Fatalf("FollowPrimary advertising %s succeeded; primary: %+v", nowhere, p.ReplicaStatus())
+	}
+	if st := p.ReplicaStatus(); st.Role != "standalone" || st.Shipper != nil {
+		t.Fatalf("failed register left %+v behind", st)
+	}
+	if sess := runSessionOn(t, p, 0); sess.Err() != nil {
+		t.Fatalf("standalone session after the failed register: %v", sess.Err())
+	}
 }
 
 // The full failover story, end to end: sessions acknowledged by the
@@ -136,18 +165,8 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("promoted follower has no store state")
 	}
-	for id, b := range before.Devices {
-		a, ok := after.Devices[id]
-		if !ok {
-			t.Fatalf("device %d lost across failover", id)
-		}
-		if !bytes.Equal(a.Key, b.Key) {
-			t.Errorf("device %d pairing key changed across failover", id)
-		}
-		if a.GenCounter < b.GenCounter || a.VerCounter < b.VerCounter {
-			t.Errorf("device %d counters regressed across failover: gen %d->%d ver %d->%d",
-				id, b.GenCounter, a.GenCounter, b.VerCounter, a.VerCounter)
-		}
+	if err := invariant.Check(invariant.Event{Before: before, After: after}).Err(); err != nil {
+		t.Fatalf("across failover: %v", err)
 	}
 
 	// The same gateway URL serves again: new unlocks land on the promoted

@@ -9,6 +9,7 @@ import (
 
 	"wearlock/internal/core"
 	"wearlock/internal/fault"
+	"wearlock/internal/invariant"
 	"wearlock/internal/store"
 )
 
@@ -93,7 +94,7 @@ func TestRestartChaos50Cycles(t *testing.T) {
 
 	// floor is each device's last recovered durable state: the regression
 	// baseline that must survive any tail damage.
-	floor := make(map[int]store.DeviceState)
+	var floor store.State
 	var totalRepairs int
 	damageByKind := make(map[string]int)
 
@@ -107,32 +108,14 @@ func TestRestartChaos50Cycles(t *testing.T) {
 			t.Fatalf("cycle %d: recovery failed: %v", cycle, err)
 		}
 		rec, _ := s.Ready()
-		repaired := make(map[int]bool, len(rec.Repaired))
-		for _, id := range rec.Repaired {
-			repaired[id] = true
-		}
 		totalRepairs += len(rec.Repaired)
 
 		st, ok := s.StoreState()
 		if !ok {
 			t.Fatalf("cycle %d: no store state", cycle)
 		}
-		for id, prev := range floor {
-			cur, present := st.Devices[id]
-			if !present {
-				t.Fatalf("cycle %d: device %d vanished from recovered state", cycle, id)
-			}
-			if bytes.Equal(cur.Key, prev.Key) {
-				if repaired[id] {
-					t.Fatalf("cycle %d: device %d reported repaired but kept its key", cycle, id)
-				}
-				if cur.GenCounter < prev.GenCounter || cur.VerCounter < prev.VerCounter {
-					t.Fatalf("cycle %d: device %d counters regressed under the same key: gen %d->%d ver %d->%d",
-						cycle, id, prev.GenCounter, cur.GenCounter, prev.VerCounter, cur.VerCounter)
-				}
-			} else if !repaired[id] {
-				t.Fatalf("cycle %d: device %d changed pairing key without a repair report", cycle, id)
-			}
+		if err := invariant.Check(invariant.Event{Before: floor, After: st, Repaired: rec.Repaired}).Err(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 
 		// No permanent desyncs: every device still unlocks.
@@ -151,10 +134,7 @@ func TestRestartChaos50Cycles(t *testing.T) {
 		// The new floor is the durable state after this cycle's accepted
 		// sessions; everything past it may legitimately be lost to the
 		// tail faults below.
-		st, _ = s.StoreState()
-		for id, d := range st.Devices {
-			floor[id] = d
-		}
+		floor, _ = s.StoreState()
 
 		// Kill with sessions in flight: their commits race the closing
 		// store and must fail cleanly, never corrupt.
@@ -199,16 +179,16 @@ func TestRestartChaos50Cycles(t *testing.T) {
 		}
 		for id, d := range hst.Devices {
 			if !distrust[id] && !hinfo.WALMissing {
-				floor[id] = d
+				floor.Devices[id] = d
 			}
 		}
 		if hinfo.Damaged() {
 			// A device whose records were all destroyed is absent from the
 			// inspected state; it must be re-paired next cycle, so its
 			// same-key floor no longer binds.
-			for id := range floor {
+			for id := range floor.Devices {
 				if _, present := hst.Devices[id]; !present {
-					delete(floor, id)
+					delete(floor.Devices, id)
 				}
 			}
 		}

@@ -43,9 +43,6 @@ type Options struct {
 	// never delays a lone commit: queue depth 1 commits immediately.
 	// <=0 uses DefaultCommitMaxDelay.
 	CommitMaxDelay time.Duration
-	// ReplayWorkers fans recovery's decode/apply phase across this many
-	// goroutines. <=0 uses GOMAXPROCS.
-	ReplayWorkers int
 	// OnCommitBatch, if set, is called after every durable batch with
 	// the number of records it carried (the wearlockd_wal_batch_size
 	// feed). Called from the committer goroutine.
@@ -235,7 +232,7 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: creating state dir: %w", err)
 	}
 	start := time.Now()
-	l, err := loadDir(opts.Dir, replayOptions{workers: opts.ReplayWorkers})
+	l, err := loadDir(opts.Dir, replayOptions{})
 	if err != nil {
 		return nil, err
 	}
