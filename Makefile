@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: loc ci vet lint lint-scenarios build test race bench bench-module test-chaos test-store test-vtime test-cluster test-replica fuzz-smoke bench-sim bench-service bench-chaos bench-dsp bench-store bench-vtime bench-cluster bench-failover
+.PHONY: loc ci fmt vet lint lint-scenarios build test race bench bench-module test-chaos test-store test-vtime test-cluster test-replica fuzz-smoke bench-sim bench-service bench-chaos bench-dsp bench-store bench-vtime bench-cluster bench-failover
 
-ci: vet lint lint-scenarios build race bench bench-module test-chaos test-store test-vtime test-cluster test-replica bench-dsp bench-service bench-store bench-vtime bench-cluster bench-failover
+ci: fmt vet lint lint-scenarios build race bench bench-module test-chaos test-store test-vtime test-cluster test-replica bench-dsp bench-service bench-store bench-vtime bench-cluster bench-failover
 
 # Non-test and test Go line counts, so each change can report its net LOC
 # (run it at both commits and subtract). .bench_build/ is bench/run.sh's
@@ -14,6 +14,12 @@ ci: vet lint lint-scenarios build race bench bench-module test-chaos test-store 
 loc:
 	@find . -path ./.bench_build -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l | awk '{print "non-test Go:", $$1}'
 	@find . -path ./.bench_build -prune -o -name '*_test.go' -print0 | xargs -0 cat | wc -l | awk '{print "test Go:", $$1}'
+
+# gofmt gate: fails listing every Go file gofmt would change.
+# .bench_build/ is bench/run.sh's build cache, not source.
+fmt:
+	@out=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -89,13 +95,14 @@ test-vtime:
 # multi-daemon integration tests — real gateway and shards over loopback
 # HTTP, including the live-handoff chaos drill (a shard joins under
 # closed-loop load; zero counter regressions, zero accepted replays,
-# zero dropped requests). The canonical JSON codec's differential tests
-# run here too, and its allocation ceilings once more without -race,
-# under which they skip.
+# zero dropped requests) and the unlock stream's relay, no-resend,
+# pool, cancel, teardown and failover tests. The canonical JSON codec's
+# differential tests run here too, and its allocation ceilings once more
+# without -race, under which they skip.
 test-cluster:
 	$(GO) test -race -count=1 ./internal/cluster ./internal/canonjson
 	$(GO) test -count=1 ./internal/cluster -run 'Allocation'
-	$(GO) test -race -count=1 ./internal/service -run 'TestShard|TestRetryAfter'
+	$(GO) test -race -count=1 ./internal/service -run 'TestShard|TestRetryAfter|TestUnlockStream'
 	$(GO) test -race -count=1 ./cmd/benchcluster
 
 # The replication suite (DESIGN.md §16): WAL tail subscription

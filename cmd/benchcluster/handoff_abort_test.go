@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,8 +20,8 @@ import (
 
 // adoptFaultProxy fronts one shard and fails the Nth Adopt import with
 // an injected 500, firing onFail first. Everything else — wire control
-// traffic and proxied client traffic alike — forwards verbatim, so the
-// proxied shard behaves normally before and after the fault.
+// traffic and the gateway's unlock streams alike — forwards verbatim, so
+// the proxied shard behaves normally before and after the fault.
 type adoptFaultProxy struct {
 	backend string
 	failNth int32
@@ -29,6 +30,10 @@ type adoptFaultProxy struct {
 }
 
 func (p *adoptFaultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Header.Get("Upgrade") != "" {
+		p.tunnel(w, r)
+		return
+	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		w.WriteHeader(http.StatusBadGateway)
@@ -66,6 +71,34 @@ func (p *adoptFaultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(out)
+}
+
+// tunnel relays an upgrade request and then the upgraded stream, both
+// ways, until either end hangs up.
+func (p *adoptFaultProxy) tunnel(w http.ResponseWriter, r *http.Request) {
+	backend, err := net.Dial("tcp", strings.TrimPrefix(p.backend, "http://"))
+	if err != nil {
+		w.WriteHeader(http.StatusBadGateway)
+		return
+	}
+	defer backend.Close()
+	conn, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		return
+	}
+	defer conn.Close()
+	if r.Write(backend) != nil {
+		return
+	}
+	done := make(chan struct{})
+	go func() {
+		_, _ = io.Copy(conn, backend)
+		conn.Close()
+		close(done)
+	}()
+	_, _ = io.Copy(backend, brw.Reader)
+	backend.Close()
+	<-done
 }
 
 // TestClusterJoinAbortKeepsCommittedMoves is the regression drill for

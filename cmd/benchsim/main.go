@@ -12,7 +12,7 @@
 //
 // With -cpuprofile the whole sweep runs under the CPU profiler; with
 // -memprofile a heap profile is written after the sweeps finish. Inspect
-// either with `go tool pprof <binary|''> <file>`.
+// either with `go tool pprof [binary] <file>`.
 package main
 
 import (

@@ -72,3 +72,39 @@ func TestUnlockBodyAllocationCeiling(t *testing.T) {
 		t.Logf("%.1f allocations per unlock body decode", allocs)
 	}
 }
+
+// One unlock frame and its ack, each encoded and decoded with the
+// retained frame buffers a stream keeps, stay under a fixed allocation
+// count: the decoded request, its scenario and device, and the decoded
+// ack with its body.
+func TestUnlockStreamAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const ceiling = 5
+	dev := 17
+	req := &UnlockRequest{Scenario: "out-of-range", Device: &dev}
+	resp := &UnlockResponse{Status: 200, Body: []byte(viewDone)}
+	var out, ack []byte
+	roundTrip := func() {
+		var err error
+		if out, err = AppendFrame(out[:0], MsgUnlock, req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err = DecodeAs[UnlockRequest](out, MsgUnlock); err != nil {
+			t.Fatal(err)
+		}
+		if ack, err = AppendFrame(ack[:0], MsgUnlockAck, resp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err = DecodeAs[UnlockResponse](ack, MsgUnlockAck); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > ceiling {
+		t.Errorf("unlock frame round trip allocated %.1f objects, ceiling %d", allocs, ceiling)
+	} else {
+		t.Logf("%.1f allocations per unlock frame round trip", allocs)
+	}
+}

@@ -54,17 +54,19 @@ func sameError(a, b error) bool {
 	return a.Error() == b.Error()
 }
 
-// hotMessage is one replica-stream message and whether its encoding
-// stays on the canonical fast path.
+// hotMessage is one stream message and whether its encoding stays on
+// the canonical fast path.
 type hotMessage struct {
 	payload any
 	fast    bool
 }
 
-// hotMessages covers the replica stream's two message types at their
-// edges: reset on and off, nil against empty records, noted records,
-// extreme counters, negative device IDs and IDs that need escaping.
+// hotMessages covers the streams' four message types at their edges:
+// reset on and off, nil against empty records, noted records, extreme
+// counters, negative device IDs, strings that need escaping, and unlock
+// answers with and without Retry-After and body.
 func hotMessages() []hotMessage {
+	dev7, wait := 7, false
 	dev := &store.DeviceState{ID: -3, Key: []byte{0xfb, 0xff}, GenCounter: math.MaxUint64, VerLockedOut: true,
 		NowUnixNano: math.MinInt64, RngDraws: 9}
 	return []hotMessage{
@@ -82,14 +84,34 @@ func hotMessages() []hotMessage {
 		{&ReplicaAppendResponse{FollowerID: "f <1>", AppliedSeq: math.MaxUint64, ExpectedBatch: math.MaxUint64}, false},
 		{(*ReplicaAppendRequest)(nil), false},
 		{(*ReplicaAppendResponse)(nil), false},
+		{&UnlockRequest{}, true},
+		{&UnlockRequest{Scenario: "out-of-range", Device: &dev7}, true},
+		{&UnlockRequest{Scenario: "quiet", Device: &dev7, Wait: &wait, TimeoutMS: -1}, true},
+		{&UnlockRequest{Scenario: "caf\u00e9 <x>"}, false},
+		{&UnlockResponse{Status: 200, Body: []byte(viewDone)}, true},
+		{&UnlockResponse{Status: 429, RetryAfter: "3", Body: []byte(`{"error":"queue full"}` + "\n")}, true},
+		{&UnlockResponse{}, true},
+		{&UnlockResponse{Status: 503, RetryAfter: "<1>", Body: []byte{}}, false},
+		{(*UnlockRequest)(nil), false},
+		{(*UnlockResponse)(nil), false},
 	}
 }
 
 func hotType(payload any) MsgType {
-	if _, ok := payload.(*ReplicaAppendRequest); ok {
+	switch payload.(type) {
+	case *ReplicaAppendRequest:
 		return MsgReplicaAppend
+	case *ReplicaAppendResponse:
+		return MsgReplicaAppendAck
+	case *UnlockRequest:
+		return MsgUnlock
 	}
-	return MsgReplicaAppendAck
+	return MsgUnlockAck
+}
+
+// isHot reports whether t has a canonical codec.
+func isHot(t MsgType) bool {
+	return t == MsgReplicaAppend || t == MsgReplicaAppendAck || t == MsgUnlock || t == MsgUnlockAck
 }
 
 // The canonical writer's WLC1 frames are json.Marshal's, byte for byte,
@@ -176,6 +198,18 @@ var wireCodecSeeds = []struct {
 	{MsgReplicaAppendAck, `{"follower_id":"f","applied_seq":01,"expected_batch":0}`},
 	{MsgReplicaAppendAck, `{"follower_id":"f","applied_seq":1,"expected_batch":0}` + "\n"},
 	{MsgHeartbeat, `{"epoch":1}`},
+	{MsgUnlock, `{"device":3,"scenario":"quiet"}`},
+	{MsgUnlock, `{"scenario":"quiet","device":3,"surprise":1}`},
+	{MsgUnlock, `{"scenario":"","device":-0}`},
+	{MsgUnlock, `{"device":9223372036854775808}`},
+	{MsgUnlock, `{"wait":true,"timeout_ms":0}`},
+	{MsgUnlock, `{"scenario":"q"} `},
+	{MsgUnlock, `null`},
+	{MsgUnlockAck, `{"status":200,"body":"eyJpZCI6InMtMSJ9Cg=="}`},
+	{MsgUnlockAck, `{"status":200,"retry_after":"","body":null}`},
+	{MsgUnlockAck, `{"status":429,"retry_after":"2","body":"e30"}`},
+	{MsgUnlockAck, `{"status":429,"body":"e30=","retry_after":"2"}`},
+	{MsgUnlockAck, `{"status":-1,"body":"e30=","x":1}`},
 }
 
 // checkWireAgainstOracle holds Decode to the strict path on one input —
@@ -188,7 +222,7 @@ func checkWireAgainstOracle(t *testing.T, data []byte) {
 	if !sameError(err, errRef) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("Decode(%q) = %+v, %v; strict path = %+v, %v", data, got, err, want, errRef)
 	}
-	if err != nil || (got.Type != MsgReplicaAppend && got.Type != MsgReplicaAppendAck) {
+	if err != nil || !isHot(got.Type) {
 		return
 	}
 	enc, err := AppendFrame(nil, got.Type, got.Payload)

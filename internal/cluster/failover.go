@@ -19,7 +19,8 @@ import (
 //     reconcile from its durable store, adopts the fleet admission
 //     sequence, and installs the shard's ownership registration at the
 //     fenced epoch. The call is idempotent; a lost ack is retried.
-//  3. Re-point: the shard's routing URL swaps to the standby and its
+//  3. Re-point: the shard's routing URL swaps to the standby, its
+//     pooled unlock streams to the dead primary are dropped, and its
 //     health state resets. In-flight proxies to the dead primary fail
 //     to 503 + Retry-After (never dropped); retries land on the
 //     promoted standby under the same shard name.
@@ -86,8 +87,8 @@ func (g *Gateway) Failover(ctx context.Context, name string) error {
 	g.mu.Lock()
 	delete(g.standbys, name)
 	g.mu.Unlock()
+	h.repoint(standby)
 	h.mu.Lock()
-	h.baseURL = standby
 	h.misses = 0
 	h.unhealthy = false
 	h.ready = true

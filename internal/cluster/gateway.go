@@ -38,7 +38,8 @@ type GatewayConfig struct {
 	Replicas int
 	// Client issues proxy, registration, and heartbeat calls; nil means a
 	// 30 s-timeout client. Handoff calls use their own client sized by
-	// HandoffTimeout instead — see below.
+	// HandoffTimeout instead — see below. Unlocks ride pooled unlock
+	// streams instead of the client, under the same per-call Timeout.
 	Client *http.Client
 	// HeartbeatEvery is the liveness-probe period for StartHeartbeats;
 	// <= 0 means 2 s.
@@ -83,6 +84,13 @@ type shardHandle struct {
 	failovers int  // completed promotions onto this shard's slot
 	lastBeat  time.Time
 	lastErr   string
+
+	// idle pools unlock streams to baseURL, the last returned on top.
+	// streamGen counts re-points: a stream dialled before one is closed
+	// when it comes back, never pooled.
+	idle      []*Stream
+	streamGen uint64
+	hop       *telemetry.Histogram // this shard's wearlock_gateway_shard_seconds
 }
 
 // url returns the shard's current routing target. It differs from
@@ -106,6 +114,8 @@ type gwMetrics struct {
 	shardsUp   *telemetry.Gauge
 	epoch      *telemetry.Gauge
 	failovers  *telemetry.Counter
+	shardSec   *telemetry.HistogramVec
+	dials      *telemetry.Counter
 }
 
 // Gateway consistent-hashes device IDs across shard daemons and proxies
@@ -178,28 +188,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		shards:        make(map[string]*shardHandle),
 		epoch:         1,
 	}
-	for _, sc := range cfg.Shards {
-		if sc.BaseURL == "" {
-			return nil, fmt.Errorf("cluster: shard %q has no base URL", sc.Name)
-		}
-		if _, dup := g.shards[sc.Name]; dup {
-			return nil, fmt.Errorf("cluster: duplicate shard name %q", sc.Name)
-		}
-		if err := g.ring.AddShard(sc.Name); err != nil {
-			return nil, err
-		}
-		g.shards[sc.Name] = &shardHandle{cfg: sc, baseURL: sc.BaseURL}
-	}
-	for name, url := range cfg.Standbys {
-		if _, ok := g.shards[name]; !ok {
-			return nil, fmt.Errorf("cluster: standby for unknown shard %q", name)
-		}
-		if url == "" {
-			return nil, fmt.Errorf("cluster: shard %q has an empty standby URL", name)
-		}
-		g.standbys[name] = strings.TrimSuffix(url, "/")
-	}
-	g.table = g.ring.Assignments(cfg.TotalDevices)
 	g.m = &gwMetrics{
 		proxied: g.reg.CounterVec("wearlock_gateway_proxied_total",
 			"Unlock requests proxied to shards, by terminal HTTP status class.", "status"),
@@ -223,13 +211,45 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 			"Topology generation; increments on every membership change."),
 		failovers: g.reg.Counter("wearlock_gateway_failovers_total",
 			"Completed failovers: a warm standby promoted and routed in place of an unhealthy primary."),
+		shardSec: g.reg.HistogramVec("wearlock_gateway_shard_seconds",
+			"Round trip of one unlock on its shard's unlock stream, taking or dialling the stream included.",
+			"shard", telemetry.ExponentialBuckets(0.0005, 2, 14)),
+		dials: g.reg.Counter("wearlock_gateway_unlock_stream_dials_total",
+			"Unlock streams dialled to shards (pooled streams are reused; a dial is a first use, a replacement or a re-point)."),
 	}
+	for _, sc := range cfg.Shards {
+		if sc.BaseURL == "" {
+			return nil, fmt.Errorf("cluster: shard %q has no base URL", sc.Name)
+		}
+		if _, dup := g.shards[sc.Name]; dup {
+			return nil, fmt.Errorf("cluster: duplicate shard name %q", sc.Name)
+		}
+		if err := g.ring.AddShard(sc.Name); err != nil {
+			return nil, err
+		}
+		g.shards[sc.Name] = g.newHandle(sc)
+	}
+	for name, url := range cfg.Standbys {
+		if _, ok := g.shards[name]; !ok {
+			return nil, fmt.Errorf("cluster: standby for unknown shard %q", name)
+		}
+		if url == "" {
+			return nil, fmt.Errorf("cluster: shard %q has an empty standby URL", name)
+		}
+		g.standbys[name] = strings.TrimSuffix(url, "/")
+	}
+	g.table = g.ring.Assignments(cfg.TotalDevices)
 	g.reg.Info("wearlock_gateway_build_info",
 		"Gateway build metadata; constant 1.",
 		map[string]string{"go_version": runtime.Version(), "wire_version": fmt.Sprint(WireVersion)})
 	g.m.epoch.Set(int64(g.epoch))
 	g.m.shardsUp.Set(int64(len(g.shards)))
 	return g, nil
+}
+
+// newHandle builds a shard's handle, routed at its configured URL.
+func (g *Gateway) newHandle(sc ShardConfig) *shardHandle {
+	return &shardHandle{cfg: sc, baseURL: sc.BaseURL, hop: g.m.shardSec.With(sc.Name)}
 }
 
 // Registry exposes the gateway's own metrics registry.

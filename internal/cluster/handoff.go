@@ -109,7 +109,10 @@ func (g *Gateway) AddShard(ctx context.Context, sc ShardConfig) ([]HandoffReport
 		// the new shard via the table; the plan picks up at moves[done:].
 		pend = g.pending
 		pend.sc = sc
-		g.shards[sc.Name] = &shardHandle{cfg: sc, baseURL: sc.BaseURL}
+		if old := g.shards[sc.Name]; old != nil {
+			old.repoint(sc.BaseURL) // closes the replaced handle's streams
+		}
+		g.shards[sc.Name] = g.newHandle(sc)
 	case g.pending != nil:
 		name := g.pending.sc.Name
 		g.mu.Unlock()
@@ -124,7 +127,7 @@ func (g *Gateway) AddShard(ctx context.Context, sc ShardConfig) ([]HandoffReport
 			g.mu.Unlock()
 			return nil, err
 		}
-		g.shards[sc.Name] = &shardHandle{cfg: sc, baseURL: sc.BaseURL}
+		g.shards[sc.Name] = g.newHandle(sc)
 		pend = &pendingJoin{
 			sc:    sc,
 			next:  next,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -92,7 +93,7 @@ func (g *Gateway) handleUnlock(w http.ResponseWriter, r *http.Request) {
 	// before forwarding it.
 	var req UnlockRequest
 	if r.Body != nil && r.ContentLength != 0 {
-		if err := ReadUnlockRequest(io.LimitReader(r.Body, MaxUnlockBody), r.ContentLength, &req); err != nil {
+		if err := ReadUnlockRequest(http.MaxBytesReader(w, r.Body, MaxUnlockBody), r.ContentLength, &req); err != nil {
 			writeJSON(w, http.StatusBadRequest, gwError{Error: fmt.Sprintf("bad request body: %v", err)})
 			return
 		}
@@ -113,12 +114,9 @@ func (g *Gateway) handleUnlock(w http.ResponseWriter, r *http.Request) {
 		device = int(g.nextDev.Add(1) % uint64(g.cfg.TotalDevices))
 	}
 	req.Device = &device
-	// A fresh buffer per request: the transport may still hold the body
-	// reader after RoundTrip returns.
-	body := AppendUnlockRequest(make([]byte, 0, len(req.Scenario)+64), &req)
 
 	shard := g.shardFor(device)
-	resp, err := g.forward(r.Context(), shard, http.MethodPost, "/v1/unlock", body)
+	resp, err := g.relayUnlock(r.Context(), shard, &req)
 	if err != nil {
 		g.m.errors.Inc()
 		g.m.proxied.With("503").Inc()
@@ -130,7 +128,7 @@ func (g *Gateway) handleUnlock(w http.ResponseWriter, r *http.Request) {
 		// Re-resolve once against the current routing and retry.
 		g.m.reroutes.Inc()
 		if cur := g.shardFor(device); cur != shard {
-			resp, err = g.forward(r.Context(), cur, http.MethodPost, "/v1/unlock", body)
+			resp, err = g.relayUnlock(r.Context(), cur, &req)
 			if err != nil {
 				g.m.errors.Inc()
 				g.m.proxied.With("503").Inc()
@@ -158,7 +156,7 @@ func (g *Gateway) handleSession(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, gwError{Error: "unknown session (cluster session IDs are \"<shard>.<id>\")"})
 		return
 	}
-	resp, err := g.forward(r.Context(), shard, http.MethodGet, "/v1/sessions/"+id, nil)
+	resp, err := g.forward(r.Context(), shard, "/v1/sessions/"+id)
 	if err != nil {
 		g.m.errors.Inc()
 		unavailable(w, fmt.Sprintf("shard %s unreachable: %v", shard, err))
@@ -174,22 +172,111 @@ type proxied struct {
 	body       []byte
 }
 
-// forward issues one request to a shard and captures the response.
-func (g *Gateway) forward(ctx context.Context, shard, method, path string, body []byte) (proxied, error) {
+// relayUnlock carries one unlock to a shard on one of its pooled unlock
+// streams and captures the answer, within the client's per-call Timeout;
+// cancelling ctx abandons the stream. A frame once written is never sent
+// again: any failure after the write closes the stream and fails the
+// call, so a session runs at most once.
+func (g *Gateway) relayUnlock(ctx context.Context, shard string, req *UnlockRequest) (proxied, error) {
 	h := g.handle(shard)
 	if h == nil {
 		return proxied{}, fmt.Errorf("no shard %q", shard)
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	start := time.Now()
+	deadline, _ := ctx.Deadline()
+	if t := g.client.Timeout; t > 0 && (deadline.IsZero() || start.Add(t).Before(deadline)) {
+		deadline = start.Add(t)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, h.url()+path, rd)
+	st, gen, err := g.takeStream(ctx, deadline, h)
 	if err != nil {
 		return proxied{}, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	stop := context.AfterFunc(ctx, st.Abort)
+	m, err := st.Exchange(deadline, MsgUnlock, req)
+	if !stop() && err == nil {
+		err = ctx.Err() // the abort raced the answer
+	}
+	ack, ok := m.Payload.(*UnlockResponse)
+	if err != nil || !ok {
+		st.Close()
+		if err == nil {
+			err = fmt.Errorf("unexpected %s frame", m.Type)
+		}
+		return proxied{}, err
+	}
+	h.putStream(st, gen)
+	h.hop.Observe(time.Since(start).Seconds())
+	return proxied{status: ack.Status, retryAfter: ack.RetryAfter, body: ack.Body}, nil
+}
+
+// maxIdleStreams caps the idle unlock streams pooled per shard; a stream
+// coming back to a full pool is closed.
+const maxIdleStreams = 64
+
+// takeStream hands out an idle unlock stream to h, or dials a fresh one.
+// An idle stream the shard has hung up is closed unused, so a request is
+// never written to it.
+func (g *Gateway) takeStream(ctx context.Context, deadline time.Time, h *shardHandle) (*Stream, uint64, error) {
+	h.mu.Lock()
+	for n := len(h.idle); n > 0; n = len(h.idle) {
+		st := h.idle[n-1]
+		h.idle[n-1] = nil
+		h.idle = h.idle[:n-1]
+		if st.Alive() {
+			gen := h.streamGen
+			h.mu.Unlock()
+			return st, gen, nil
+		}
+		st.Close()
+	}
+	base, gen := h.baseURL, h.streamGen
+	h.mu.Unlock()
+	g.m.dials.Inc()
+	u, err := url.Parse(strings.TrimSuffix(base, "/") + UnlockStreamPath)
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := DialStream(ctx, deadline, u, UnlockStreamProto)
+	return st, gen, err
+}
+
+// putStream pools a stream after a whole exchange, unless h was
+// re-pointed since it was taken or the pool is full.
+func (h *shardHandle) putStream(st *Stream, gen uint64) {
+	h.mu.Lock()
+	if gen == h.streamGen && len(h.idle) < maxIdleStreams {
+		h.idle = append(h.idle, st)
+		st = nil
+	}
+	h.mu.Unlock()
+	if st != nil {
+		st.Close()
+	}
+}
+
+// repoint routes h at base and drops its pooled streams; streams in use
+// are closed when they come back.
+func (h *shardHandle) repoint(base string) {
+	h.mu.Lock()
+	idle := h.idle
+	h.baseURL = base
+	h.idle = nil
+	h.streamGen++
+	h.mu.Unlock()
+	for _, st := range idle {
+		st.Close()
+	}
+}
+
+// forward issues one GET to a shard and captures the response.
+func (g *Gateway) forward(ctx context.Context, shard, path string) (proxied, error) {
+	h := g.handle(shard)
+	if h == nil {
+		return proxied{}, fmt.Errorf("no shard %q", shard)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.url()+path, nil)
+	if err != nil {
+		return proxied{}, err
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {

@@ -182,7 +182,7 @@ func TestForwardReadsExactBody(t *testing.T) {
 	}
 	for path, want := range map[string]string{"/sized": viewDone, "/chunked": long, "/empty": ""} {
 		for i := 0; i < 3; i++ { // reused keep-alive connections stay in sync
-			resp, err := g.forward(context.Background(), "s0", http.MethodGet, path, nil)
+			resp, err := g.forward(context.Background(), "s0", path)
 			if err != nil {
 				t.Fatalf("%s: %v", path, err)
 			}

@@ -57,6 +57,21 @@ func ReadUnlockRequest(rd io.Reader, n int64, req *UnlockRequest) error {
 // accepted bodies, the decoded values and the errors are its own.
 func DecodeUnlockRequest(body []byte, req *UnlockRequest) error {
 	c := canonjson.NewReader(body)
+	req.read(&c)
+	if c.OK() {
+		return nil
+	}
+	// Decoding into a local that replaces *req keeps req from escaping
+	// on the fast path.
+	var slow UnlockRequest
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&slow)
+	*req = slow
+	return err
+}
+
+// read reads one object in AppendUnlockRequest's layout into *req, which
+// must be the zero UnlockRequest.
+func (req *UnlockRequest) read(c *canonjson.Reader) {
 	c.Lit("{")
 	members := 0
 	// member consumes the key of the next member present, each written
@@ -86,15 +101,14 @@ func DecodeUnlockRequest(body []byte, req *UnlockRequest) error {
 		req.TimeoutMS = int(c.Int(math.MaxInt))
 	}
 	c.Lit("}")
-	if c.OK() {
-		return nil
+}
+
+// appendJSON is AppendUnlockRequest for the wire's MsgUnlock.
+func (req *UnlockRequest) appendJSON(dst []byte) ([]byte, error) {
+	if req == nil {
+		return append(dst, "null"...), nil
 	}
-	// Decoding into a local that replaces *req keeps req from escaping
-	// on the fast path.
-	var slow UnlockRequest
-	err := json.NewDecoder(bytes.NewReader(body)).Decode(&slow)
-	*req = slow
-	return err
+	return AppendUnlockRequest(dst, req), nil
 }
 
 // AppendUnlockRequest appends json.Marshal(req)'s bytes to dst.

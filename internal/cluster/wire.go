@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 
@@ -70,6 +71,8 @@ const (
 	MsgReplicaAppendAck
 	MsgPromote
 	MsgPromoteAck
+	MsgUnlock
+	MsgUnlockAck
 	msgTypeEnd // sentinel: first invalid type
 )
 
@@ -110,6 +113,10 @@ func (t MsgType) String() string {
 		return "promote"
 	case MsgPromoteAck:
 		return "promote-ack"
+	case MsgUnlock:
+		return "unlock"
+	case MsgUnlockAck:
+		return "unlock-ack"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
@@ -153,6 +160,10 @@ func payloadFor(t MsgType) any {
 		return &PromoteRequest{}
 	case MsgPromoteAck:
 		return &PromoteResponse{}
+	case MsgUnlock:
+		return &UnlockRequest{}
+	case MsgUnlockAck:
+		return &UnlockResponse{}
 	default:
 		return nil
 	}
@@ -356,6 +367,18 @@ type PromoteResponse struct {
 	Devices int `json:"devices"`
 }
 
+// UnlockResponse is a shard's answer to one MsgUnlock on the unlock
+// stream: what its POST /v1/unlock would have answered, so the gateway
+// relays the same status, Retry-After and bytes whichever way the
+// request came.
+type UnlockResponse struct {
+	Status int `json:"status"`
+	// RetryAfter is the Retry-After header value; empty for none.
+	RetryAfter string `json:"retry_after,omitempty"`
+	// Body is the response body, byte for byte.
+	Body []byte `json:"body"`
+}
+
 // ErrorPayload is the wire-level error answer (protocol mismatch, stale
 // epoch, unknown devices).
 type ErrorPayload struct {
@@ -378,11 +401,10 @@ func Encode(t MsgType, payload any) ([]byte, error) {
 }
 
 // AppendFrame appends one framed message to dst, encoding the payload in
-// place after the header. The replica stream's hot messages,
-// *ReplicaAppendRequest and *ReplicaAppendResponse, are written in the
-// canonical layout without reflection; every other payload takes
-// json.Marshal. Either way the bytes are json.Marshal's. On error dst
-// comes back unchanged.
+// place after the header. The streams' hot messages — replica batches,
+// unlocks and their acks — are written in the canonical layout without
+// reflection; every other payload takes json.Marshal. Either way the
+// bytes are json.Marshal's. On error dst comes back unchanged.
 func AppendFrame(dst []byte, t MsgType, payload any) ([]byte, error) {
 	if t == 0 || t >= msgTypeEnd {
 		return dst, fmt.Errorf("cluster: encoding unknown message type %d", t)
@@ -391,10 +413,8 @@ func AppendFrame(dst []byte, t MsgType, payload any) ([]byte, error) {
 	dst = append(dst, wireMagic...)
 	dst = append(dst, WireVersion, byte(t), 0, 0, 0, 0, 0, 0, 0, 0)
 	var err error
-	if p, ok := payload.(*ReplicaAppendRequest); ok && p != nil {
+	if p, ok := payload.(canonicalPayload); ok {
 		dst, err = p.appendJSON(dst)
-	} else if p, ok := payload.(*ReplicaAppendResponse); ok && p != nil {
-		dst = p.appendJSON(dst)
 	} else {
 		var body []byte
 		body, err = json.Marshal(payload)
@@ -412,8 +432,17 @@ func AppendFrame(dst []byte, t MsgType, payload any) ([]byte, error) {
 	return dst, nil
 }
 
+// canonicalPayload is a hot message that writes json.Marshal's bytes
+// itself, "null" for a nil pointer included.
+type canonicalPayload interface {
+	appendJSON(dst []byte) ([]byte, error)
+}
+
 // appendJSON appends json.Marshal(p)'s bytes to dst.
 func (p *ReplicaAppendRequest) appendJSON(dst []byte) ([]byte, error) {
+	if p == nil {
+		return append(dst, "null"...), nil
+	}
 	dst = append(dst, `{"epoch":`...)
 	dst = strconv.AppendUint(dst, p.Epoch, 10)
 	dst = append(dst, `,"shard_id":`...)
@@ -482,14 +511,17 @@ func (p *ReplicaAppendRequest) read(c *canonjson.Reader, size int) {
 }
 
 // appendJSON appends json.Marshal(p)'s bytes to dst.
-func (p *ReplicaAppendResponse) appendJSON(dst []byte) []byte {
+func (p *ReplicaAppendResponse) appendJSON(dst []byte) ([]byte, error) {
+	if p == nil {
+		return append(dst, "null"...), nil
+	}
 	dst = append(dst, `{"follower_id":`...)
 	dst = canonjson.AppendStr(dst, p.FollowerID)
 	dst = append(dst, `,"applied_seq":`...)
 	dst = strconv.AppendUint(dst, p.AppliedSeq, 10)
 	dst = append(dst, `,"expected_batch":`...)
 	dst = strconv.AppendUint(dst, p.ExpectedBatch, 10)
-	return append(dst, '}')
+	return append(dst, '}'), nil
 }
 
 // read is appendJSON's inverse over the canonical layout only.
@@ -500,6 +532,34 @@ func (p *ReplicaAppendResponse) read(c *canonjson.Reader) {
 	p.AppliedSeq = c.Uint()
 	c.Lit(`,"expected_batch":`)
 	p.ExpectedBatch = c.Uint()
+	c.Lit("}")
+}
+
+// appendJSON appends json.Marshal(p)'s bytes to dst.
+func (p *UnlockResponse) appendJSON(dst []byte) ([]byte, error) {
+	if p == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, `{"status":`...)
+	dst = strconv.AppendInt(dst, int64(p.Status), 10)
+	if p.RetryAfter != "" {
+		dst = append(dst, `,"retry_after":`...)
+		dst = canonjson.AppendStr(dst, p.RetryAfter)
+	}
+	dst = append(dst, `,"body":`...)
+	dst = canonjson.AppendBytes(dst, p.Body)
+	return append(dst, '}'), nil
+}
+
+// read is appendJSON's inverse over the canonical layout only.
+func (p *UnlockResponse) read(c *canonjson.Reader) {
+	c.Lit(`{"status":`)
+	p.Status = int(c.Int(math.MaxInt))
+	if c.Next(`,"retry_after":`) {
+		p.RetryAfter = c.Str()
+	}
+	c.Lit(`,"body":`)
+	p.Body = c.Bytes()
 	c.Lit("}")
 }
 
@@ -596,6 +656,14 @@ func decodeCanonical(t MsgType, payload []byte) (body any, ok bool) {
 		body = p
 	case MsgReplicaAppendAck:
 		p := new(ReplicaAppendResponse)
+		p.read(&c)
+		body = p
+	case MsgUnlock:
+		p := new(UnlockRequest)
+		p.read(&c)
+		body = p
+	case MsgUnlockAck:
+		p := new(UnlockResponse)
 		p.read(&c)
 		body = p
 	}

@@ -131,7 +131,7 @@ func TestDecodeAs(t *testing.T) {
 // seed corpus either decodes cleanly or errors — no third state. It is
 // also the canonical codec's differential proof: Decode agrees with the
 // strict json.Decoder path on type, payload and error for every input,
-// and a decoded replica message re-encodes to json.Marshal's frame.
+// and a decoded stream message re-encodes to json.Marshal's frame.
 func FuzzWireProtocol(f *testing.F) {
 	seeds := [][]byte{nil, []byte("WLC1"), bytes.Repeat([]byte{0xff}, 64)}
 	if frame, err := Encode(MsgRegister, &RegisterRequest{ShardID: "s0", Epoch: 1, TotalDevices: 4, Owned: []int{0, 1}}); err == nil {
@@ -157,15 +157,23 @@ func FuzzWireProtocol(f *testing.F) {
 	for _, s := range wireCodecSeeds {
 		seeds = append(seeds, rawFrame(s.t, []byte(s.body)), []byte(s.body))
 	}
+	dev := 5
+	if frame, err := Encode(MsgUnlock, &UnlockRequest{Scenario: "walk", Device: &dev}); err == nil {
+		seeds = append(seeds, frame)
+	}
+	if frame, err := Encode(MsgUnlockAck, &UnlockResponse{Status: 503, RetryAfter: "1", Body: []byte(`{"error":"draining"}`)}); err == nil {
+		seeds = append(seeds, frame)
+	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkWireAgainstOracle(t, data)
 		// The CRC keeps most mutations out of a frame's payload, so the
-		// input is also framed as each replica message's payload.
-		checkWireAgainstOracle(t, rawFrame(MsgReplicaAppend, data))
-		checkWireAgainstOracle(t, rawFrame(MsgReplicaAppendAck, data))
+		// input is also framed as each stream message's payload.
+		for _, hot := range []MsgType{MsgReplicaAppend, MsgReplicaAppendAck, MsgUnlock, MsgUnlockAck} {
+			checkWireAgainstOracle(t, rawFrame(hot, data))
+		}
 		m, err := Decode(data)
 		if err == nil {
 			if m.Type == 0 || m.Payload == nil {

@@ -378,6 +378,7 @@ func (s *Service) Kill() {
 	// blocked in the replication wait are released (their commits already
 	// failed with the store) instead of hanging on a dead stream.
 	s.replClose()
+	s.unlockStreams.Close()
 	if s.store != nil {
 		s.store.Close()
 	}

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -94,6 +96,39 @@ func (s *Service) handleUnlock(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	status, retryAfter, v := s.unlockAnswer(r.Context(), &req)
+	if retryAfter != "" {
+		w.Header().Set("Retry-After", retryAfter)
+	}
+	writeJSON(w, status, v)
+}
+
+// handleUnlockStream serves the gateway's unlock stream: each MsgUnlock
+// frame is one POST /v1/unlock, answered with a MsgUnlockAck carrying
+// the status, Retry-After and body bytes handleUnlock would have sent.
+func (s *Service) handleUnlockStream(w http.ResponseWriter, r *http.Request) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body) // writeJSON's encoding, so the bytes match
+	var ack cluster.UnlockResponse
+	s.unlockStreams.Serve(w, r, func(ctx context.Context, frame, out []byte) ([]byte, error) {
+		req, err := cluster.DecodeAs[cluster.UnlockRequest](frame, cluster.MsgUnlock)
+		if err != nil {
+			return out, err
+		}
+		status, retryAfter, v := s.unlockAnswer(ctx, req)
+		body.Reset()
+		if err := enc.Encode(v); err != nil {
+			return out, err
+		}
+		ack = cluster.UnlockResponse{Status: status, RetryAfter: retryAfter, Body: body.Bytes()}
+		return cluster.AppendFrame(out, cluster.MsgUnlockAck, &ack)
+	})
+}
+
+// unlockAnswer runs one unlock request for either transport and returns
+// the answer: the status, the Retry-After value ("" for none) and the
+// value to encode as the body.
+func (s *Service) unlockAnswer(ctx context.Context, req *cluster.UnlockRequest) (int, string, any) {
 	device := -1
 	if req.Device != nil {
 		device = *req.Device
@@ -109,45 +144,34 @@ func (s *Service) handleUnlock(w http.ResponseWriter, r *http.Request) {
 		// The queue drains at session pace — tell the client when a slot
 		// is plausibly free rather than inviting an immediate retry: the
 		// backlog divided by the pool's observed drain rate.
-		w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfter()))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-		return
+		return http.StatusTooManyRequests, strconv.Itoa(s.RetryAfter()), errorBody{Error: err.Error()}
 	case errors.Is(err, ErrFenced):
 		// The device is mid-handoff; the range serves elsewhere within
 		// seconds. Retry-After so the request is deferred, never dropped.
-		w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfter()))
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-		return
+		return http.StatusServiceUnavailable, strconv.Itoa(s.RetryAfter()), errorBody{Error: err.Error()}
 	case errors.Is(err, ErrNotOwned):
 		// Routing race: the gateway re-resolves ownership on 421.
-		writeJSON(w, http.StatusMisdirectedRequest, errorBody{Error: err.Error()})
-		return
+		return http.StatusMisdirectedRequest, "", errorBody{Error: err.Error()}
 	case errors.Is(err, ErrFollowing):
 		// Warm standby: the primary (or its promoted successor) serves.
 		// Retry-After because promotion flips this daemon live in seconds.
-		w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfter()))
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-		return
+		return http.StatusServiceUnavailable, strconv.Itoa(s.RetryAfter()), errorBody{Error: err.Error()}
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrRecovering):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-		return
+		return http.StatusServiceUnavailable, "", errorBody{Error: err.Error()}
 	default: // unknown scenario/device
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
+		return http.StatusBadRequest, "", errorBody{Error: err.Error()}
 	}
 
 	if req.Wait != nil && !*req.Wait {
-		writeJSON(w, http.StatusAccepted, sess.Snapshot())
-		return
+		return http.StatusAccepted, "", sess.Snapshot()
 	}
 	// Synchronous mode: the session owns its deadline, so waiting on the
 	// request context alone is enough — if the client disconnects the
 	// session still finishes and stays queryable.
-	if err := sess.Wait(r.Context()); err != nil {
-		writeJSON(w, http.StatusAccepted, sess.Snapshot())
-		return
+	if err := sess.Wait(ctx); err != nil {
+		return http.StatusAccepted, "", sess.Snapshot()
 	}
-	writeJSON(w, http.StatusOK, sess.Snapshot())
+	return http.StatusOK, "", sess.Snapshot()
 }
 
 func (s *Service) handleSession(w http.ResponseWriter, r *http.Request) {

@@ -21,17 +21,13 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,13 +50,11 @@ type replState struct {
 	// the connection it streams over.
 	shipper *replica.Shipper
 	stream  *replStream
-	// Follower side. inbound holds hijacked streams, which http.Server
-	// never closes (nil after replClose); inboundWG counts their goroutines.
+	// Follower side; inbound serves the primary's streams.
 	recv      *replica.Receiver
 	following bool
 	promoted  bool
-	inbound   map[net.Conn]struct{}
-	inboundWG sync.WaitGroup
+	inbound   *cluster.StreamServer
 }
 
 // replStreamProto is the Upgrade token of the replication stream.
@@ -135,11 +129,9 @@ func (s *Service) replClose() {
 	s.repl.mu.Lock()
 	sh, out := s.repl.shipper, s.repl.stream
 	s.repl.shipper, s.repl.stream = nil, nil
-	s.replCloseInboundLocked()
-	s.repl.inbound = nil
 	s.repl.mu.Unlock()
 	replStop(sh, out)
-	s.repl.inboundWG.Wait()
+	s.repl.inbound.Close()
 }
 
 // replStop stops a shipper, then hangs up its stream; once the shipper's
@@ -148,8 +140,8 @@ func replStop(sh *replica.Shipper, out *replStream) {
 	if sh != nil {
 		sh.Close()
 	}
-	if out != nil && out.conn != nil {
-		out.conn.Close()
+	if out != nil && out.st != nil {
+		out.st.Close()
 	}
 }
 
@@ -264,50 +256,22 @@ func (s *Service) handleReplicaRegister(w http.ResponseWriter, r *http.Request) 
 type replStream struct {
 	url    *url.URL           // the follower's /replica/v1/stream
 	metric *telemetry.Counter // wearlockd_replica_stream_dials_total
-	conn   net.Conn           // nil until (re)dialled
-	br     *bufio.Reader
-	out    []byte // the batch frame, kept across batches
-	buf    []byte // the answer frame, kept across batches
+	st     *cluster.Stream    // nil until (re)dialled
 }
 
 // Send ships one batch frame and reads the answer frame within ctx's
 // deadline, dialling and upgrading first if need be. A refusal keeps the
 // connection; any other error closes it, so the shipper's retry redials.
-func (st *replStream) Send(ctx context.Context, req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
+func (rs *replStream) Send(ctx context.Context, req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
 	var err error
-	if st.out, err = cluster.AppendFrame(st.out[:0], cluster.MsgReplicaAppend, req); err != nil {
-		return nil, err
-	}
-	dialled := st.conn == nil
-	if dialled {
-		st.metric.Inc()
-		addr := net.JoinHostPort(st.url.Hostname(), cmp.Or(st.url.Port(), "80"))
-		if st.conn, err = new(net.Dialer).DialContext(ctx, "tcp", addr); err != nil {
-			return nil, err
-		}
-		st.br = bufio.NewReader(st.conn)
-	}
 	deadline, _ := ctx.Deadline()
-	err = st.conn.SetDeadline(deadline)
-	if err == nil && dialled {
-		_, err = fmt.Fprintf(st.conn, "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n",
-			st.url.RequestURI(), st.url.Host, replStreamProto)
-		var resp *http.Response
-		if err == nil {
-			resp, err = http.ReadResponse(st.br, nil)
-		}
-		if err == nil && resp.StatusCode != http.StatusSwitchingProtocols {
-			err = fmt.Errorf("upgrade answered HTTP %d", resp.StatusCode)
+	if rs.st == nil {
+		rs.metric.Inc()
+		if rs.st, err = cluster.DialStream(ctx, deadline, rs.url, replStreamProto); err != nil {
+			return nil, fmt.Errorf("service: replica stream: %w", err)
 		}
 	}
-	var m cluster.Message
-	if err == nil {
-		if _, err = st.conn.Write(st.out); err == nil {
-			if st.buf, err = cluster.ReadFrame(st.br, st.buf); err == nil {
-				m, err = cluster.Decode(st.buf)
-			}
-		}
-	}
+	m, err := rs.st.Exchange(deadline, cluster.MsgReplicaAppend, req)
 	switch p := m.Payload.(type) {
 	case *cluster.ReplicaAppendResponse:
 		return p, nil
@@ -320,8 +284,8 @@ func (st *replStream) Send(ctx context.Context, req *cluster.ReplicaAppendReques
 	default:
 		err = fmt.Errorf("unexpected %s frame", m.Type)
 	}
-	st.conn.Close()
-	st.conn = nil
+	rs.st.Close()
+	rs.st = nil
 	return nil, fmt.Errorf("service: replica stream: %w", err)
 }
 
@@ -402,61 +366,23 @@ func (s *Service) replWarmDevices(ids []int) {
 // frame with one frame until either end closes. A frame it cannot read
 // and decode whole closes the stream unapplied; the primary re-sends it.
 func (s *Service) handleReplicaStream(w http.ResponseWriter, r *http.Request) {
-	if !strings.EqualFold(r.Header.Get("Upgrade"), replStreamProto) {
-		w.Header().Set("Upgrade", replStreamProto)
-		wireError(w, http.StatusUpgradeRequired, errors.New("service: the replica stream needs Upgrade: "+replStreamProto))
-		return
-	}
-	conn, brw, err := http.NewResponseController(w).Hijack()
-	if err != nil {
-		wireError(w, http.StatusInternalServerError, err)
-		return
-	}
-	defer conn.Close()
-	s.repl.mu.Lock()
-	open := s.repl.inbound != nil
-	if open {
-		s.repl.inbound[conn] = struct{}{}
-		s.repl.inboundWG.Add(1)
-	}
-	s.repl.mu.Unlock()
-	if !open {
-		return
-	}
-	defer func() {
-		s.repl.mu.Lock()
-		delete(s.repl.inbound, conn)
-		s.repl.mu.Unlock()
-		s.repl.inboundWG.Done()
-	}()
-	// Clear any server deadline: the stream idles while nothing commits.
-	if err = conn.SetDeadline(time.Time{}); err == nil {
-		_, err = io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+replStreamProto+"\r\n\r\n")
-	}
-	var frame, out []byte
-	var req *cluster.ReplicaAppendRequest
-	for err == nil {
-		if frame, err = cluster.ReadFrame(brw.Reader, frame); err == nil {
-			req, err = cluster.DecodeAs[cluster.ReplicaAppendRequest](frame, cluster.MsgReplicaAppend)
-		}
+	s.repl.inbound.Serve(w, r, func(_ context.Context, frame, out []byte) ([]byte, error) {
+		req, err := cluster.DecodeAs[cluster.ReplicaAppendRequest](frame, cluster.MsgReplicaAppend)
 		if err != nil {
-			return
+			return out, err
 		}
-		if resp, aerr := s.replAppend(req); aerr != nil {
-			status := http.StatusInternalServerError // the shipper retries it
-			for st, sentinel := range replStatuses {
-				if errors.Is(aerr, sentinel) {
-					status = st
-				}
-			}
-			out, err = cluster.AppendFrame(out[:0], cluster.MsgError, &cluster.ErrorPayload{Error: aerr.Error(), Status: status})
-		} else {
-			out, err = cluster.AppendFrame(out[:0], cluster.MsgReplicaAppendAck, resp)
-		}
+		resp, err := s.replAppend(req)
 		if err == nil {
-			_, err = conn.Write(out)
+			return cluster.AppendFrame(out, cluster.MsgReplicaAppendAck, resp)
 		}
-	}
+		status := http.StatusInternalServerError // the shipper retries it
+		for st, sentinel := range replStatuses {
+			if errors.Is(err, sentinel) {
+				status = st
+			}
+		}
+		return cluster.AppendFrame(out, cluster.MsgError, &cluster.ErrorPayload{Error: err.Error(), Status: status})
+	})
 }
 
 // replAppend decides one shipped batch: its ack, or a refusal that
@@ -483,14 +409,6 @@ func (s *Service) replAppend(req *cluster.ReplicaAppendRequest) (*cluster.Replic
 		return nil, fmt.Errorf("%w: promoted; stale primary", replica.ErrFenced)
 	}
 	return s.replReceiverLocked().Apply(req)
-}
-
-// replCloseInboundLocked hangs up every inbound stream; their
-// goroutines exit on the error. Caller holds repl.mu.
-func (s *Service) replCloseInboundLocked() {
-	for conn := range s.repl.inbound {
-		conn.Close()
-	}
 }
 
 // handleReplicaPromote executes the gateway's failover order: final
@@ -556,7 +474,7 @@ func (s *Service) handleReplicaPromote(w http.ResponseWriter, r *http.Request) {
 	s.repl.promoted = true
 	s.repl.following = false
 	// The old primary's stream ends here; a redial meets the fence.
-	s.replCloseInboundLocked()
+	s.repl.inbound.HangUp()
 	s.m.replPromotions.Inc()
 	writeWire(w, http.StatusOK, cluster.MsgPromoteAck, &cluster.PromoteResponse{
 		ShardID:    s.shardID(),

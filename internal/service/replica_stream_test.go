@@ -55,11 +55,7 @@ func testStream(t *testing.T, baseURL string) *replStream {
 	return st
 }
 
-func inboundStreams(s *Service) int {
-	s.repl.mu.Lock()
-	defer s.repl.mu.Unlock()
-	return len(s.repl.inbound)
-}
+func inboundStreams(s *Service) int { return s.repl.inbound.Open() }
 
 // A healthy replicated run rides one connection from attach to the end:
 // one dial, on the status endpoint and the metric alike.

@@ -19,13 +19,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"wearlock/internal/cluster"
 	"wearlock/internal/core"
 	"wearlock/internal/fault"
 	"wearlock/internal/scenario/catalog"
@@ -456,6 +456,9 @@ type Service struct {
 	// carries both directions' control traffic.
 	repl       replState
 	replClient *http.Client
+
+	// unlockStreams serves the gateway's unlock streams (http.go).
+	unlockStreams *cluster.StreamServer
 }
 
 // New builds the device fleet, starts the worker pool and the session
@@ -519,7 +522,8 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.m = newMetrics(s.reg)
 	s.replClient = newReplClient()
-	s.repl.inbound = make(map[net.Conn]struct{})
+	s.repl.inbound = cluster.NewStreamServer(replStreamProto)
+	s.unlockStreams = cluster.NewStreamServer(cluster.UnlockStreamProto)
 	if cfg.Follow {
 		if cfg.StateDir == "" {
 			return nil, fmt.Errorf("service: follower mode requires a durable state dir")
@@ -916,6 +920,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	// Stop shipping before the store closes: the shipper's waiters are
 	// released and its goroutine exits instead of spinning on a dead tail.
 	s.replClose()
+	s.unlockStreams.Close()
 	s.pool.Close()
 	s.mu.Lock()
 	stopped := s.gcStop

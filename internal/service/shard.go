@@ -212,6 +212,7 @@ func (s *Service) clusterRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /cluster/v1/export-range", s.handleClusterExport)
 	mux.HandleFunc("POST /cluster/v1/import-range", s.handleClusterImport)
 	mux.HandleFunc("POST /cluster/v1/release-range", s.handleClusterRelease)
+	mux.HandleFunc("GET "+cluster.UnlockStreamPath, s.handleUnlockStream)
 }
 
 // readWire decodes one framed request body.

@@ -82,19 +82,31 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // Histogram registers and returns a histogram over the given ascending
 // bucket upper bounds (an implicit +Inf bucket is added).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
+	h := newHistogram(name, help, buckets)
+	r.register(h)
+	return h
+}
+
+// HistogramVec registers and returns a histogram family split over one
+// label dimension, every child over the same buckets.
+func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *HistogramVec {
+	v := &HistogramVec{proto: newHistogram(name, help, buckets), label: label, children: make(map[string]*Histogram)}
+	r.register(v)
+	return v
+}
+
+func newHistogram(name, help string, buckets []float64) *Histogram {
 	for i := 1; i < len(buckets); i++ {
 		if buckets[i] <= buckets[i-1] {
 			panic(fmt.Sprintf("telemetry: histogram %q buckets not ascending", name))
 		}
 	}
-	h := &Histogram{
+	return &Histogram{
 		name:    name,
 		help:    help,
 		bounds:  append([]float64(nil), buckets...),
 		buckets: make([]atomic.Uint64, len(buckets)+1),
 	}
-	r.register(h)
-	return h
 }
 
 // WritePrometheus renders every registered metric in the text exposition
@@ -329,19 +341,71 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum reports the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-func (h *Histogram) metricName() string { return h.name }
-func (h *Histogram) metricHelp() string { return h.help }
-func (h *Histogram) metricType() string { return "histogram" }
-func (h *Histogram) writeSamples(w io.Writer) {
+func (h *Histogram) metricName() string       { return h.name }
+func (h *Histogram) metricHelp() string       { return h.help }
+func (h *Histogram) metricType() string       { return "histogram" }
+func (h *Histogram) writeSamples(w io.Writer) { h.writeLabelled(w, "") }
+
+// writeLabelled writes the samples with label (`name="value"`, or empty)
+// ahead of the bucket bound.
+func (h *Histogram) writeLabelled(w io.Writer, label string) {
+	sep, tail := "", ""
+	if label != "" {
+		sep, tail = ",", "{"+label+"}"
+	}
 	var cum uint64
 	for i, bound := range h.bounds {
 		cum += h.buckets[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.name, formatFloat(bound), cum)
+		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", h.name, label, sep, formatFloat(bound), cum)
 	}
 	cum += h.buckets[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.name, cum)
-	fmt.Fprintf(w, "%s_sum %s\n", h.name, formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count %d\n", h.name, h.Count())
+	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", h.name, label, sep, cum)
+	fmt.Fprintf(w, "%s_sum%s %s\n", h.name, tail, formatFloat(h.Sum()))
+	fmt.Fprintf(w, "%s_count%s %d\n", h.name, tail, h.Count())
+}
+
+// --- HistogramVec -------------------------------------------------------
+
+// HistogramVec is a family of histograms keyed by one label value.
+type HistogramVec struct {
+	proto *Histogram // name, help and bounds; never observed
+	label string
+
+	mu       sync.Mutex
+	children map[string]*Histogram
+}
+
+// With returns the child histogram for the given label value, creating
+// it on first use.
+func (v *HistogramVec) With(value string) *Histogram {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	h, ok := v.children[value]
+	if !ok {
+		h = newHistogram(v.proto.name, "", v.proto.bounds)
+		v.children[value] = h
+	}
+	return h
+}
+
+func (v *HistogramVec) metricName() string { return v.proto.name }
+func (v *HistogramVec) metricHelp() string { return v.proto.help }
+func (v *HistogramVec) metricType() string { return "histogram" }
+func (v *HistogramVec) writeSamples(w io.Writer) {
+	v.mu.Lock()
+	values := make([]string, 0, len(v.children))
+	for value := range v.children {
+		values = append(values, value)
+	}
+	sort.Strings(values)
+	children := make([]*Histogram, len(values))
+	for i, value := range values {
+		children[i] = v.children[value]
+	}
+	v.mu.Unlock()
+	for i, value := range values {
+		children[i].writeLabelled(w, fmt.Sprintf("%s=%q", v.label, value))
+	}
 }
 
 func formatFloat(v float64) string {

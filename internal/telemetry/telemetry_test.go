@@ -78,6 +78,30 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	}
 }
 
+// A histogram family renders each child's samples with its label ahead
+// of the bound, children in sorted label order under one HELP/TYPE.
+func TestHistogramVecLabelledExport(t *testing.T) {
+	r := NewRegistry()
+	v := r.HistogramVec("hop_seconds", "Hop.", "shard", []float64{1})
+	v.With("s1").Observe(2)
+	v.With("s0").Observe(0.5)
+	v.With("s0").Observe(3)
+	want := `# HELP hop_seconds Hop.
+# TYPE hop_seconds histogram
+hop_seconds_bucket{shard="s0",le="1"} 1
+hop_seconds_bucket{shard="s0",le="+Inf"} 2
+hop_seconds_sum{shard="s0"} 3.5
+hop_seconds_count{shard="s0"} 2
+hop_seconds_bucket{shard="s1",le="1"} 0
+hop_seconds_bucket{shard="s1",le="+Inf"} 1
+hop_seconds_sum{shard="s1"} 2
+hop_seconds_count{shard="s1"} 1
+`
+	if got := r.String(); got != want {
+		t.Errorf("export:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // Boundary values land in the bucket whose bound equals them (le is <=).
 func TestHistogramBoundaryInclusive(t *testing.T) {
 	r := NewRegistry()
