@@ -95,8 +95,11 @@ test-vtime:
 # multi-daemon integration tests — real gateway and shards over loopback
 # HTTP, including the live-handoff chaos drill (a shard joins under
 # closed-loop load; zero counter regressions, zero accepted replays,
-# zero dropped requests) and the unlock stream's relay, no-resend,
-# pool, cancel, teardown and failover tests. The canonical JSON codec's
+# zero dropped requests), the unlock stream's relay, no-resend, pool,
+# cancel, teardown, gateway-close and failover tests, and the handoff
+# first-touch tests (TestShardFirstTouch*: fenced export and adopt build
+# a device as eager construction would, and racing first touches build
+# it once). The canonical JSON codec's
 # differential tests run here too, and its allocation ceilings once more
 # without -race, under which they skip.
 test-cluster:
@@ -109,9 +112,10 @@ test-cluster:
 # semantics, the shipper/receiver stream protocol under chaos
 # (drop/dup/truncate with snapshot resync), fencing both directions,
 # manual-clock heartbeat-loss failover, the end-to-end primary/standby
-# promotion tests, and the WLC1 replica frame codec (byte identity with
-# json.Marshal, the strict-path oracle; its allocation ceiling once more
-# without -race) — race-enabled.
+# promotion tests, the warm-up and promotion first-touch test
+# (TestReplicaFirstTouchWarmAndPromote), and the WLC1 replica frame
+# codec (byte identity with json.Marshal, the strict-path oracle; its
+# allocation ceiling once more without -race) — race-enabled.
 test-replica:
 	$(GO) test -race -count=1 ./internal/replica
 	$(GO) test -race -count=1 ./internal/store -run 'TestTail'

@@ -299,7 +299,10 @@ func bootCluster(n int, cfg benchConfig, stateDir string) (*testCluster, error) 
 	}
 	server := &http.Server{Handler: gw.Handler()}
 	go func() { _ = server.Serve(ln) }()
-	tc.cleanup = append(tc.cleanup, func() { _ = server.Close() })
+	tc.cleanup = append(tc.cleanup, func() {
+		_ = server.Close()
+		gw.Close()
+	})
 	tc.gw = gw
 	tc.base = "http://" + ln.Addr().String()
 	return tc, nil

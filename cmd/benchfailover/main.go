@@ -329,7 +329,10 @@ func bootPair(primaryCfg, followerCfg service.Config, devices int) (*pair, error
 	if err != nil {
 		return nil, err
 	}
-	p.cleanup = append(p.cleanup, func() { _ = gsrv.Close() })
+	p.cleanup = append(p.cleanup, func() {
+		_ = gsrv.Close()
+		p.gw.Close()
+	})
 	ok = true
 	return p, nil
 }

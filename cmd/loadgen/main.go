@@ -829,7 +829,10 @@ func selfhostCluster(n, devices, queue int, seed int64, stateDir string, pace fl
 	}
 	server := &http.Server{Handler: gw.Handler()}
 	go func() { _ = server.Serve(ln) }()
-	cleanups = append(cleanups, func() { _ = server.Close() })
+	cleanups = append(cleanups, func() {
+		_ = server.Close()
+		gw.Close()
+	})
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("selfhost cluster on %s (%d shards, %d devices)\n", base, n, def.Devices)
 	return base, cleanup, nil
@@ -1049,7 +1052,10 @@ func newFailoverRig(devices, queue int, seed int64, stateDir string, pace float6
 	}
 	gsrv := &http.Server{Handler: r.gw.Handler()}
 	go func() { _ = gsrv.Serve(ln) }()
-	r.cleanup = append(r.cleanup, func() { _ = gsrv.Close() })
+	r.cleanup = append(r.cleanup, func() {
+		_ = gsrv.Close()
+		r.gw.Close()
+	})
 	r.base = "http://" + ln.Addr().String()
 
 	// Pre-load snapshot: the pairing-key and counter floor every device

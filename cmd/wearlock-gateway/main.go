@@ -169,5 +169,6 @@ func run() int {
 		logger.Printf("http shutdown: %v", err)
 	}
 	<-errCh
+	gw.Close()
 	return 0
 }

@@ -87,9 +87,11 @@ type shardHandle struct {
 
 	// idle pools unlock streams to baseURL, the last returned on top.
 	// streamGen counts re-points: a stream dialled before one is closed
-	// when it comes back, never pooled.
+	// when it comes back, never pooled. Once closed (Gateway.Close),
+	// nothing is pooled.
 	idle      []*Stream
 	streamGen uint64
+	closed    bool
 	hop       *telemetry.Histogram // this shard's wearlock_gateway_shard_seconds
 }
 

@@ -241,10 +241,10 @@ func (g *Gateway) takeStream(ctx context.Context, deadline time.Time, h *shardHa
 }
 
 // putStream pools a stream after a whole exchange, unless h was
-// re-pointed since it was taken or the pool is full.
+// re-pointed or closed since it was taken or the pool is full.
 func (h *shardHandle) putStream(st *Stream, gen uint64) {
 	h.mu.Lock()
-	if gen == h.streamGen && len(h.idle) < maxIdleStreams {
+	if gen == h.streamGen && !h.closed && len(h.idle) < maxIdleStreams {
 		h.idle = append(h.idle, st)
 		st = nil
 	}
@@ -254,17 +254,39 @@ func (h *shardHandle) putStream(st *Stream, gen uint64) {
 	}
 }
 
-// repoint routes h at base and drops its pooled streams; streams in use
-// are closed when they come back.
+// repoint routes h at base and drops its pooled streams.
 func (h *shardHandle) repoint(base string) {
+	h.dropStreams(func() { h.baseURL = base })
+}
+
+// dropStreams applies change and bumps streamGen under h.mu, then closes
+// the pooled streams; streams in use are closed when they come back.
+func (h *shardHandle) dropStreams(change func()) {
 	h.mu.Lock()
+	change()
 	idle := h.idle
-	h.baseURL = base
 	h.idle = nil
 	h.streamGen++
 	h.mu.Unlock()
 	for _, st := range idle {
 		st.Close()
+	}
+}
+
+// Close hangs up every shard's pooled unlock streams, which would
+// otherwise hold a goroutine and a connection on both ends until the
+// shard shuts down. A stream in use is closed when its exchange ends,
+// and none is pooled afterwards. Call it once the gateway's HTTP server
+// has stopped.
+func (g *Gateway) Close() {
+	g.mu.RLock()
+	handles := make([]*shardHandle, 0, len(g.shards))
+	for _, h := range g.shards {
+		handles = append(handles, h)
+	}
+	g.mu.RUnlock()
+	for _, h := range handles {
+		h.dropStreams(func() { h.closed = true })
 	}
 }
 

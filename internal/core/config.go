@@ -144,5 +144,9 @@ func (c Config) Validate() error {
 	if err := c.Resilience.Validate(); err != nil {
 		return err
 	}
+	if c.OTPKey != nil && len(c.OTPKey) == 0 {
+		// NewSystem would fail on it in otp; a validated config must build.
+		return fmt.Errorf("core: OTPKey is empty (leave it nil to draw one from the system's random source)")
+	}
 	return nil
 }

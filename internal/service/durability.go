@@ -6,10 +6,12 @@
 //   - New() launches recoverState when Config.StateDir is set; Submit
 //     rejects with ErrRecovering until the ready channel closes, and the
 //     /readyz endpoint reports "recovering" over the same window.
-//   - Recovery opens the store (snapshot + WAL replay), fast-forwards
-//     every device's counted RNG stream to its persisted draw position,
-//     and restores counters with the widened post-recovery look-ahead so
-//     a watch that generated tokens the crash lost still resynchronizes.
+//   - Recovery opens the store (snapshot + WAL replay), builds every
+//     device the log names, fast-forwards its counted RNG stream to its
+//     persisted draw position, and restores counters with the widened
+//     post-recovery look-ahead so a watch that generated tokens the crash
+//     lost still resynchronizes. A device the log does not name stays
+//     unbuilt until its first session.
 //   - Devices the store distrusts (their last durable record may have
 //     been destroyed by corruption) are re-paired with a fresh key at
 //     counter zero instead of resumed: a possibly regressed counter must
@@ -49,9 +51,10 @@ type Recovery struct {
 	// Repaired lists devices re-paired with a fresh key (distrusted by
 	// the store, or absent while the log showed damage).
 	Repaired []int
-	// RestoreDuration covers the device loop alone: fast-forwarding each
-	// device's stream to its persisted draw position, RestoreState, and
-	// any re-pair it falls back to. Store.ReplayDuration is the log side.
+	// RestoreDuration covers the device loop alone: building each device
+	// the log names, fast-forwarding its stream to its persisted draw
+	// position, RestoreState, and any re-pair it falls back to.
+	// Store.ReplayDuration is the log side.
 	RestoreDuration time.Duration
 	// Duration covers store open + replay + device restore + repairs.
 	Duration time.Duration
@@ -139,7 +142,7 @@ func (s *Service) recoverState() {
 	wg.Wait()
 	for i, dev := range s.devices {
 		if needsRepair[i] {
-			dev.mu.Lock()
+			dev.lock()
 			s.repairDeviceLocked(dev, repairAt[i])
 			dev.mu.Unlock()
 		}
@@ -169,32 +172,34 @@ func (s *Service) recoverState() {
 
 // restoreDevice restores one device from the recovered store state and
 // reports whether it must be re-paired instead, and at which draw of its
-// stream.
+// stream. A device an undamaged log does not name stays unbuilt: its
+// first touch gives it the seed-fresh pairing it would get here.
 func restoreDevice(dev *devicePair, state store.State, distrusted, damaged bool) (repair bool, draws uint64) {
-	dev.mu.Lock()
-	defer dev.mu.Unlock()
 	ds, ok := state.Devices[dev.id]
+	if !ok && !damaged {
+		return false, 0
+	}
+	dev.lock()
+	defer dev.mu.Unlock()
 	switch {
-	case ok && !distrusted:
-		rerr := dev.src.SkipTo(ds.RngDraws)
-		if rerr == nil {
-			rerr = dev.sys.RestoreState(toCoreExport(ds), otp.DefaultResyncLookAhead)
-		}
-		// A record the merge layer accepted but the system refuses
-		// (impossible counters, bad key length) is corruption by
-		// another name; degrade to re-pair rather than abort.
-		return rerr != nil, ds.RngDraws
-	case ok:
-		// Distrusted: the store cannot prove the restored counter is
-		// current, so resuming could re-accept spent tokens.
-		return true, ds.RngDraws
-	case damaged:
+	case !ok:
 		// Absent from a damaged log: the device's records may be among
 		// the destroyed bytes. Rebuilding the original seed-derived
 		// pairing at counter zero would be a genuine replay window.
 		return true, dev.src.Draws()
+	case distrusted:
+		// The store cannot prove the restored counter is current, so
+		// resuming could re-accept spent tokens.
+		return true, ds.RngDraws
 	}
-	return false, 0
+	rerr := dev.src.SkipTo(ds.RngDraws)
+	if rerr == nil {
+		rerr = dev.sys.RestoreState(toCoreExport(ds), otp.DefaultResyncLookAhead)
+	}
+	// A record the merge layer accepted but the system refuses
+	// (impossible counters, bad key length) is corruption by another
+	// name; degrade to re-pair rather than abort.
+	return rerr != nil, ds.RngDraws
 }
 
 // repairDeviceLocked re-pairs one device (fresh key, counter zero) and

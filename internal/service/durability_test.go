@@ -326,7 +326,9 @@ func writeDeviceStreams(t *testing.T, cfg Config, dir string, extra func(id int)
 	}
 	want := make(map[int]store.DeviceState, len(s0.devices))
 	for _, dev := range s0.devices {
+		dev.lock()
 		ds := s0.exportDevice(dev)
+		dev.mu.Unlock()
 		ds.RngDraws += extra(dev.id)
 		if err := st.CommitDevice(ds); err != nil {
 			t.Fatalf("CommitDevice %d: %v", dev.id, err)
@@ -375,7 +377,7 @@ func TestDurableRecoveryOfLongLivedStreams(t *testing.T) {
 		t.Errorf("metrics page lacks %q", want)
 	}
 	for _, dev := range s.devices {
-		dev.mu.Lock()
+		dev.lock()
 		got, ex := dev.src.Draws(), dev.sys.ExportState()
 		dev.mu.Unlock()
 		if w := want[dev.id]; got != w.RngDraws || ex.GenCounter != w.GenCounter || !bytes.Equal(ex.Key, w.Key) {
@@ -414,7 +416,7 @@ func TestDurableRecoveryResumesStreamExactly(t *testing.T) {
 		ref.Uint64()
 	}
 	d := s.devices[dev]
-	d.mu.Lock()
+	d.lock()
 	defer d.mu.Unlock()
 	for i := 0; i < 2000; i++ {
 		if got, w := d.src.Uint64(), ref.Uint64(); got != w {
@@ -495,7 +497,9 @@ func TestRecoveryRepairsInDeviceOrder(t *testing.T) {
 		t.Fatalf("store.Open: %v", err)
 	}
 	for _, dev := range s0.devices {
+		dev.lock()
 		ds := s0.exportDevice(dev)
+		dev.mu.Unlock()
 		switch {
 		case refused[dev.id]:
 			ds.GuardState = 99

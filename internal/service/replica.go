@@ -351,7 +351,7 @@ func (s *Service) replWarmDevices(ids []int) {
 			continue
 		}
 		dev := s.devices[id]
-		dev.mu.Lock()
+		dev.lock()
 		if ds.RngDraws >= dev.src.Draws() {
 			if err := dev.src.SkipTo(ds.RngDraws); err == nil {
 				_ = dev.sys.RestoreState(toCoreExport(ds), otp.DefaultResyncLookAhead)
@@ -496,10 +496,11 @@ func (s *Service) replAppliedSeqLocked() uint64 {
 // promoteReconcile restores every owned device from the merged durable
 // state — the same SkipTo + RestoreState path crash recovery uses, but
 // over already-warmed devices, so the stream fast-forward was paid
-// incrementally during replication and SkipTo here is usually a no-op. A device the stream never mentioned keeps its seed-fresh
-// pairing (both sides derive it identically from the shared base
-// seed); a device whose restored state the core refuses is re-paired
-// with a fresh key rather than trusted.
+// incrementally during replication and SkipTo here is usually a no-op.
+// A device the stream never mentioned stays unbuilt, and its first touch
+// gives it the seed-fresh pairing (both sides derive it identically from
+// the shared base seed); a device whose restored state the core refuses
+// is re-paired with a fresh key rather than trusted.
 func (s *Service) promoteReconcile(owned []int) error {
 	for _, id := range owned {
 		if id < 0 || id >= len(s.devices) {
@@ -512,7 +513,7 @@ func (s *Service) promoteReconcile(owned []int) error {
 			continue
 		}
 		dev := s.devices[id]
-		dev.mu.Lock()
+		dev.lock()
 		rerr := errors.New("service: device stream position behind durable state")
 		if ds.RngDraws >= dev.src.Draws() {
 			rerr = dev.src.SkipTo(ds.RngDraws)

@@ -297,11 +297,37 @@ func (sess *Session) Err() error {
 // src is the device's counted random source: its draw position is part
 // of the durable state, so a restarted daemon can fast-forward a fresh
 // stream to exactly where the crashed process left off.
+//
+// A pair is built on first touch: sys and src stay nil until lock()
+// builds them from seed, so a daemon's set-up costs nothing per device.
+// The stream is private to the device and its key is always the first
+// draws of it, so a pair built late is the pair eager construction
+// would have built.
 type devicePair struct {
-	id  int
-	mu  sync.Mutex
-	sys *core.System
-	src *sim.CountingSource
+	id   int
+	seed int64        // sim.SeedFor(Config.Seed, id)
+	cfg  *core.Config // the deployment every device runs (validated)
+	mu   sync.Mutex
+	sys  *core.System
+	src  *sim.CountingSource
+}
+
+// lock takes mu, building the pair the first time. It is the only way
+// in: sys and src are read and written under mu alone.
+func (d *devicePair) lock() {
+	d.mu.Lock()
+	if d.sys != nil {
+		return
+	}
+	src := sim.NewCountingSource(d.seed)
+	sys, err := core.NewSystem(*d.cfg, rand.New(src))
+	if err != nil {
+		// New validated the config, and Validate rejects everything
+		// NewSystem can fail on; reaching here is a bug in that contract.
+		d.mu.Unlock()
+		panic(fmt.Sprintf("service: building device %d from a validated config: %v", d.id, err))
+	}
+	d.sys, d.src = sys, src
 }
 
 // metrics bundles the registry handles the hot path updates.
@@ -382,7 +408,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		recoveryReplaySeconds: reg.FloatGauge("wearlockd_recovery_replay_seconds",
 			"Startup log-replay time within recovery (store open: snapshot load + segmented WAL replay); 0 when no state dir is configured."),
 		recoveryRestoreSeconds: reg.FloatGauge("wearlockd_recovery_restore_seconds",
-			"Startup device-restore time within recovery (stream fast-forward + counter restore); 0 when no state dir is configured."),
+			"Startup device-restore time within recovery (building each device the log names + stream fast-forward + counter restore); 0 when no state dir is configured."),
 		recoveryFallbacks: reg.Gauge("wearlockd_recovery_decode_fallbacks",
 			"Snapshot, checkpoint and WAL payloads recovery decoded through encoding/json because they left the canonical record layout; 0 on a log this build wrote."),
 		walRecords: reg.Counter("wearlockd_wal_records_total",
@@ -461,8 +487,9 @@ type Service struct {
 	unlockStreams *cluster.StreamServer
 }
 
-// New builds the device fleet, starts the worker pool and the session
-// garbage collector, and returns a serving Service.
+// New lays out the device fleet (each pair builds on first touch),
+// starts the worker pool and the session garbage collector, and returns
+// a serving Service.
 func New(cfg Config) (*Service, error) {
 	if cfg.Devices <= 0 {
 		return nil, fmt.Errorf("service: device fleet size %d must be positive", cfg.Devices)
@@ -540,19 +567,14 @@ func New(cfg Config) (*Service, error) {
 		"Daemon build and cluster-identity metadata; constant 1.", buildLabels)
 	s.unlock = s.runOnDevice
 
+	// Every device gets a private stream derived from (Seed, device): the
+	// same contract batch jobs use, so a device's session sequence is
+	// reproducible regardless of traffic interleaving on other devices.
+	// The counting wrapper is value-transparent; its draw position becomes
+	// part of the device's durable state. Each pair builds on first touch.
 	s.devices = make([]*devicePair, cfg.Devices)
 	for i := range s.devices {
-		// Every device gets a private stream derived from (Seed, device):
-		// the same contract batch jobs use, so a device's session
-		// sequence is reproducible regardless of traffic interleaving on
-		// other devices. The counting wrapper is value-transparent; its
-		// draw position becomes part of the device's durable state.
-		src := sim.NewCountingSource(sim.SeedFor(cfg.Seed, int64(i)))
-		sys, err := core.NewSystem(cfg.Core, rand.New(src))
-		if err != nil {
-			return nil, fmt.Errorf("service: device %d: %w", i, err)
-		}
-		s.devices[i] = &devicePair{id: i, sys: sys, src: src}
+		s.devices[i] = &devicePair{id: i, seed: sim.SeedFor(cfg.Seed, int64(i)), cfg: &s.cfg.Core}
 	}
 
 	s.ready = make(chan struct{})
@@ -588,7 +610,7 @@ func (s *Service) Scenarios() []string { return ScenarioNames(s.scenarios) }
 // The accepted⇒durable promise is untouched — this session is not
 // reported done until its handle resolves.
 func (s *Service) runOnDevice(ctx context.Context, dev *devicePair, sc core.Scenario) (*core.Result, error) {
-	dev.mu.Lock()
+	dev.lock()
 	// A session admitted before a handoff fence but scheduled after it
 	// must not advance counters the fenced tail export already shipped:
 	// the fence is re-checked under the device lock, where export

@@ -504,7 +504,10 @@ func TestLockoutClearedByManualUnlock(t *testing.T) {
 				t.Fatalf("New: %v", err)
 			}
 			defer func() { _ = s.Shutdown(context.Background()) }()
-			guard := s.devices[0].sys.Keyguard()
+			dev := s.devices[0]
+			dev.lock()
+			guard := dev.sys.Keyguard()
+			dev.mu.Unlock()
 			if err := guard.SetMaxFailures(1); err != nil {
 				t.Fatalf("SetMaxFailures: %v", err)
 			}

@@ -337,7 +337,7 @@ func (s *Service) handleClusterExport(w http.ResponseWriter, r *http.Request) {
 			go func(i, id int) {
 				defer wg.Done()
 				dev := s.devices[id]
-				dev.mu.Lock()
+				dev.lock()
 				cerrs[i] = s.commitDeviceLocked(dev)
 				dev.mu.Unlock()
 			}(i, id)
@@ -404,7 +404,7 @@ func (s *Service) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			dev := s.devices[id]
-			dev.mu.Lock()
+			dev.lock()
 			rerr := dev.src.SkipTo(ds.RngDraws)
 			if rerr == nil {
 				rerr = dev.sys.RestoreState(toCoreExport(ds), otp.DefaultResyncLookAhead)

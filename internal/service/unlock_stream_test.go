@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"wearlock/internal/cluster"
+	"wearlock/internal/core"
 )
 
 // answer is one HTTP answer as a client sees it.
@@ -490,6 +491,69 @@ func TestUnlockStreamTeardown(t *testing.T) {
 				t.Fatalf("unlock after %s answered %d (Retry-After %q): %s", stop, got.status, got.retryAfter, got.body)
 			}
 		})
+	}
+}
+
+// Gateway.Close hangs up the streams it pools at once and a stream in
+// use when its exchange ends, so none outlives the gateway on the
+// shard; an unlock after Close still answers, on a stream of its own.
+func TestUnlockStreamGatewayClose(t *testing.T) {
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	gate := make(chan struct{})
+	direct := s.unlock
+	s.unlock = func(ctx context.Context, dev *devicePair, sc core.Scenario) (*core.Result, error) {
+		if dev.id == 2 {
+			<-gate
+		}
+		return direct(ctx, dev, sc)
+	}
+	g, gw := gatewayFor(t, s.cfg.Devices, true, serveShard(t, s))
+	openStreams := func(want int, what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.unlockStreams.Open() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: shard serves %d unlock streams, want %d", what, s.unlockStreams.Open(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(gw+"/v1/unlock", "application/json", strings.NewReader(`{"device":2}`))
+		if err != nil {
+			held <- 0
+			return
+		}
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	for s.m.inflight.Value() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	if got := relayPost(t, context.Background(), gw, `{"device":1}`); got.status != http.StatusOK {
+		t.Fatalf("unlock answered %d: %s", got.status, got.body)
+	}
+	openStreams(2, "one stream pooled, one in use")
+
+	g.Close()
+	openStreams(1, "after Close")
+	close(gate)
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held unlock answered %d", code)
+	}
+	openStreams(0, "after the in-use stream came back")
+	if got := relayPost(t, context.Background(), gw, `{"device":1}`); got.status != http.StatusOK {
+		t.Fatalf("unlock after Close answered %d: %s", got.status, got.body)
+	}
+	openStreams(0, "after an unlock past Close")
+	if got := metricValue(g, "wearlock_gateway_unlock_stream_dials_total"); got != "3" {
+		t.Errorf("unlock stream dials = %q, want 3", got)
 	}
 }
 
