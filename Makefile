@@ -74,12 +74,14 @@ test-chaos:
 # The durability suite: WAL framing/merge properties, corruption
 # taxonomy, the genuine kill -9 subprocess crash test, and the
 # service-level restart-chaos harness (50 deterministic kill/mangle/
-# recover cycles) plus the cross-restart golden replay — race-enabled
-# and never -short, so the real crash paths always run in CI.
+# recover cycles) plus the cross-restart golden replay, the core's
+# restore check and every TestRecovery* test — race-enabled and never
+# -short, so the real crash paths always run in CI.
 test-store:
 	$(GO) test -race -count=1 ./internal/store
 	$(GO) test -race -count=1 ./internal/otp -run 'TestRecovery|TestRestore|TestResync'
-	$(GO) test -race -count=1 ./internal/service -run 'TestDurable|TestRestart|TestCrossRestart|TestSubmitRejectsWhileRecovering|TestRecoveryFailure|TestReadyz'
+	$(GO) test -race -count=1 ./internal/core -run 'TestCheckRestore|TestRestoreState|TestExportRestore'
+	$(GO) test -race -count=1 ./internal/service -run 'TestDurable|TestRestart|TestCrossRestart|TestSubmitRejectsWhileRecovering|TestRecovery|TestReadyz'
 
 # The virtual-time suite (DESIGN.md §12): golden equivalence between the
 # serial and discrete-event engines (clean, builtin chaos, and the

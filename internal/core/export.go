@@ -46,7 +46,45 @@ func (s *System) ExportState() DeviceExport {
 	}
 }
 
-// RestoreState loads a durably-committed export into the system.
+// CheckRestore reports whether a system NewSystem(cfg, …) has just paired
+// would refuse to restore ex once its counted random stream is moved to
+// draw position draws: a record without a pairing key, a keyguard state
+// or failure count the keyguard cannot restore, a negative verifier
+// failure count, or a draw position behind the draws pairing consumed.
+// Those are all the ways SkipTo and RestoreState can fail on a freshly
+// paired system (its counters are at zero, so forward-only cannot), so a
+// record that passes can be restored later with no error path.
+// RestoreState runs the same record check.
+func CheckRestore(cfg Config, ex DeviceExport, draws uint64) error {
+	if paired := pairingDraws(cfg); draws < paired {
+		return fmt.Errorf("core: restore at draw %d precedes the %d draws pairing consumes", draws, paired)
+	}
+	return ex.check()
+}
+
+// pairingDraws is how many values of its random source NewSystem draws:
+// one per key byte (rand.Intn(256) is one source draw), none when the
+// deployment fixes the key.
+func pairingDraws(cfg Config) uint64 {
+	if cfg.OTPKey != nil {
+		return 0
+	}
+	return otp.KeySize
+}
+
+// check is the part of CheckRestore that depends on the record alone.
+func (ex DeviceExport) check() error {
+	if len(ex.Key) == 0 {
+		return fmt.Errorf("core: restore without a pairing key")
+	}
+	if ex.VerFailures < 0 {
+		return fmt.Errorf("core: cannot restore negative verifier failure count %d", ex.VerFailures)
+	}
+	return keyguard.CheckRestore(ex.GuardState, ex.GuardFailures)
+}
+
+// RestoreState loads a durably-committed export into the system. It
+// refuses the records CheckRestore refuses before changing anything.
 //
 // When the export carries the same pairing key the system already holds,
 // counters may only move forward (a backward restore would re-accept
@@ -56,8 +94,8 @@ func (s *System) ExportState() DeviceExport {
 // at the exported counters, and forward-only does not apply because
 // tokens from the old key cannot verify under the new one.
 func (s *System) RestoreState(ex DeviceExport, resyncLookAhead int) error {
-	if len(ex.Key) == 0 {
-		return fmt.Errorf("core: restore without a pairing key")
+	if err := ex.check(); err != nil {
+		return err
 	}
 	vs := otp.VerifierState{Counter: ex.VerCounter, Failures: ex.VerFailures, LockedOut: ex.VerLockedOut}
 	if bytes.Equal(ex.Key, s.key) {

@@ -8,6 +8,7 @@ import (
 	"wearlock/internal/core"
 	"wearlock/internal/keyguard"
 	"wearlock/internal/otp"
+	"wearlock/internal/sim"
 )
 
 func newExportSystem(t *testing.T, seed int64) *core.System {
@@ -117,5 +118,66 @@ func TestRepairInvalidatesOldKey(t *testing.T) {
 	}
 	if ok, _ := ver.Verify(tok); ok {
 		t.Fatal("old-key token verified after Repair")
+	}
+}
+
+// CheckRestore refuses exactly the records a freshly paired system
+// refuses when its stream is fast-forwarded to the record's draw position
+// and the record restored, so recovery can settle every refusal before
+// the device is built and a first-touch restore has no error path.
+func TestCheckRestoreMatchesRestoreState(t *testing.T) {
+	const seed = 41
+	fixed := core.DefaultConfig()
+	fixed.OTPKey = bytes.Repeat([]byte{7}, otp.KeySize)
+	good := newExportSystem(t, seed).ExportState()
+	good.GenCounter, good.VerCounter, good.VerFailures = 1e6, 999_990, 2
+	other := newExportSystem(t, seed+1).ExportState()
+	edit := func(f func(*core.DeviceExport)) core.DeviceExport {
+		ex := good
+		ex.Key = append([]byte(nil), good.Key...)
+		f(&ex)
+		return ex
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    core.Config
+		ex     core.DeviceExport
+		draws  uint64
+		refuse bool
+	}{
+		{"same key", core.DefaultConfig(), good, 35_000, false},
+		{"re-pairing key", core.DefaultConfig(), other, 35_000, false},
+		{"at the pairing draws", core.DefaultConfig(), good, otp.KeySize, false},
+		{"far along the stream", core.DefaultConfig(), good, 3e8, false},
+		{"locked out", core.DefaultConfig(), edit(func(ex *core.DeviceExport) {
+			ex.VerLockedOut, ex.GuardState, ex.GuardFailures = true, keyguard.StateLockedOut, 5
+		}), 35_000, false},
+		{"unlocked", core.DefaultConfig(), edit(func(ex *core.DeviceExport) { ex.GuardState = keyguard.StateUnlocked }), 35_000, false},
+		{"fixed key at draw zero", fixed, edit(func(ex *core.DeviceExport) { ex.Key = fixed.OTPKey }), 0, false},
+		{"short key", core.DefaultConfig(), edit(func(ex *core.DeviceExport) { ex.Key = ex.Key[:1] }), 35_000, false},
+		{"nil key", core.DefaultConfig(), edit(func(ex *core.DeviceExport) { ex.Key = nil }), 35_000, true},
+		{"empty key", core.DefaultConfig(), edit(func(ex *core.DeviceExport) { ex.Key = []byte{} }), 35_000, true},
+		{"unknown guard state", core.DefaultConfig(), edit(func(ex *core.DeviceExport) { ex.GuardState = 99 }), 35_000, true},
+		{"negative guard state", core.DefaultConfig(), edit(func(ex *core.DeviceExport) { ex.GuardState = -1 }), 35_000, true},
+		{"negative guard failures", core.DefaultConfig(), edit(func(ex *core.DeviceExport) { ex.GuardFailures = -1 }), 35_000, true},
+		{"negative verifier failures", core.DefaultConfig(), edit(func(ex *core.DeviceExport) { ex.VerFailures = -1 }), 35_000, true},
+		{"draw zero", core.DefaultConfig(), good, 0, true},
+		{"inside the pairing draws", core.DefaultConfig(), good, otp.KeySize - 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checked := core.CheckRestore(tc.cfg, tc.ex, tc.draws)
+			src := sim.NewCountingSource(seed)
+			sys, err := core.NewSystem(tc.cfg, rand.New(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := src.SkipTo(tc.draws)
+			if restored == nil {
+				restored = sys.RestoreState(tc.ex, otp.DefaultResyncLookAhead)
+			}
+			if (checked != nil) != tc.refuse || (restored != nil) != tc.refuse {
+				t.Fatalf("CheckRestore: %v; SkipTo + RestoreState: %v; want refused = %v", checked, restored, tc.refuse)
+			}
+		})
 	}
 }

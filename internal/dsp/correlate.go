@@ -130,23 +130,6 @@ func PeakLag(scores []float64) (int, float64, error) {
 	return best, bestVal, nil
 }
 
-// AutoCorrelate computes the (biased) autocorrelation of x for lags in
-// [0, maxLag]. Lag 0 holds the signal energy.
-func AutoCorrelate(x []float64, maxLag int) ([]float64, error) {
-	if maxLag < 0 || maxLag >= len(x) {
-		return nil, fmt.Errorf("dsp: autocorrelation lag %d out of range for length %d", maxLag, len(x))
-	}
-	out := make([]float64, maxLag+1)
-	for lag := 0; lag <= maxLag; lag++ {
-		var sum float64
-		for i := 0; i+lag < len(x); i++ {
-			sum += x[i] * x[i+lag]
-		}
-		out[lag] = sum
-	}
-	return out, nil
-}
-
 // PearsonCorrelation returns the Pearson correlation coefficient of two
 // equal-length sequences. It is used by the ambient-noise similarity filter
 // to compare spectra captured on the phone and the watch.

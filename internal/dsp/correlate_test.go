@@ -126,26 +126,6 @@ func TestPeakLagEmpty(t *testing.T) {
 	}
 }
 
-func TestAutoCorrelate(t *testing.T) {
-	x := []float64{1, -1, 1, -1, 1, -1, 1, -1}
-	ac, err := AutoCorrelate(x, 2)
-	if err != nil {
-		t.Fatalf("AutoCorrelate: %v", err)
-	}
-	if ac[0] != 8 {
-		t.Errorf("lag 0 = %f, want 8 (energy)", ac[0])
-	}
-	if ac[1] != -7 {
-		t.Errorf("lag 1 = %f, want -7 (alternating)", ac[1])
-	}
-	if _, err := AutoCorrelate(x, len(x)); err == nil {
-		t.Error("accepted lag >= length")
-	}
-	if _, err := AutoCorrelate(x, -1); err == nil {
-		t.Error("accepted negative lag")
-	}
-}
-
 func TestPearsonCorrelation(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	b := []float64{2, 4, 6, 8, 10}

@@ -7,7 +7,7 @@ import (
 
 // FIRFilter is a finite-impulse-response filter defined by its tap
 // coefficients. The zero value is unusable; construct filters with
-// LowPassFIR, HighPassFIR, BandPassFIR, or NewFIRFilter.
+// LowPassFIR, BandPassFIR, or NewFIRFilter.
 type FIRFilter struct {
 	taps []float64
 	rev  []float64 // taps reversed, for the interior loop of ApplyInto
@@ -188,21 +188,6 @@ func LowPassFIR(cutoffHz, sampleRate float64, numTaps int) (*FIRFilter, error) {
 	for i := range taps {
 		taps[i] /= sum
 	}
-	return newFIR(taps), nil
-}
-
-// HighPassFIR designs a windowed-sinc high-pass filter by spectral inversion
-// of the complementary low-pass filter.
-func HighPassFIR(cutoffHz, sampleRate float64, numTaps int) (*FIRFilter, error) {
-	lp, err := LowPassFIR(cutoffHz, sampleRate, numTaps)
-	if err != nil {
-		return nil, err
-	}
-	taps := lp.taps
-	for i := range taps {
-		taps[i] = -taps[i]
-	}
-	taps[len(taps)/2] += 1
 	return newFIR(taps), nil
 }
 

@@ -35,22 +35,6 @@ func TestLowPassFIRResponse(t *testing.T) {
 	}
 }
 
-func TestHighPassFIRResponse(t *testing.T) {
-	const rate = 44100
-	hp, err := HighPassFIR(5000, rate, 101)
-	if err != nil {
-		t.Fatalf("HighPassFIR: %v", err)
-	}
-	stop := toneRMS(t, hp, 1000, rate)
-	pass := toneRMS(t, hp, 12000, rate)
-	if pass < 0.6 {
-		t.Errorf("passband (12 kHz) RMS %.3f, want ~0.707", pass)
-	}
-	if stop > 0.05 {
-		t.Errorf("stopband (1 kHz) RMS %.3f, want near 0", stop)
-	}
-}
-
 func TestBandPassFIRResponse(t *testing.T) {
 	const rate = 44100
 	bp, err := BandPassFIR(2000, 6000, rate, 101)

@@ -87,15 +87,3 @@ func GoertzelBatch(dst []float64, x []float64, freqsHz []float64, sampleRate flo
 	}
 	return nil
 }
-
-// GoertzelBin computes the power of FFT bin k of an n-point transform over
-// the first n samples of x.
-func GoertzelBin(x []float64, k, n int) (float64, error) {
-	if n <= 0 || len(x) < n {
-		return 0, fmt.Errorf("dsp: GoertzelBin needs %d samples, have %d", n, len(x))
-	}
-	if k < 0 || k > n/2 {
-		return 0, fmt.Errorf("dsp: GoertzelBin index %d outside [0, %d]", k, n/2)
-	}
-	return Goertzel(x[:n], float64(k)/float64(n), 1)
-}

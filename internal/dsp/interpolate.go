@@ -2,7 +2,6 @@ package dsp
 
 import (
 	"fmt"
-	"math/cmplx"
 )
 
 // InterpolateFFT expands a sequence of n complex samples to length m >= n
@@ -152,24 +151,4 @@ func absInt(x int) int {
 		return -x
 	}
 	return x
-}
-
-// UnwrapPhase returns the phases of the complex sequence with 2π jumps
-// removed, useful when inspecting channel estimates.
-func UnwrapPhase(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	var offset float64
-	for i, v := range x {
-		phase := cmplx.Phase(v)
-		if i > 0 {
-			for phase+offset-out[i-1] > 3.141592653589793 {
-				offset -= 2 * 3.141592653589793
-			}
-			for phase+offset-out[i-1] < -3.141592653589793 {
-				offset += 2 * 3.141592653589793
-			}
-		}
-		out[i] = phase + offset
-	}
-	return out
 }

@@ -50,15 +50,6 @@ func RMS(x []float64) float64 {
 	return math.Sqrt(sum / float64(len(x)))
 }
 
-// Energy returns the sum of squared samples.
-func Energy(x []float64) float64 {
-	var sum float64
-	for _, v := range x {
-		sum += v * v
-	}
-	return sum
-}
-
 // Median returns the median of x, or 0 for an empty slice. The input is not
 // modified.
 func Median(x []float64) float64 {
@@ -109,39 +100,9 @@ func DB(ratio float64) float64 {
 	return 10 * math.Log10(ratio)
 }
 
-// DBAmplitude converts an amplitude ratio to decibels: 20*log10(ratio).
-func DBAmplitude(ratio float64) float64 {
-	if ratio <= 0 {
-		return math.Inf(-1)
-	}
-	return 20 * math.Log10(ratio)
-}
-
-// FromDB converts decibels to a power ratio.
-func FromDB(db float64) float64 {
-	return math.Pow(10, db/10)
-}
-
 // FromDBAmplitude converts decibels to an amplitude ratio.
 func FromDBAmplitude(db float64) float64 {
 	return math.Pow(10, db/20)
-}
-
-// Normalize scales x in place so its peak absolute value is 1. A zero
-// signal is left unchanged.
-func Normalize(x []float64) {
-	var peak float64
-	for _, v := range x {
-		if a := math.Abs(v); a > peak {
-			peak = a
-		}
-	}
-	if peak == 0 {
-		return
-	}
-	for i := range x {
-		x[i] /= peak
-	}
 }
 
 // NormalizeRMS scales x in place to the target RMS amplitude. A zero signal
@@ -157,17 +118,10 @@ func NormalizeRMS(x []float64, targetRMS float64) {
 	}
 }
 
-// ZScoreNormalize returns a copy of x shifted to zero mean and scaled to
-// unit variance. A constant input returns an all-zero slice. The motion
+// ZScoreNormalizeInto writes x shifted to zero mean and scaled to unit
+// variance into dst[:len(x)]; dst must hold at least len(x) samples. A
+// constant input yields all zeros. It allocates nothing. The motion
 // filter normalizes accelerometer magnitudes this way before DTW.
-func ZScoreNormalize(x []float64) []float64 {
-	out := make([]float64, len(x))
-	ZScoreNormalizeInto(out, x)
-	return out
-}
-
-// ZScoreNormalizeInto is ZScoreNormalize writing into dst[:len(x)]; dst
-// must hold at least len(x) samples. It allocates nothing.
 func ZScoreNormalizeInto(dst, x []float64) {
 	dst = dst[:len(x)]
 	mean := Mean(x)

@@ -157,13 +157,8 @@ func (k *Keyguard) Export() (State, int) {
 // on timeout anyway, and a crash must never leave a phone unlocked that
 // the user did not just unlock.
 func (k *Keyguard) Restore(state State, failures int) error {
-	switch state {
-	case StateLocked, StateUnlocked, StateLockedOut:
-	default:
-		return fmt.Errorf("keyguard: cannot restore unknown state %d", int(state))
-	}
-	if failures < 0 {
-		return fmt.Errorf("keyguard: cannot restore negative failure count %d", failures)
+	if err := CheckRestore(state, failures); err != nil {
+		return err
 	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -172,6 +167,20 @@ func (k *Keyguard) Restore(state State, failures int) error {
 	}
 	k.state = state
 	k.failures = failures
+	return nil
+}
+
+// CheckRestore reports whether Restore would refuse a durable lock state:
+// one it does not know, or a negative failure count.
+func CheckRestore(state State, failures int) error {
+	switch state {
+	case StateLocked, StateUnlocked, StateLockedOut:
+	default:
+		return fmt.Errorf("keyguard: cannot restore unknown state %d", int(state))
+	}
+	if failures < 0 {
+		return fmt.Errorf("keyguard: cannot restore negative failure count %d", failures)
+	}
 	return nil
 }
 

@@ -123,9 +123,10 @@ func TestFirstTouchSessionMatchesEager(t *testing.T) {
 	matchesEager(t, "seed-fresh", s.devices[3], newEagerPair(t, cfg, 3))
 }
 
-// Recovery builds the devices the log names, each into the state an
-// eagerly built device reaches by restoring its record; the rest stay
-// unbuilt until their first session.
+// Recovery builds no device on a clean log: each device the log names
+// waits with its record, and its first touch lands it in the state an
+// eagerly built device reaches by restoring that record; the rest get
+// the seed-fresh pairing at their first session.
 func TestDurableFirstTouchRestoreMatchesEager(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
@@ -151,7 +152,7 @@ func TestDurableFirstTouchRestoreMatchesEager(t *testing.T) {
 	if err := s1.WaitReady(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	wantUnbuilt(t, "after recovery", s1, 1, 3)
+	wantUnbuilt(t, "after recovery", s1, 0, 1, 2, 3)
 	state, _ := s1.StoreState()
 	for _, id := range []int{0, 2} {
 		ref := newEagerPair(t, cfg, id)
@@ -166,7 +167,9 @@ func TestDurableFirstTouchRestoreMatchesEager(t *testing.T) {
 }
 
 // A damaged log still builds and re-pairs every device it does not
-// name: "absent" no longer proves "never committed".
+// name ("absent" no longer proves "never committed") and every device it
+// distrusts; a device whose record it still trusts waits for its first
+// touch like any other.
 func TestDurableFirstTouchDamagedRepairMatchesEager(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
@@ -198,10 +201,19 @@ func TestDurableFirstTouchDamagedRepairMatchesEager(t *testing.T) {
 	if !rec.Store.Damaged() {
 		t.Fatalf("flipped bit not detected: %+v", rec.Store)
 	}
-	wantUnbuilt(t, "after a damaged recovery", s2)
 	repaired := make(map[int]bool)
+	var waiting []int
 	for _, id := range rec.Repaired {
 		repaired[id] = true
+	}
+	for _, dev := range s2.devices {
+		if !repaired[dev.id] {
+			waiting = append(waiting, dev.id)
+		}
+	}
+	wantUnbuilt(t, "after a damaged recovery", s2, waiting...)
+	if len(waiting) == 0 {
+		t.Fatalf("the flipped bit left no trusted record (repaired %v)", rec.Repaired)
 	}
 	for _, id := range []int{2, 3} {
 		if !repaired[id] {
@@ -212,6 +224,12 @@ func TestDurableFirstTouchDamagedRepairMatchesEager(t *testing.T) {
 			t.Fatal(err)
 		}
 		matchesEager(t, "re-paired", s2.devices[id], ref)
+	}
+	state, _ := s2.StoreState()
+	for _, id := range waiting {
+		ref := newEagerPair(t, cfg, id)
+		ref.restore(t, state.Devices[id])
+		matchesEager(t, "trusted on a damaged log", s2.devices[id], ref)
 	}
 }
 
@@ -303,24 +321,21 @@ func TestShardFirstTouchHandoffMatchesEager(t *testing.T) {
 	}
 }
 
-// Sessions and a fenced handoff commit racing to first-touch one device
-// build it exactly once: every path sees one System, and the device ends
-// where the sessions that ran take an eager reference.
-func TestShardFirstTouchConcurrentBuildsOnce(t *testing.T) {
-	const dev, sessions = 1, 8
+// raceConfig is a durable shard config whose queue takes every racing
+// session of firstTouchRace.
+func raceConfig(t *testing.T, sessions int) Config {
 	cfg := durableConfig(t.TempDir())
 	cfg.ShardID = "s0"
 	cfg.Workers, cfg.QueueDepth = 4, 2*sessions
 	cfg.RequestTimeout = 2 * time.Minute
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s.Shutdown(context.Background()) }()
-	if err := s.WaitReady(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	registerAll(t, s)
+	return cfg
+}
+
+// firstTouchRace races sessions Submits, a fenced handoff export and
+// each of also to first-touch device dev of a registered shard, fails
+// unless every path saw one System, and returns how many sessions ran.
+func firstTouchRace(t *testing.T, s *Service, dev, sessions int, also ...func()) (ran int) {
+	t.Helper()
 	var mu sync.Mutex
 	seen := make(map[*core.System]bool)
 	see := func(d *devicePair) {
@@ -350,10 +365,7 @@ func TestShardFirstTouchConcurrentBuildsOnce(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-start
+	racers := append([]func(){func() {
 		runtime.Gosched()
 		_, code := shardPost[cluster.ExportRangeResponse](t, s.Handler(), "/cluster/v1/export-range",
 			cluster.MsgExportRange, &cluster.ExportRangeRequest{Epoch: 1, Devices: []int{dev}, Fence: true},
@@ -361,12 +373,19 @@ func TestShardFirstTouchConcurrentBuildsOnce(t *testing.T) {
 		if code != http.StatusOK {
 			t.Errorf("export answered %d", code)
 		}
-		see(s.devices[dev])
-	}()
+	}}, also...)
+	for _, race := range racers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			race()
+			see(s.devices[dev])
+		}()
+	}
 	close(start)
 	wg.Wait()
 	close(subs)
-	ran := 0
 	for sess := range subs {
 		if err := sess.Wait(context.Background()); err != nil {
 			t.Fatal(err)
@@ -379,11 +398,86 @@ func TestShardFirstTouchConcurrentBuildsOnce(t *testing.T) {
 	if len(seen) != 1 {
 		t.Fatalf("device %d built %d times", dev, len(seen))
 	}
+	return ran
+}
+
+// Sessions and a fenced handoff commit racing to first-touch one device
+// build it exactly once: every path sees one System, and the device ends
+// where the sessions that ran take an eager reference.
+func TestShardFirstTouchConcurrentBuildsOnce(t *testing.T) {
+	const dev, sessions = 1, 8
+	cfg := raceConfig(t, sessions)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	if err := s.WaitReady(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	registerAll(t, s)
+	ran := firstTouchRace(t, s, dev, sessions)
 	ref := newEagerPair(t, cfg, dev)
 	for i := 0; i < ran; i++ {
 		ref.session(t, s)
 	}
 	matchesEager(t, "after the race", s.devices[dev], ref)
+	wantUnbuilt(t, "after the race", s, 0, 2, 3)
+}
+
+// Sessions, a fenced handoff export and a replica warm-up racing to
+// first-touch one recovered device restore its record exactly once: every
+// path sees one System, the record is spent, and the device ends where an
+// eager reference lands by restoring the record once and running the
+// sessions that ran. (A restore after a session would rewind the stream
+// and panic. The warm-up applies the same record, so a build that lost
+// it can pass here; TestDurableFirstTouchRestoreMatchesEager catches
+// that.)
+func TestDurableFirstTouchConcurrentRestoresOnce(t *testing.T) {
+	const dev, sessions = 1, 8
+	cfg := raceConfig(t, sessions)
+	s0, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s0.WaitReady(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runSessionOn(t, s0, dev)
+	runSessionOn(t, s0, dev)
+	s0.Kill()
+
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	if err := s.WaitReady(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	registerAll(t, s)
+	wantUnbuilt(t, "after recovery", s, 0, 1, 2, 3)
+	state, _ := s.StoreState()
+	ran := firstTouchRace(t, s, dev, sessions, func() { s.replWarmDevices([]int{dev}) })
+
+	d := s.devices[dev]
+	d.lock()
+	left := d.recovered
+	// A warm-up that lands after a commit re-restores the device's own
+	// latest record, which relocks an unlocked keyguard (keyguard.Restore
+	// demotes Unlocked): compare lock states through that demotion.
+	d.sys.Keyguard().Relock()
+	d.mu.Unlock()
+	if left != nil {
+		t.Fatalf("device %d still holds its recovered record", dev)
+	}
+	ref := newEagerPair(t, cfg, dev)
+	ref.restore(t, state.Devices[dev])
+	for i := 0; i < ran; i++ {
+		ref.session(t, s)
+	}
+	ref.sys.Keyguard().Relock()
+	matchesEager(t, "after the race", d, ref)
 	wantUnbuilt(t, "after the race", s, 0, 2, 3)
 }
 
@@ -441,6 +535,38 @@ func BenchmarkServiceNew(b *testing.B) {
 				}
 				b.StopTimer()
 				_ = s.Shutdown(context.Background())
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// BenchmarkServiceRecover reboots a crash-shaped 64-device directory (a
+// snapshot plus a 768-record WAL tail) to WaitReady, with every device
+// about 35 k draws into its stream (a few thousand sessions each) and
+// 3·10^8 draws in. The devices restore at first touch, outside the
+// timed window, so both cost the same.
+func BenchmarkServiceRecover(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		draws uint64
+	}{{"draws=35k", 35_000}, {"draws=3e8", 3e8}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := durableConfig(b.TempDir())
+			cfg.Devices = 64
+			writeDeviceStreams(b, cfg, cfg.StateDir, 28, func(id int) uint64 { return bc.draws + uint64(id) })
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.WaitReady(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				s.Kill()
 				b.StartTimer()
 			}
 		})

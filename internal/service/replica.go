@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"wearlock/internal/cluster"
-	"wearlock/internal/otp"
 	"wearlock/internal/replica"
 	"wearlock/internal/store"
 	"wearlock/internal/telemetry"
@@ -352,11 +351,7 @@ func (s *Service) replWarmDevices(ids []int) {
 		}
 		dev := s.devices[id]
 		dev.lock()
-		if ds.RngDraws >= dev.src.Draws() {
-			if err := dev.src.SkipTo(ds.RngDraws); err == nil {
-				_ = dev.sys.RestoreState(toCoreExport(ds), otp.DefaultResyncLookAhead)
-			}
-		}
+		_ = dev.restoreLocked(ds)
 		dev.mu.Unlock()
 	}
 	s.m.replAppliedBatches.Inc()
@@ -494,8 +489,8 @@ func (s *Service) replAppliedSeqLocked() uint64 {
 }
 
 // promoteReconcile restores every owned device from the merged durable
-// state — the same SkipTo + RestoreState path crash recovery uses, but
-// over already-warmed devices, so the stream fast-forward was paid
+// state — the restoreLocked body a recovered device's first touch runs,
+// but over already-warmed devices, so the stream fast-forward was paid
 // incrementally during replication and SkipTo here is usually a no-op.
 // A device the stream never mentioned stays unbuilt, and its first touch
 // gives it the seed-fresh pairing (both sides derive it identically from
@@ -514,14 +509,7 @@ func (s *Service) promoteReconcile(owned []int) error {
 		}
 		dev := s.devices[id]
 		dev.lock()
-		rerr := errors.New("service: device stream position behind durable state")
-		if ds.RngDraws >= dev.src.Draws() {
-			rerr = dev.src.SkipTo(ds.RngDraws)
-		}
-		if rerr == nil {
-			rerr = dev.sys.RestoreState(toCoreExport(ds), otp.DefaultResyncLookAhead)
-		}
-		if rerr != nil {
+		if rerr := dev.restoreLocked(ds); rerr != nil {
 			// Mirror recovery's discipline: a counter that cannot be
 			// trusted must never become a replay window — re-pair instead.
 			rerr = dev.sys.Repair()

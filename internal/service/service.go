@@ -302,7 +302,9 @@ func (sess *Session) Err() error {
 // builds them from seed, so a daemon's set-up costs nothing per device.
 // The stream is private to the device and its key is always the first
 // draws of it, so a pair built late is the pair eager construction
-// would have built.
+// would have built. Recovery likewise leaves a device the log names
+// unbuilt and hands it its record; the build restores it, so a pair
+// restored late is the pair an eager restore would have left.
 type devicePair struct {
 	id   int
 	seed int64        // sim.SeedFor(Config.Seed, id)
@@ -310,10 +312,14 @@ type devicePair struct {
 	mu   sync.Mutex
 	sys  *core.System
 	src  *sim.CountingSource
+	// recovered is the durable record recovery checked and left for the
+	// first build to restore; nil once applied or when there is none.
+	recovered *store.DeviceState
 }
 
-// lock takes mu, building the pair the first time. It is the only way
-// in: sys and src are read and written under mu alone.
+// lock takes mu, building the pair the first time (and restoring its
+// recovered record, if any). It is the only way in: sys, src and
+// recovered are read and written under mu alone.
 func (d *devicePair) lock() {
 	d.mu.Lock()
 	if d.sys != nil {
@@ -321,13 +327,20 @@ func (d *devicePair) lock() {
 	}
 	src := sim.NewCountingSource(d.seed)
 	sys, err := core.NewSystem(*d.cfg, rand.New(src))
-	if err != nil {
-		// New validated the config, and Validate rejects everything
-		// NewSystem can fail on; reaching here is a bug in that contract.
-		d.mu.Unlock()
-		panic(fmt.Sprintf("service: building device %d from a validated config: %v", d.id, err))
+	if err == nil {
+		d.sys, d.src = sys, src
+		if ds := d.recovered; ds != nil {
+			d.recovered = nil
+			err = d.restoreLocked(*ds)
+		}
 	}
-	d.sys, d.src = sys, src
+	if err != nil {
+		// New validated the config and recovery ran core.CheckRestore on
+		// the record, which between them reject everything the build and
+		// the restore can fail on; reaching here is a bug in that contract.
+		d.mu.Unlock()
+		panic(fmt.Sprintf("service: building device %d: %v", d.id, err))
+	}
 }
 
 // metrics bundles the registry handles the hot path updates.
@@ -404,11 +417,11 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 			"Probe-estimated Eb/N0 over sessions that measured one.",
 			telemetry.LinearBuckets(-5, 5, 12)),
 		recoverySeconds: reg.FloatGauge("wearlockd_recovery_seconds",
-			"Startup durable-state recovery time (snapshot load + WAL replay + device restore); 0 when no state dir is configured."),
+			"Startup durable-state recovery time (snapshot load + WAL replay + record checks and re-pairs); 0 when no state dir is configured."),
 		recoveryReplaySeconds: reg.FloatGauge("wearlockd_recovery_replay_seconds",
 			"Startup log-replay time within recovery (store open: snapshot load + segmented WAL replay); 0 when no state dir is configured."),
 		recoveryRestoreSeconds: reg.FloatGauge("wearlockd_recovery_restore_seconds",
-			"Startup device-restore time within recovery (building each device the log names + stream fast-forward + counter restore); 0 when no state dir is configured."),
+			"Startup device-restore time within recovery (checking each record the log names + re-pairing the devices it cannot trust); a trusted device restores at its first touch, outside this window; 0 when no state dir is configured."),
 		recoveryFallbacks: reg.Gauge("wearlockd_recovery_decode_fallbacks",
 			"Snapshot, checkpoint and WAL payloads recovery decoded through encoding/json because they left the canonical record layout; 0 on a log this build wrote."),
 		walRecords: reg.Counter("wearlockd_wal_records_total",

@@ -23,7 +23,6 @@ import (
 	"sync"
 
 	"wearlock/internal/cluster"
-	"wearlock/internal/otp"
 )
 
 // Shard-mode service errors (HTTP mappings in handleUnlock).
@@ -365,9 +364,9 @@ func (s *Service) handleClusterExport(w http.ResponseWriter, r *http.Request) {
 // records into this shard's own durable store (accepted ⇒ durable —
 // every record is on this shard's WAL before the ack), and on Adopt,
 // restore the in-memory devices from the merged state and take
-// ownership. The restore is the crash-recovery path: RNG SkipTo to the
-// persisted draw position, then RestoreState with the widened resync
-// look-ahead. SkipTo's cost is logarithmic in a long-lived device's
+// ownership. The restore is restoreLocked, as after a crash: RNG SkipTo
+// to the persisted draw position, then RestoreState with the widened
+// resync look-ahead. SkipTo's cost is logarithmic in a long-lived device's
 // position, so adopting a range does not get slower with its history.
 func (s *Service) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 	req, err := readWire[cluster.ImportRangeRequest](r, cluster.MsgImportRange)
@@ -405,10 +404,7 @@ func (s *Service) handleClusterImport(w http.ResponseWriter, r *http.Request) {
 			}
 			dev := s.devices[id]
 			dev.lock()
-			rerr := dev.src.SkipTo(ds.RngDraws)
-			if rerr == nil {
-				rerr = dev.sys.RestoreState(toCoreExport(ds), otp.DefaultResyncLookAhead)
-			}
+			rerr := dev.restoreLocked(ds)
 			dev.mu.Unlock()
 			if rerr != nil {
 				wireError(w, http.StatusInternalServerError,
