@@ -243,8 +243,8 @@ func TestTransmitPooledMatchesTransmit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pooled.TransmitPooled(tone, 75)
-		if err != nil {
+		got := new(audio.Buffer)
+		if err := pooled.TransmitPooled(got, tone, 75); err != nil {
 			t.Fatal(err)
 		}
 		if got.Rate != want.Rate || len(got.Samples) != len(want.Samples) {

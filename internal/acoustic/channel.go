@@ -70,28 +70,43 @@ type Link struct {
 
 // NewLink constructs a link with the default propagation model and the
 // supplied impairment profiles. rng drives every stochastic stage; pass a
-// seeded source for reproducible experiments.
+// seeded source for reproducible experiments. Construction draws nothing
+// from rng.
 func NewLink(sampleRate int, distance float64, speaker SpeakerProfile, mic MicProfile, env *Environment, rng *rand.Rand) (*Link, error) {
+	l := new(Link)
+	if err := l.Reset(sampleRate, distance, speaker, mic, env, rng); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// Reset rebuilds l in place as NewLink builds a link, so a caller that
+// runs link after link can keep one. Every field returns to NewLink's
+// value; only Extra's storage is kept, emptied.
+func (l *Link) Reset(sampleRate int, distance float64, speaker SpeakerProfile, mic MicProfile, env *Environment, rng *rand.Rand) error {
 	if sampleRate <= 0 {
-		return nil, fmt.Errorf("acoustic: sample rate %d must be positive", sampleRate)
+		return fmt.Errorf("acoustic: sample rate %d must be positive", sampleRate)
 	}
 	if distance <= 0 {
-		return nil, fmt.Errorf("acoustic: distance %.3f m must be positive", distance)
+		return fmt.Errorf("acoustic: distance %.3f m must be positive", distance)
 	}
 	if rng == nil {
-		return nil, fmt.Errorf("acoustic: link requires a random source")
+		return fmt.Errorf("acoustic: link requires a random source")
 	}
-	return &Link{
+	clear(l.Extra)
+	*l = Link{
 		SampleRate:  sampleRate,
 		Distance:    distance,
 		Propagation: DefaultPropagation(),
 		Speaker:     speaker,
 		Mic:         mic,
 		Env:         env,
+		Extra:       l.Extra[:0],
 		LeadIn:      sampleRate / 8, // 125 ms of ambient before the frame
 		TailOut:     sampleRate / 25,
 		rng:         rng,
-	}, nil
+	}
+	return nil
 }
 
 // Transmit plays tx through the link at the given speaker volume (SPL at
@@ -100,29 +115,23 @@ func NewLink(sampleRate int, distance float64, speaker SpeakerProfile, mic MicPr
 // TailOut samples of ambient. The recording is freshly allocated and
 // belongs to the caller; Transmit does not keep tx.
 func (l *Link) Transmit(tx *audio.Buffer, volumeSPL float64) (*audio.Buffer, error) {
-	return l.transmit(tx, volumeSPL, audio.NewBuffer)
+	return l.transmit(tx, volumeSPL, nil)
 }
 
-// TransmitPooled is Transmit with the recording's samples drawn from
-// dsp.GetFloat. The caller hands them back with dsp.PutFloat after the
-// recording's last reader, so it must not pass the recording to code
-// that keeps it.
-func (l *Link) TransmitPooled(tx *audio.Buffer, volumeSPL float64) (*audio.Buffer, error) {
-	return l.transmit(tx, volumeSPL, pooledBuffer)
+// TransmitPooled is Transmit writing the recording into rec, with its
+// samples drawn from dsp.GetFloat: a caller that keeps rec allocates
+// nothing per recording. The caller hands the samples back with
+// dsp.PutFloat after the recording's last reader, so it must not pass
+// the recording to code that keeps it.
+func (l *Link) TransmitPooled(rec, tx *audio.Buffer, volumeSPL float64) error {
+	_, err := l.transmit(tx, volumeSPL, rec)
+	return err
 }
 
-// pooledBuffer is audio.NewBuffer with the samples drawn from
-// dsp.GetFloat.
-func pooledBuffer(rate, n int) (*audio.Buffer, error) {
-	if rate <= 0 || n < 0 {
-		return audio.NewBuffer(rate, n) // reports the error
-	}
-	return &audio.Buffer{Rate: rate, Samples: dsp.GetFloat(n)}, nil
-}
-
-// transmit is the body of Transmit and TransmitPooled; newRecording
-// allocates the zeroed recording.
-func (l *Link) transmit(tx *audio.Buffer, volumeSPL float64, newRecording func(rate, n int) (*audio.Buffer, error)) (*audio.Buffer, error) {
+// transmit is the body of Transmit and TransmitPooled: the recording is
+// freshly allocated when into is nil, else written into into with pooled
+// samples.
+func (l *Link) transmit(tx *audio.Buffer, volumeSPL float64, into *audio.Buffer) (*audio.Buffer, error) {
 	if tx.Rate != l.SampleRate {
 		return nil, fmt.Errorf("acoustic: frame rate %d does not match link rate %d", tx.Rate, l.SampleRate)
 	}
@@ -161,7 +170,7 @@ func (l *Link) transmit(tx *audio.Buffer, volumeSPL float64, newRecording func(r
 
 	// Assemble the receiver-side recording.
 	total := l.LeadIn + delay + signal.Len() + l.TailOut
-	rec, err := newRecording(l.SampleRate, total)
+	rec, err := l.newRecording(into, total)
 	if err != nil {
 		return nil, err
 	}
@@ -194,6 +203,16 @@ func (l *Link) transmit(tx *audio.Buffer, volumeSPL float64, newRecording func(r
 		return nil, err
 	}
 	return rec, nil
+}
+
+// newRecording returns the zeroed n-sample recording: freshly allocated
+// when into is nil, else into with pooled samples.
+func (l *Link) newRecording(into *audio.Buffer, n int) (*audio.Buffer, error) {
+	if into == nil || l.SampleRate <= 0 || n < 0 {
+		return audio.NewBuffer(l.SampleRate, n) // also reports a bad rate or length
+	}
+	*into = audio.Buffer{Rate: l.SampleRate, Samples: dsp.GetFloat(n)}
+	return into, nil
 }
 
 // mixAmbient renders the environment's noise under the whole recording,

@@ -27,21 +27,17 @@ func (r *Result) Fingerprint() string {
 		}
 	}
 	if r.Energy != nil {
-		devices := make(map[string]bool)
-		for name := range r.Energy.computeJ {
-			devices[name] = true
-		}
-		for name := range r.Energy.radioJ {
-			devices[name] = true
-		}
-		names := make([]string, 0, len(devices))
-		for name := range devices {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(&b, "energy %q compute=%s radio=%s\n", name, f(r.Energy.computeJ[name]), f(r.Energy.radioJ[name]))
-		}
+		r.Energy.fingerprint(&b)
 	}
 	return b.String()
+}
+
+// fingerprint renders one line per charged device, in name order, with
+// both sums as IEEE-754 bit patterns.
+func (e *EnergyLedger) fingerprint(b *strings.Builder) {
+	devices := append([]deviceEnergy(nil), e.devices...)
+	sort.Slice(devices, func(i, j int) bool { return devices[i].name < devices[j].name })
+	for _, d := range devices {
+		fmt.Fprintf(b, "energy %q compute=%016x radio=%016x\n", d.name, math.Float64bits(d.compute), math.Float64bits(d.radio))
+	}
 }

@@ -53,6 +53,9 @@ type UnlockMachine struct {
 	sc    Scenario
 	fixed AcousticPath // nil: build a fresh link per attempt
 	rc    ResilienceConfig
+	// dst receives the classic session's attempt (nil: a fresh Result);
+	// UnlockInto sets it to the caller's Result.
+	dst *Result
 
 	attempt    int // next attempt index (0-based)
 	attempts   int // completed attempts
@@ -111,24 +114,14 @@ func (m *UnlockMachine) Step(ctx context.Context) (UnlockStep, error) {
 	return m.stepAttempt(ctx)
 }
 
-// path returns the acoustic path for the next attempt: the fixed one, or
-// a fresh honest link from the scenario.
-func (m *UnlockMachine) path() (AcousticPath, error) {
-	if m.fixed != nil {
-		return m.fixed, nil
-	}
-	return m.sys.sessionPath(m.sc)
-}
-
 // stepClassic is the single-attempt session Unlock runs when the
 // resilience policy is off.
 func (m *UnlockMachine) stepClassic(ctx context.Context) (UnlockStep, error) {
-	path, err := m.path()
-	if err != nil {
-		return UnlockStep{}, err
+	r := m.dst
+	if r == nil {
+		r = new(Result)
 	}
-	r, err := m.sys.unlockAttempt(ctx, m.sc, path, attemptOpts{})
-	if err != nil {
+	if err := m.sys.unlockAttempt(ctx, m.sc, m.fixed, attemptOpts{}, r); err != nil {
 		return UnlockStep{}, err
 	}
 	m.done = true
@@ -143,8 +136,9 @@ func (m *UnlockMachine) stepClassic(ctx context.Context) (UnlockStep, error) {
 }
 
 // stepAttempt runs one rung of the ladder, reproducing the serial loop
-// body exactly: pre-attempt verifier resync + backoff draw, a fresh link
-// when no path is fixed, the attempt itself, then the retry decision.
+// body exactly: pre-attempt verifier resync + backoff draw, the attempt
+// itself (on a fresh link when no path is fixed), then the retry
+// decision.
 func (m *UnlockMachine) stepAttempt(ctx context.Context) (UnlockStep, error) {
 	if err := ctx.Err(); err != nil {
 		return UnlockStep{}, err
@@ -168,12 +162,8 @@ func (m *UnlockMachine) stepAttempt(ctx context.Context) (UnlockStep, error) {
 		preWait = wait
 	}
 
-	path, err := m.path()
-	if err != nil {
-		return UnlockStep{}, err
-	}
-	r, err := m.sys.unlockAttempt(ctx, m.sc, path, opts)
-	if err != nil {
+	r := new(Result)
+	if err := m.sys.unlockAttempt(ctx, m.sc, m.fixed, opts, r); err != nil {
 		return UnlockStep{}, err
 	}
 	m.attempt++

@@ -70,21 +70,29 @@ func DefaultScenario() Scenario {
 	}
 }
 
-// acousticLink builds the phone-speaker-to-receiver path for the scenario.
-// The audible band terminates at the watch microphone; the near-ultrasound
-// band models the paper's emulated phone-phone pair and terminates at a
-// phone microphone.
+// AcousticLink builds the phone-speaker-to-receiver path for the
+// scenario. The audible band terminates at the watch microphone; the
+// near-ultrasound band models the paper's emulated phone-phone pair and
+// terminates at a phone microphone.
 func (s Scenario) AcousticLink(band modem.Band, sampleRate int, rng *rand.Rand) (*acoustic.Link, error) {
-	if err := s.Validate(); err != nil {
+	link := new(acoustic.Link)
+	if err := s.acousticLinkInto(link, band, sampleRate, rng); err != nil {
 		return nil, err
+	}
+	return link, nil
+}
+
+// acousticLinkInto is AcousticLink building into link in place.
+func (s Scenario) acousticLinkInto(link *acoustic.Link, band modem.Band, sampleRate int, rng *rand.Rand) error {
+	if err := s.Validate(); err != nil {
+		return err
 	}
 	mic := acoustic.WatchMic()
 	if band == modem.BandNearUltrasound {
 		mic = acoustic.PhoneMic()
 	}
-	link, err := acoustic.NewLink(sampleRate, s.Distance, acoustic.PhoneSpeaker(), mic, s.Env, rng)
-	if err != nil {
-		return nil, err
+	if err := link.Reset(sampleRate, s.Distance, acoustic.PhoneSpeaker(), mic, s.Env, rng); err != nil {
+		return err
 	}
 	// Body blocking is strongly frequency-dependent: audible wavelengths
 	// (6-30 cm) diffract around a hand while near-ultrasound (~2 cm) is
@@ -110,7 +118,7 @@ func (s Scenario) AcousticLink(band modem.Band, sampleRate int, rng *rand.Rand) 
 			link.Extra = append(link.Extra, burst)
 		}
 	}
-	return link, nil
+	return nil
 }
 
 // AcousticPath is the transmission abstraction the protocol speaks to.
@@ -143,8 +151,10 @@ type linkPath struct {
 	link *acoustic.Link
 	// pooled marks a path the session built for itself: its recordings
 	// come from the dsp pool and never leave the session, which hands
-	// them back through releaseRecording.
+	// them back through releaseRecording before it transmits again.
 	pooled bool
+	// rec is a pooled path's recording, valid until that release.
+	rec audio.Buffer
 }
 
 var _ AcousticPath = (*linkPath)(nil)
@@ -158,7 +168,10 @@ func NewLinkPath(link *acoustic.Link) AcousticPath {
 // Transmit implements AcousticPath.
 func (p *linkPath) Transmit(frame *audio.Buffer, volumeSPL float64) (*audio.Buffer, error) {
 	if p.pooled {
-		return p.link.TransmitPooled(frame, volumeSPL)
+		if err := p.link.TransmitPooled(&p.rec, frame, volumeSPL); err != nil {
+			return nil, err
+		}
+		return &p.rec, nil
 	}
 	return p.link.Transmit(frame, volumeSPL)
 }
@@ -169,14 +182,14 @@ func (p *linkPath) ExtraLatency() time.Duration { return 0 }
 // NominalLeadIn implements AcousticPath.
 func (p *linkPath) NominalLeadIn() int { return p.link.LeadIn }
 
-// sessionPath builds the pooled honest path over the scenario's link for
-// a session that has no caller-supplied path.
-func (s *System) sessionPath(sc Scenario) (AcousticPath, error) {
-	link, err := sc.AcousticLink(s.cfg.Band, probeConfig(s.cfg.Band).SampleRate, s.rng)
-	if err != nil {
-		return nil, err
+// sessionPath builds the pooled honest path over the scenario's link in
+// ws, for an attempt that has no caller-supplied path.
+func (s *System) sessionPath(sc Scenario, ws *workspace) error {
+	if err := sc.acousticLinkInto(&ws.link, s.cfg.Band, probeConfig(s.cfg.Band).SampleRate, s.rng); err != nil {
+		return err
 	}
-	return &linkPath{link: link, pooled: true}, nil
+	ws.path = linkPath{link: &ws.link, pooled: true}
+	return nil
 }
 
 // releaseRecording recycles rec after its last reader when path is one
@@ -184,5 +197,6 @@ func (s *System) sessionPath(sc Scenario) (AcousticPath, error) {
 func releaseRecording(path AcousticPath, rec *audio.Buffer) {
 	if p, ok := path.(*linkPath); ok && p.pooled {
 		dsp.PutFloat(rec.Samples)
+		rec.Samples = nil
 	}
 }

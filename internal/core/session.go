@@ -119,6 +119,25 @@ type Result struct {
 	Degradation DegradationLevel
 }
 
+// reset readies r for a session: every field back to its starting value
+// (BER and EstimatedDistance at their -1 "unmeasured" sentinels), with
+// the Timeline, Energy ledger and DataChannels storage r already owns
+// kept and emptied. A Result without a Timeline gets one sized for steps.
+func (r *Result) reset(steps int) {
+	tl, energy, chans := r.Timeline, r.Energy, r.DataChannels[:0]
+	if tl == nil {
+		tl = &Timeline{steps: make([]Step, 0, steps)}
+	} else {
+		tl.steps = tl.steps[:0]
+	}
+	if energy == nil {
+		energy = NewEnergyLedger()
+	} else {
+		energy.reset()
+	}
+	*r = Result{BER: -1, EstimatedDistance: -1, Timeline: tl, Energy: energy, DataChannels: chans}
+}
+
 // System is a paired phone + watch running the WearLock controllers: it
 // owns the shared OTP state, the keyguard, and the deployment
 // configuration, and executes unlock sessions against scenarios.
@@ -191,7 +210,18 @@ const (
 	_micPowerW      = 0.02                  // watch recording power
 )
 
-// Unlock runs one unlock session for the scenario and is the only way
+// Unlock runs one unlock session for the scenario into a fresh Result:
+// new(Result) plus UnlockInto, which holds the session body and its
+// contract.
+func (s *System) Unlock(ctx context.Context, sc Scenario, path AcousticPath) (*Result, error) {
+	res := new(Result)
+	if err := s.UnlockInto(ctx, sc, path, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// UnlockInto runs one unlock session for the scenario and is the only way
 // into one. A nil path builds the honest acoustic link from the scenario
 // for each attempt, so channel randomness re-rolls per attempt exactly as
 // a re-recorded transmission would; a non-nil path (attack harness,
@@ -199,23 +229,37 @@ const (
 // session is one classic attempt or walks the degradation ladder down to
 // the manual PIN fallback.
 //
+// UnlockInto resets res and refills it, reusing the storage res already
+// owns (its Timeline, Energy ledger and DataChannels): a caller that runs
+// session after session into one Result allocates none of it again.
+// Ownership: res and everything it points to belong to the caller, and
+// the next UnlockInto into res overwrites all of it, so whatever must
+// outlive that call is copied out first. On error res holds a partial
+// session and should be discarded.
+//
 // Cancellation is checked between protocol phases (never mid-DSP), so a
 // canceled session returns promptly with ctx's error and the system state
 // stays consistent: the keyguard and OTP counters only advance in phases
 // that ran to completion.
 //
-// Unlock drives an UnlockMachine to completion; the virtual-time engine
-// steps the same machine one event at a time, so the two are
+// UnlockInto drives an UnlockMachine to completion; the virtual-time
+// engine steps the same machine one event at a time, so the two are
 // bit-identical.
-func (s *System) Unlock(ctx context.Context, sc Scenario, path AcousticPath) (*Result, error) {
+func (s *System) UnlockInto(ctx context.Context, sc Scenario, path AcousticPath, res *Result) error {
 	m := s.NewUnlockMachine(sc, path)
+	m.dst = res
 	for {
 		st, err := m.Step(ctx)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if st.Done {
-			return st.Final, nil
+			if st.Final != res {
+				// The ladder built its per-attempt Results as the machine
+				// always does; the caller's Result takes the merged one.
+				*res = *st.Final
+			}
+			return nil
 		}
 	}
 }
@@ -277,38 +321,39 @@ type attemptOpts struct {
 }
 
 // unlockAttempt is one pass of the protocol — the classic session and
-// each rung of the resilient ladder — on an idle workspace.
-func (s *System) unlockAttempt(ctx context.Context, sc Scenario, path AcousticPath, opts attemptOpts) (*Result, error) {
+// each rung of the resilient ladder — on an idle workspace, into res. A
+// nil path builds the attempt's honest link in the workspace.
+func (s *System) unlockAttempt(ctx context.Context, sc Scenario, path AcousticPath, opts attemptOpts, res *Result) error {
 	ws := getWorkspace()
-	res, err := s.attempt(ctx, sc, path, opts, ws)
-	if res != nil {
-		ws.steps = max(ws.steps, len(res.Timeline.steps))
+	defer putWorkspace(ws)
+	defer ws.dropLinks()
+	if path == nil {
+		if err := s.sessionPath(sc, ws); err != nil {
+			return err
+		}
+		path = &ws.path
 	}
-	putWorkspace(ws)
-	return res, err
+	res.reset(ws.steps)
+	err := s.attempt(ctx, sc, path, opts, ws, res)
+	ws.steps = max(ws.steps, len(res.Timeline.steps))
+	return err
 }
 
 // attempt is unlockAttempt's body.
-func (s *System) attempt(ctx context.Context, sc Scenario, path AcousticPath, opts attemptOpts, ws *workspace) (*Result, error) {
+func (s *System) attempt(ctx context.Context, sc Scenario, path AcousticPath, opts attemptOpts, ws *workspace, res *Result) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		BER:               -1,
-		EstimatedDistance: -1,
-		Timeline:          &Timeline{steps: make([]Step, 0, ws.steps)},
-		Energy:            NewEnergyLedger(),
+		return err
 	}
 	if s.guard.State() == keyguard.StateLockedOut {
 		res.Outcome = OutcomeLockedOut
 		res.Detail = "keyguard locked out; manual authentication required"
-		return res, nil
+		return nil
 	}
 	s.now = s.now.Add(time.Second) // sessions are seconds apart at minimum
 
@@ -316,9 +361,9 @@ func (s *System) attempt(ctx context.Context, sc Scenario, path AcousticPath, op
 	res.Timeline.Add("wakeup/power-button", StepCompute, phone.Name, _osWakeup)
 
 	// Step 1: wireless link presence — the cheapest filter.
-	wl, err := wireless.NewLink(s.cfg.Transport, sc.Distance, s.rng)
-	if err != nil {
-		return nil, err
+	wl := &ws.radio
+	if err := wl.Reset(s.cfg.Transport, sc.Distance, s.rng); err != nil {
+		return err
 	}
 	if sc.Faults != nil {
 		wl.Faults = sc.Faults
@@ -326,13 +371,13 @@ func (s *System) attempt(ctx context.Context, sc Scenario, path AcousticPath, op
 	if !wl.Connected() {
 		res.Outcome = OutcomeAbortedLinkDown
 		res.Detail = fmt.Sprintf("no %s link at %.1f m", s.cfg.Transport, sc.Distance)
-		return res, nil
+		return nil
 	}
 	// Handshake: start-protocol message out, ack + begin-recording back.
 	if err := s.exchange(res, wl, "handshake/start+ack", 64, 2); err != nil {
 		res.Outcome = OutcomeAbortedLinkDown
 		res.Detail = err.Error()
-		return res, nil
+		return nil
 	}
 	res.Timeline.Add("watch/recording-setup", StepCompute, watch.Name, _recordingSetup)
 
@@ -340,15 +385,15 @@ func (s *System) attempt(ctx context.Context, sc Scenario, path AcousticPath, op
 	// accelerometer window; the phone runs DTW.
 	if s.cfg.EnableMotionFilter {
 		if done, err := s.motionFilter(sc, res, wl); err != nil {
-			return nil, err
+			return err
 		} else if done {
-			return res, nil
+			return nil
 		}
 	}
 
 	// Step 3: phase 1 — RTS/CTS channel probing.
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	probeCfg := probeConfig(s.cfg.Band)
 	if opts.toneOnly {
@@ -362,19 +407,19 @@ func (s *System) attempt(ctx context.Context, sc Scenario, path AcousticPath, op
 		if err := s.exchange(res, wl, "phase1/cts-config", 128, 2); err != nil {
 			res.Outcome = OutcomeAbortedLinkDown
 			res.Detail = err.Error()
-			return res, nil
+			return nil
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		return res, s.phase2ToneOnly(sc, res, wl, path, probeCfg)
+		return s.phase2ToneOnly(sc, res, wl, path, probeCfg)
 	}
 	pa, dataCfg, done, err := s.phase1(sc, res, wl, path, probeCfg, ws)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if done {
-		return res, nil
+		return nil
 	}
 
 	// Step 4: mode selection. The strict MaxBER target is tried first;
@@ -401,7 +446,7 @@ func (s *System) attempt(ctx context.Context, sc Scenario, path AcousticPath, op
 	if err != nil {
 		res.Outcome = OutcomeAbortedNoMode
 		res.Detail = err.Error()
-		return res, nil
+		return nil
 	}
 	res.Mode = mode
 	dataCfg.Modulation = mode
@@ -410,19 +455,19 @@ func (s *System) attempt(ctx context.Context, sc Scenario, path AcousticPath, op
 	if err := s.exchange(res, wl, "phase1/cts-config", 128, 2); err != nil {
 		res.Outcome = OutcomeAbortedLinkDown
 		res.Detail = err.Error()
-		return res, nil
+		return nil
 	}
 
 	// Step 5: phase 2 — OTP transmission and validation. The OTP counter
 	// advances inside; checking cancellation here keeps a canceled
 	// session from desynchronizing the generator/verifier pair.
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if opts.toneOnly {
-		return res, s.phase2ToneOnly(sc, res, wl, path, dataCfg)
+		return s.phase2ToneOnly(sc, res, wl, path, dataCfg)
 	}
-	return res, s.phase2(sc, res, wl, path, dataCfg, opts, ws)
+	return s.phase2(sc, res, wl, path, dataCfg, opts, ws)
 }
 
 // exchange sends count control messages over the link, charging timeline
@@ -541,14 +586,14 @@ func (s *System) phase1(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 	}
 	// The probe is one symbol long; its frame is pooled scratch, which the
 	// AcousticPath contract forbids Transmit to keep.
-	probe := audio.Buffer{Samples: dsp.GetFloat(probeCfg.FrameLen(1))[:0]}
-	err = ws.mod.ProbeSymbolInto(&probe, &ws.tx)
+	probe := ws.frame(probeCfg.FrameLen(1))
+	err = ws.mod.ProbeSymbolInto(probe, &ws.tx)
 	if err != nil {
-		dsp.PutFloat(probe.Samples)
+		ws.putFrame()
 		return nil, probeCfg, false, err
 	}
-	rec, err := path.Transmit(&probe, volume)
-	dsp.PutFloat(probe.Samples)
+	rec, err := path.Transmit(probe, volume)
+	ws.putFrame()
 	if err != nil {
 		return nil, probeCfg, false, fmt.Errorf("core: probe transmission: %w", err)
 	}
@@ -653,7 +698,7 @@ func (s *System) phase1(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 		}
 		res.Timeline.Add("phase1/subchannel-selection", StepCompute, analysisDevice.Name, analysisDevice.ComputeTime(modem.Cost{ScalarOps: int64(len(ws.candidates) * 16)}))
 	}
-	res.DataChannels = append([]int(nil), dataCfg.DataChannels...)
+	res.DataChannels = append(res.DataChannels[:0], dataCfg.DataChannels...)
 	return pa, dataCfg, false, nil
 }
 
@@ -722,26 +767,28 @@ func (s *System) phase2(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 	if err != nil {
 		return err
 	}
-	coded, err := modem.EncodeRepetition(otp.TokenBits(token), repetition)
+	ws.tokenBits = otp.TokenBitsInto(ws.tokenBits, token)
+	coded, err := modem.EncodeRepetitionInto(ws.coded, ws.tokenBits, repetition)
 	if err != nil {
 		return err
 	}
+	ws.coded = coded
 	if err := ws.mod.Reset(dataCfg); err != nil {
 		return err
 	}
 	// The token frame is pooled scratch, like the probe's.
-	frame := audio.Buffer{Samples: dsp.GetFloat(dataCfg.FrameLen(len(coded)))[:0]}
-	err = ws.mod.ModulateInto(&frame, coded, &ws.tx)
+	frame := ws.frame(dataCfg.FrameLen(len(coded)))
+	err = ws.mod.ModulateInto(frame, coded, &ws.tx)
 	if err != nil {
-		dsp.PutFloat(frame.Samples)
+		ws.putFrame()
 		return err
 	}
 	// Modulation is fast and partially precomputable (Sec. VI); charge
 	// the (small) IFFT synthesis cost onto the phone profile.
 	res.Timeline.Add("phase2/modulate", StepCompute, phone.Name, phone.ComputeTime(modem.Cost{FFTButterflies: int64(dataCfg.NumSymbols(len(coded))) * 1024, ScalarOps: int64(frame.Len())}))
 
-	rec, err := path.Transmit(&frame, res.VolumeSPL)
-	dsp.PutFloat(frame.Samples)
+	rec, err := path.Transmit(frame, res.VolumeSPL)
+	ws.putFrame()
 	if err != nil {
 		return fmt.Errorf("core: token transmission: %w", err)
 	}
@@ -811,10 +858,11 @@ func (s *System) phase2(sc Scenario, res *Result, wl *wireless.Link, path Acoust
 	if ber, err := modem.BER(rx.Bits, coded); err == nil {
 		res.BER = ber
 	}
-	decoded, err := modem.DecodeRepetition(rx.Bits, repetition)
+	decoded, err := modem.DecodeRepetitionInto(ws.decoded, rx.Bits, repetition)
 	if err != nil {
 		return err
 	}
+	ws.decoded = decoded
 	if !s.cfg.Offload {
 		// The watch returns the decoded token over the control channel.
 		if err := s.exchange(res, wl, "phase2/token-return", 64, 1); err != nil {

@@ -125,28 +125,55 @@ func (t *Timeline) String() string {
 	return b.String()
 }
 
-// EnergyLedger tallies per-device energy in joules.
+// EnergyLedger tallies per-device energy in joules. A session charges
+// two or three devices, so the ledger is a short slice searched linearly
+// rather than a map: one entry per device, created by its first charge of
+// either kind, each kind summed in charge order.
 type EnergyLedger struct {
-	computeJ map[string]float64
-	radioJ   map[string]float64
+	devices []deviceEnergy
+}
+
+// deviceEnergy is one device's running compute and radio sums.
+type deviceEnergy struct {
+	name           string
+	compute, radio float64
 }
 
 // NewEnergyLedger returns an empty ledger.
 func NewEnergyLedger() *EnergyLedger {
-	return &EnergyLedger{
-		computeJ: make(map[string]float64),
-		radioJ:   make(map[string]float64),
+	return &EnergyLedger{devices: make([]deviceEnergy, 0, 2)}
+}
+
+// reset empties the ledger, keeping its storage.
+func (e *EnergyLedger) reset() { e.devices = e.devices[:0] }
+
+// find returns the device's entry, nil when it has none.
+func (e *EnergyLedger) find(deviceName string) *deviceEnergy {
+	for i := range e.devices {
+		if e.devices[i].name == deviceName {
+			return &e.devices[i]
+		}
 	}
+	return nil
+}
+
+// entry returns the device's entry, adding a zero one when it has none.
+func (e *EnergyLedger) entry(deviceName string) *deviceEnergy {
+	if d := e.find(deviceName); d != nil {
+		return d
+	}
+	e.devices = append(e.devices, deviceEnergy{name: deviceName})
+	return &e.devices[len(e.devices)-1]
 }
 
 // AddCompute charges compute energy to a device.
 func (e *EnergyLedger) AddCompute(deviceName string, joules float64) {
-	e.computeJ[deviceName] += joules
+	e.entry(deviceName).compute += joules
 }
 
 // AddRadio charges radio energy to a device.
 func (e *EnergyLedger) AddRadio(deviceName string, joules float64) {
-	e.radioJ[deviceName] += joules
+	e.entry(deviceName).radio += joules
 }
 
 // Merge adds another ledger's charges into this one.
@@ -154,21 +181,33 @@ func (e *EnergyLedger) Merge(other *EnergyLedger) {
 	if other == nil {
 		return
 	}
-	for name, j := range other.computeJ {
-		e.computeJ[name] += j
-	}
-	for name, j := range other.radioJ {
-		e.radioJ[name] += j
+	for _, o := range other.devices {
+		d := e.entry(o.name)
+		d.compute += o.compute
+		d.radio += o.radio
 	}
 }
 
 // Compute returns compute joules charged to a device.
-func (e *EnergyLedger) Compute(deviceName string) float64 { return e.computeJ[deviceName] }
+func (e *EnergyLedger) Compute(deviceName string) float64 {
+	if d := e.find(deviceName); d != nil {
+		return d.compute
+	}
+	return 0
+}
 
 // Radio returns radio joules charged to a device.
-func (e *EnergyLedger) Radio(deviceName string) float64 { return e.radioJ[deviceName] }
+func (e *EnergyLedger) Radio(deviceName string) float64 {
+	if d := e.find(deviceName); d != nil {
+		return d.radio
+	}
+	return 0
+}
 
 // Total returns all joules charged to a device.
 func (e *EnergyLedger) Total(deviceName string) float64 {
-	return e.computeJ[deviceName] + e.radioJ[deviceName]
+	if d := e.find(deviceName); d != nil {
+		return d.compute + d.radio
+	}
+	return 0
 }

@@ -3,16 +3,22 @@ package core
 import (
 	"sync"
 
+	"wearlock/internal/acoustic"
+	"wearlock/internal/audio"
+	"wearlock/internal/dsp"
 	"wearlock/internal/modem"
+	"wearlock/internal/wireless"
 )
 
-// workspace is the DSP scratch of one unlock attempt (DESIGN.md §10): the
+// workspace is the scratch of one unlock attempt (DESIGN.md §10): the
 // modem's transmit and receive workspaces, with the probe analysis the
 // receive side hands out; the modulator and demodulator, reset per use;
 // the noise-similarity envelopes and spectra; the sub-channel selection's
-// sets; and how many timeline steps an attempt has recorded, which sizes
-// the next attempt's timeline. Nothing a Result carries out of the attempt
-// aliases it.
+// sets; the token's bits and the repetition codec's coded and decoded
+// streams; the attempt's radio link, its own honest acoustic link and the
+// path over it, and the header of the frame on air; and how many timeline
+// steps an attempt has recorded, which sizes the next fresh timeline.
+// Nothing a Result carries out of the attempt aliases it.
 type workspace struct {
 	tx    modem.TxWorkspace
 	rx    modem.RxWorkspace
@@ -24,7 +30,38 @@ type workspace struct {
 	ranks      []modem.SubChannelRank
 	selected   []int
 
+	tokenBits, coded, decoded []byte
+
+	link  acoustic.Link
+	path  linkPath
+	radio wireless.Link
+	// txFrame is the frame being transmitted, from frame to putFrame:
+	// pooled samples under a header kept here, so no transmission
+	// allocates one.
+	txFrame audio.Buffer
+
 	steps int
+}
+
+// frame takes an empty pooled frame with room for n samples.
+func (ws *workspace) frame(n int) *audio.Buffer {
+	ws.txFrame = audio.Buffer{Samples: dsp.GetFloat(n)[:0]}
+	return &ws.txFrame
+}
+
+// putFrame hands the frame's samples back to the pool.
+func (ws *workspace) putFrame() {
+	dsp.PutFloat(ws.txFrame.Samples)
+	ws.txFrame = audio.Buffer{}
+}
+
+// dropLinks forgets the attempt's links, so an idle workspace keeps no
+// scenario, fault set or random source alive.
+func (ws *workspace) dropLinks() {
+	clear(ws.link.Extra)
+	ws.link = acoustic.Link{Extra: ws.link.Extra[:0]}
+	ws.path = linkPath{}
+	ws.radio = wireless.Link{}
 }
 
 // _workspaces is the free list of idle workspaces. Unlike a sync.Pool it

@@ -75,6 +75,9 @@ func (c *BERCurve) MinEbN0For(targetBER float64) float64 {
 // answers mode-selection queries.
 type ModeTable struct {
 	curves map[Modulation]*BERCurve
+	// modes lists the curves' modulations by increasing bits per symbol
+	// (robust first), sorted once by NewModeTable.
+	modes []Modulation
 }
 
 // NewModeTable builds a table from calibration curves.
@@ -97,7 +100,18 @@ func NewModeTable(curves []*BERCurve) (*ModeTable, error) {
 		}
 		m[c.Modulation] = c
 	}
-	return &ModeTable{curves: m}, nil
+	modes := make([]Modulation, 0, len(m))
+	for mod := range m {
+		modes = append(modes, mod)
+	}
+	sort.Slice(modes, func(i, j int) bool {
+		bi, bj := modes[i].BitsPerSymbol(), modes[j].BitsPerSymbol()
+		if bi != bj {
+			return bi < bj
+		}
+		return modes[i] < modes[j]
+	})
+	return &ModeTable{curves: m, modes: modes}, nil
 }
 
 // DefaultModeTable returns curves calibrated against this repository's
@@ -126,23 +140,6 @@ func DefaultModeTable() *ModeTable {
 	return table
 }
 
-// Modes returns the modulations in the table ordered by increasing bits
-// per symbol (robust first).
-func (t *ModeTable) Modes() []Modulation {
-	out := make([]Modulation, 0, len(t.curves))
-	for m := range t.curves {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		bi, bj := out[i].BitsPerSymbol(), out[j].BitsPerSymbol()
-		if bi != bj {
-			return bi < bj
-		}
-		return out[i] < out[j]
-	})
-	return out
-}
-
 // ErrNoMode is returned when no modulation meets the BER constraint.
 type ErrNoMode struct {
 	EbN0dB float64
@@ -162,10 +159,9 @@ func (t *ModeTable) SelectMode(ebN0dB, maxBER float64) (Modulation, error) {
 	if maxBER <= 0 || maxBER >= 1 {
 		return 0, fmt.Errorf("modem: MaxBER %.4f outside (0, 1)", maxBER)
 	}
-	modes := t.Modes()
-	for i := len(modes) - 1; i >= 0; i-- {
-		if t.curves[modes[i]].PredictBER(ebN0dB) <= maxBER {
-			return modes[i], nil
+	for i := len(t.modes) - 1; i >= 0; i-- {
+		if t.curves[t.modes[i]].PredictBER(ebN0dB) <= maxBER {
+			return t.modes[i], nil
 		}
 	}
 	return 0, &ErrNoMode{EbN0dB: ebN0dB, MaxBER: maxBER}

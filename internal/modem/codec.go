@@ -17,22 +17,38 @@ const DefaultRepetition = 5
 // across different OFDM symbols and sub-channels for interference
 // diversity). k must be odd and positive.
 func EncodeRepetition(bits []byte, k int) ([]byte, error) {
+	return EncodeRepetitionInto(nil, bits, k)
+}
+
+// EncodeRepetitionInto is EncodeRepetition appending to dst[:0], so a
+// caller that keeps dst allocates nothing once it is large enough. bits
+// must not overlap dst.
+func EncodeRepetitionInto(dst, bits []byte, k int) ([]byte, error) {
 	if k <= 0 || k%2 == 0 {
 		return nil, fmt.Errorf("modem: repetition factor %d must be odd and positive", k)
 	}
 	if len(bits) == 0 {
 		return nil, fmt.Errorf("modem: empty bit sequence")
 	}
-	out := make([]byte, 0, len(bits)*k)
-	for i := 0; i < k; i++ {
-		out = append(out, bits...)
+	if cap(dst) < len(bits)*k {
+		dst = make([]byte, 0, len(bits)*k)
 	}
-	return out, nil
+	dst = dst[:0]
+	for i := 0; i < k; i++ {
+		dst = append(dst, bits...)
+	}
+	return dst, nil
 }
 
 // DecodeRepetition majority-votes k received copies back into the
 // original sequence. len(bits) must be a multiple of k.
 func DecodeRepetition(bits []byte, k int) ([]byte, error) {
+	return DecodeRepetitionInto(nil, bits, k)
+}
+
+// DecodeRepetitionInto is DecodeRepetition writing into dst's storage
+// when it is large enough. bits must not overlap dst.
+func DecodeRepetitionInto(dst, bits []byte, k int) ([]byte, error) {
 	if k <= 0 || k%2 == 0 {
 		return nil, fmt.Errorf("modem: repetition factor %d must be odd and positive", k)
 	}
@@ -40,7 +56,10 @@ func DecodeRepetition(bits []byte, k int) ([]byte, error) {
 		return nil, fmt.Errorf("modem: %d bits not a multiple of repetition factor %d", len(bits), k)
 	}
 	n := len(bits) / k
-	out := make([]byte, n)
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	dst = dst[:n]
 	for i := 0; i < n; i++ {
 		votes := 0
 		for copyIdx := 0; copyIdx < k; copyIdx++ {
@@ -50,9 +69,10 @@ func DecodeRepetition(bits []byte, k int) ([]byte, error) {
 			}
 			votes += int(b)
 		}
+		dst[i] = 0
 		if votes*2 > k {
-			out[i] = 1
+			dst[i] = 1
 		}
 	}
-	return out, nil
+	return dst, nil
 }

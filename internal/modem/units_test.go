@@ -1,6 +1,7 @@
 package modem
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -120,8 +121,10 @@ func TestDataRateFormula(t *testing.T) {
 
 // Property: repetition encode/decode is the identity for any bits and any
 // odd factor, and majority voting corrects up to (k-1)/2 corrupted copies
-// of a single position.
+// of a single position. The Into forms, given buffers a previous use left
+// full of ones, return the same bits.
 func TestRepetitionCodecProperty(t *testing.T) {
+	dirty := func() []byte { return bytes.Repeat([]byte{1}, 7*64) }
 	f := func(seed int64, nRaw, kRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%64 + 1
@@ -134,6 +137,9 @@ func TestRepetitionCodecProperty(t *testing.T) {
 		if len(coded) != n*k {
 			return false
 		}
+		if into, err := EncodeRepetitionInto(dirty(), bits, k); err != nil || !bytes.Equal(into, coded) {
+			return false
+		}
 		// Corrupt (k-1)/2 copies of one random position.
 		pos := rng.Intn(n)
 		for c := 0; c < (k-1)/2; c++ {
@@ -141,6 +147,9 @@ func TestRepetitionCodecProperty(t *testing.T) {
 		}
 		decoded, err := DecodeRepetition(coded, k)
 		if err != nil {
+			return false
+		}
+		if into, err := DecodeRepetitionInto(dirty(), coded, k); err != nil || !bytes.Equal(into, decoded) {
 			return false
 		}
 		errs, err := BitErrors(decoded, bits)

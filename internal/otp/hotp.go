@@ -50,6 +50,7 @@ type hotp struct {
 	key []byte
 	mac hash.Hash
 	sum [sha1.Size]byte
+	msg [8]byte // the MAC input (the counter), held here so no token allocates it
 }
 
 func (h *hotp) token(counter uint64) uint32 {
@@ -58,9 +59,8 @@ func (h *hotp) token(counter uint64) uint32 {
 	} else {
 		h.mac.Reset()
 	}
-	var msg [8]byte
-	binary.BigEndian.PutUint64(msg[:], counter)
-	h.mac.Write(msg[:]) // a hash.Hash Write never fails
+	binary.BigEndian.PutUint64(h.msg[:], counter)
+	h.mac.Write(h.msg[:]) // a hash.Hash Write never fails
 	sum := h.mac.Sum(h.sum[:0])
 	// Dynamic truncation: the low 4 bits of the last byte select a 4-byte
 	// window; mask the top bit.
@@ -81,11 +81,20 @@ func Digits(token uint32, n int) (string, error) {
 // TokenBits returns the token as BitLength bits (MSB first, values 0/1),
 // the form modulated onto the acoustic data sub-channels.
 func TokenBits(token uint32) []byte {
-	out := make([]byte, BitLength)
-	for i := 0; i < BitLength; i++ {
-		out[i] = byte(token>>(BitLength-1-i)) & 1
+	return TokenBitsInto(nil, token)
+}
+
+// TokenBitsInto is TokenBits writing into dst's storage when it holds
+// BitLength bytes; it returns the bits.
+func TokenBitsInto(dst []byte, token uint32) []byte {
+	if cap(dst) < BitLength {
+		dst = make([]byte, BitLength)
 	}
-	return out
+	dst = dst[:BitLength]
+	for i := range dst {
+		dst[i] = byte(token>>(BitLength-1-i)) & 1
+	}
+	return dst
 }
 
 // BitLength is the number of bits in an acoustic OTP token. The paper

@@ -36,7 +36,7 @@ func TestChaosSessionsReachDefinedStates(t *testing.T) {
 
 	const submissions = 24
 	var (
-		results       []*core.Result
+		results       []Answer
 		chaosRejected uint64
 	)
 	for i := 0; i < submissions; i++ {
@@ -61,8 +61,8 @@ func TestChaosSessionsReachDefinedStates(t *testing.T) {
 		if werr := sess.Err(); werr != nil {
 			t.Fatalf("session %d failed: %v", i, werr)
 		}
-		res := sess.Outcome()
-		if res == nil || res.Outcome == 0 {
+		res, ok := sess.Answer()
+		if !ok {
 			t.Fatalf("session %d finished in an undefined state", i)
 		}
 		if v := sess.Snapshot(); v.State != "done" {

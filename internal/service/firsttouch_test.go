@@ -346,7 +346,7 @@ func firstTouchRace(t *testing.T, s *Service, dev, sessions int, also ...func())
 		seen[sys] = true
 		mu.Unlock()
 	}
-	s.unlock = func(ctx context.Context, d *devicePair, sc core.Scenario) (*core.Result, error) {
+	s.unlock = func(ctx context.Context, d *devicePair, sc core.Scenario) (Answer, error) {
 		res, err := s.runOnDevice(ctx, d, sc)
 		see(d)
 		return res, err

@@ -124,8 +124,8 @@ func TestRestartChaos50Cycles(t *testing.T) {
 			if sess.Err() != nil {
 				t.Fatalf("cycle %d: device %d session failed after recovery: %v", cycle, dev, sess.Err())
 			}
-			res := sess.Outcome()
-			if res == nil || !res.Unlocked {
+			res, ok := sess.Answer()
+			if !ok || !res.Unlocked {
 				t.Fatalf("cycle %d: device %d desynced — post-recovery session did not unlock (%+v)",
 					cycle, dev, res)
 			}

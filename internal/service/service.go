@@ -203,9 +203,14 @@ type Session struct {
 	state     SessionState
 	submitted time.Time
 	started   time.Time
-	finished  time.Time
-	result    *core.Result
-	err       error
+	// finished is written once, holding both Service.mu and mu, so
+	// either lock reads it.
+	finished time.Time
+	answer   Answer // zero until the session ran
+	err      error
+	// nextFinished links the service's finished sessions in finish
+	// order, for the GC sweep; Service.mu guards it.
+	nextFinished *Session
 
 	done chan struct{}
 }
@@ -243,16 +248,16 @@ func (sess *Session) Snapshot() View {
 	if sess.err != nil {
 		v.Error = sess.err.Error()
 	}
-	if res := sess.result; res != nil {
-		v.Outcome = res.Outcome.String()
-		v.Unlocked = res.Unlocked
-		v.Detail = res.Detail
+	if a := sess.answer; a.Outcome != 0 {
+		v.Outcome = a.Outcome.String()
+		v.Unlocked = a.Unlocked
+		v.Detail = a.Detail
 		// encoding/json refuses NaN/Inf after the status line is already
 		// written, truncating the response body — never let a degenerate
 		// measurement reach the wire.
-		v.BER = finiteOr(res.BER, -1)
-		v.EbN0dB = finiteOr(res.EbN0dB, 0)
-		v.UnlockDelayMS = float64(res.Timeline.Total().Microseconds()) / 1000
+		v.BER = finiteOr(a.BER, -1)
+		v.EbN0dB = finiteOr(a.EbN0dB, 0)
+		v.UnlockDelayMS = float64(a.Delay.Microseconds()) / 1000
 	}
 	if !sess.finished.IsZero() {
 		v.WallMS = float64(sess.finished.Sub(sess.submitted).Microseconds()) / 1000
@@ -278,11 +283,47 @@ func (sess *Session) Wait(ctx context.Context) error {
 	}
 }
 
-// Outcome returns the terminal result, nil while unfinished or failed.
-func (sess *Session) Outcome() *core.Result {
+// Answer returns what the session kept of its terminal result; ok is
+// false while it is unfinished or when its protocol session never ran to
+// an outcome.
+func (sess *Session) Answer() (a Answer, ok bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	return sess.result
+	return sess.answer, sess.answer.Outcome != 0
+}
+
+// Answer is what a finished session keeps of its core.Result: the fields
+// Snapshot and the session metrics read, copied out of the device's
+// Result before the device runs its next session into it (DESIGN.md §8).
+type Answer struct {
+	Outcome  core.Outcome
+	Unlocked bool
+	Detail   string
+	BER      float64
+	EbN0dB   float64
+	// Delay is the simulated end-to-end protocol delay,
+	// Timeline.Total().
+	Delay time.Duration
+	// Decode is the phase-2 receive time: the timeline's
+	// phase2/pre-processing plus phase2/demodulation steps.
+	Decode      time.Duration
+	Attempts    int
+	Degradation core.DegradationLevel
+}
+
+// answerOf copies res's answer out.
+func answerOf(res *core.Result) Answer {
+	return Answer{
+		Outcome:     res.Outcome,
+		Unlocked:    res.Unlocked,
+		Detail:      res.Detail,
+		BER:         res.BER,
+		EbN0dB:      res.EbN0dB,
+		Delay:       res.Timeline.Total(),
+		Decode:      res.Timeline.TotalFor("phase2/pre-processing") + res.Timeline.TotalFor("phase2/demodulation"),
+		Attempts:    res.Attempts,
+		Degradation: res.Degradation,
+	}
 }
 
 // Err returns the session's terminal error, if any.
@@ -298,6 +339,10 @@ func (sess *Session) Err() error {
 // of the durable state, so a restarted daemon can fast-forward a fresh
 // stream to exactly where the crashed process left off.
 //
+// res is the Result every session on the pair runs into (under mu, made
+// by the pair's first session); a session keeps only the Answer it copies
+// out before mu is released.
+//
 // A pair is built on first touch: sys and src stay nil until lock()
 // builds them from seed, so a daemon's set-up costs nothing per device.
 // The stream is private to the device and its key is always the first
@@ -312,6 +357,7 @@ type devicePair struct {
 	mu   sync.Mutex
 	sys  *core.System
 	src  *sim.CountingSource
+	res  *core.Result
 	// recovered is the durable record recovery checked and left for the
 	// first build to restore; nil once applied or when there is none.
 	recovered *store.DeviceState
@@ -470,12 +516,16 @@ type Service struct {
 
 	// unlock runs one session on a device; tests swap it to control
 	// timing precisely.
-	unlock func(ctx context.Context, dev *devicePair, sc core.Scenario) (*core.Result, error)
+	unlock func(ctx context.Context, dev *devicePair, sc core.Scenario) (Answer, error)
 
 	mu       sync.Mutex
 	sessions map[string]*Session
 	seq      uint64
 	draining bool
+	// firstFinished and lastFinished (under mu) bound the finished
+	// sessions, linked in finish order, so a GC sweep visits only the
+	// ones it drops.
+	firstFinished, lastFinished *Session
 
 	inflight sync.WaitGroup
 	gcStop   chan struct{}
@@ -622,7 +672,7 @@ func (s *Service) Scenarios() []string { return ScenarioNames(s.scenarios) }
 // from concurrent devices share fsyncs in the store's group committer.
 // The accepted⇒durable promise is untouched — this session is not
 // reported done until its handle resolves.
-func (s *Service) runOnDevice(ctx context.Context, dev *devicePair, sc core.Scenario) (*core.Result, error) {
+func (s *Service) runOnDevice(ctx context.Context, dev *devicePair, sc core.Scenario) (Answer, error) {
 	dev.lock()
 	// A session admitted before a handoff fence but scheduled after it
 	// must not advance counters the fenced tail export already shipped:
@@ -630,13 +680,22 @@ func (s *Service) runOnDevice(ctx context.Context, dev *devicePair, sc core.Scen
 	// quiesces.
 	if s.shardFenced(dev.id) {
 		dev.mu.Unlock()
-		return nil, ErrFenced
+		return Answer{}, ErrFenced
 	}
-	res, err := dev.sys.Unlock(ctx, sc, nil)
+	// The session runs into the pair's own Result; its answer is copied
+	// out here, before mu is released and the next session reuses it.
+	if dev.res == nil {
+		dev.res = new(core.Result)
+	}
+	var ans Answer
+	err := dev.sys.UnlockInto(ctx, sc, nil, dev.res)
+	if err == nil {
+		ans = answerOf(dev.res)
+	}
 	// With the resilience ladder on, a lockout already ended in the PIN
 	// fallback (OutcomeFallbackPIN), so this only fires for classic
 	// sessions.
-	if err == nil && res.Outcome == core.OutcomeLockedOut {
+	if ans.Outcome == core.OutcomeLockedOut {
 		dev.sys.ManualUnlock()
 		s.m.manualUnlocks.Inc()
 	}
@@ -649,8 +708,8 @@ func (s *Service) runOnDevice(ctx context.Context, dev *devicePair, sc core.Scen
 	// scaled protocol timeline, modeling the acoustic channel's real
 	// occupancy. Done while dev.mu is held: the channel is busy, so the
 	// device is. The commit rides the channel-occupancy window.
-	if s.cfg.PaceAirtime > 0 && res != nil {
-		if d := time.Duration(float64(res.Timeline.Total()) * s.cfg.PaceAirtime); d > 0 {
+	if s.cfg.PaceAirtime > 0 {
+		if d := time.Duration(float64(ans.Delay) * s.cfg.PaceAirtime); d > 0 {
 			t := time.NewTimer(d)
 			select {
 			case <-t.C:
@@ -672,7 +731,7 @@ func (s *Service) runOnDevice(ctx context.Context, dev *devicePair, sc core.Scen
 		// cluster has moved past.
 		err = s.replWaitReplicated(ctx, commit)
 	}
-	return res, err
+	return ans, err
 }
 
 // Submit admits one unlock request. On success the session is queued and
@@ -754,11 +813,18 @@ func (s *Service) Submit(req Request) (*Session, error) {
 	}
 	// The inflight count covers queued work too, and is raised under mu
 	// so Drain (which flips draining under the same lock before waiting)
-	// can never miss an admitted session.
+	// can never miss an admitted session. The session is tracked before
+	// it can run, so it is in sessions before it can finish and expire.
 	s.inflight.Add(1)
+	s.sessions[sess.ID] = sess
+	s.m.tracked.Set(int64(len(s.sessions)))
 	s.mu.Unlock()
 
 	if err := s.pool.TrySubmit(func() { s.run(sess, dev, sc, timeout) }); err != nil {
+		s.mu.Lock()
+		delete(s.sessions, sess.ID)
+		s.m.tracked.Set(int64(len(s.sessions)))
+		s.mu.Unlock()
 		s.inflight.Done()
 		s.m.rejected.With("queue_full").Inc()
 		if s.cfg.Chaos != nil {
@@ -766,11 +832,6 @@ func (s *Service) Submit(req Request) (*Session, error) {
 		}
 		return nil, ErrQueueFull
 	}
-
-	s.mu.Lock()
-	s.sessions[sess.ID] = sess
-	s.m.tracked.Set(int64(len(s.sessions)))
-	s.mu.Unlock()
 	s.m.queueDepth.Set(int64(s.pool.Depth()))
 	return sess, nil
 }
@@ -800,13 +861,23 @@ func (s *Service) run(sess *Session, dev *devicePair, sc core.Scenario, timeout 
 	sess.mu.Unlock()
 
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	res, err := s.unlock(ctx, dev, sc)
+	ans, err := s.unlock(ctx, dev, sc)
 	cancel()
 
+	// The finish time is read under s.mu, so the finished sessions link
+	// up in finish order.
+	s.mu.Lock()
 	now := s.clock.Now()
+	if s.lastFinished == nil {
+		s.firstFinished = sess
+	} else {
+		s.lastFinished.nextFinished = sess
+	}
+	s.lastFinished = sess
 	sess.mu.Lock()
 	sess.finished = now
-	sess.result = res
+	s.mu.Unlock()
+	sess.answer = ans
 	sess.err = err
 	if err != nil {
 		sess.state = StateFailed
@@ -817,12 +888,12 @@ func (s *Service) run(sess *Session, dev *devicePair, sc core.Scenario, timeout 
 	sess.mu.Unlock()
 	// Metrics first, then done: a waiter or a /metrics scrape that follows
 	// the response must already see this session counted.
-	s.recordSession(res, err, wall)
+	s.recordSession(ans, err, wall)
 	close(sess.done)
 }
 
 // recordSession publishes one finished session's metrics.
-func (s *Service) recordSession(res *core.Result, err error, wall time.Duration) {
+func (s *Service) recordSession(res Answer, err error, wall time.Duration) {
 	s.m.wallSeconds.Observe(wall.Seconds())
 	s.observeWall(wall)
 	if err != nil {
@@ -840,10 +911,9 @@ func (s *Service) recordSession(res *core.Result, err error, wall time.Duration)
 		s.m.fallback.Inc()
 		s.m.manualUnlocks.Inc()
 	}
-	s.m.unlockDelay.Observe(res.Timeline.Total().Seconds())
-	if decode := res.Timeline.TotalFor("phase2/pre-processing") +
-		res.Timeline.TotalFor("phase2/demodulation"); decode > 0 {
-		s.m.decodeSeconds.Observe(decode.Seconds())
+	s.m.unlockDelay.Observe(res.Delay.Seconds())
+	if res.Decode > 0 {
+		s.m.decodeSeconds.Observe(res.Decode.Seconds())
 	}
 	if res.BER >= 0 {
 		s.m.ber.Observe(res.BER)
@@ -994,20 +1064,21 @@ func (s *Service) gcLoop() {
 	}
 }
 
-// gcOnce sweeps sessions whose finish time is older than the TTL.
+// gcOnce drops the sessions whose finish time is older than the TTL. They
+// lead the finish-ordered list, so the sweep visits none it keeps.
 func (s *Service) gcOnce(now time.Time) {
 	cutoff := now.Add(-s.cfg.SessionTTL)
 	s.mu.Lock()
 	var dropped uint64
-	for id, sess := range s.sessions {
-		sess.mu.Lock()
-		expired := (sess.state == StateDone || sess.state == StateFailed) &&
-			sess.finished.Before(cutoff)
-		sess.mu.Unlock()
-		if expired {
-			delete(s.sessions, id)
-			dropped++
-		}
+	for sess := s.firstFinished; sess != nil && sess.finished.Before(cutoff); sess = s.firstFinished {
+		delete(s.sessions, sess.ID)
+		dropped++
+		// Unlinked, a dropped session a client still holds keeps none of
+		// the later ones alive.
+		s.firstFinished, sess.nextFinished = sess.nextFinished, nil
+	}
+	if s.firstFinished == nil {
+		s.lastFinished = nil
 	}
 	s.m.tracked.Set(int64(len(s.sessions)))
 	s.mu.Unlock()

@@ -35,13 +35,13 @@ func blockableService(t *testing.T, cfg Config) (*Service, chan struct{}) {
 		t.Fatalf("New: %v", err)
 	}
 	release := make(chan struct{})
-	s.unlock = func(ctx context.Context, dev *devicePair, sc core.Scenario) (*core.Result, error) {
+	s.unlock = func(ctx context.Context, dev *devicePair, sc core.Scenario) (Answer, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return Answer{}, ctx.Err()
 		}
-		return &core.Result{Outcome: core.OutcomeUnlocked, Unlocked: true, BER: -1, Timeline: &core.Timeline{}}, nil
+		return Answer{Outcome: core.OutcomeUnlocked, Unlocked: true, BER: -1}, nil
 	}
 	return s, release
 }

@@ -505,7 +505,7 @@ func TestUnlockStreamGatewayClose(t *testing.T) {
 	defer func() { _ = s.Shutdown(context.Background()) }()
 	gate := make(chan struct{})
 	direct := s.unlock
-	s.unlock = func(ctx context.Context, dev *devicePair, sc core.Scenario) (*core.Result, error) {
+	s.unlock = func(ctx context.Context, dev *devicePair, sc core.Scenario) (Answer, error) {
 		if dev.id == 2 {
 			<-gate
 		}

@@ -115,16 +115,27 @@ type Link struct {
 // NewLink creates a control link. rng drives latency jitter; pass a seeded
 // source for reproducible experiments.
 func NewLink(transport Transport, distance float64, rng *rand.Rand) (*Link, error) {
+	l := new(Link)
+	if err := l.Reset(transport, distance, rng); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// Reset rebuilds l in place as NewLink builds a link, so a caller that
+// runs link after link can keep one. l must not be in use.
+func (l *Link) Reset(transport Transport, distance float64, rng *rand.Rand) error {
 	if !transport.Valid() {
-		return nil, fmt.Errorf("wireless: unknown transport %d", int(transport))
+		return fmt.Errorf("wireless: unknown transport %d", int(transport))
 	}
 	if distance < 0 {
-		return nil, fmt.Errorf("wireless: distance %.2f m must be non-negative", distance)
+		return fmt.Errorf("wireless: distance %.2f m must be non-negative", distance)
 	}
 	if rng == nil {
-		return nil, fmt.Errorf("wireless: link requires a random source")
+		return fmt.Errorf("wireless: link requires a random source")
 	}
-	return &Link{Transport: transport, Distance: distance, rng: rng}, nil
+	*l = Link{Transport: transport, Distance: distance, rng: rng}
+	return nil
 }
 
 // ErrLinkDown is returned when the control link is absent.
