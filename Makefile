@@ -130,8 +130,6 @@ test-replica:
 # seconds of mutation.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadWAV -fuzztime=10s ./internal/audio
-	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/proto
-	$(GO) test -run='^$$' -fuzz=FuzzPayloadDecoders -fuzztime=10s ./internal/proto
 	$(GO) test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentedReplay -fuzztime=10s ./internal/store

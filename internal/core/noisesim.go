@@ -86,19 +86,19 @@ func noiseSimilarity(phone, watch *audio.Buffer, s *noiseScratch) (float64, int6
 	return score, ops, nil
 }
 
-// inBandWindow is InBandNoiseSPL's transform length; _inBandHann is its
+// inBandWindow is inBandNoiseSPL's transform length; _inBandHann is its
 // analysis window, built once and read-only.
 const inBandWindow = 256
 
 var _inBandHann = sync.OnceValues(func() ([]float64, error) { return dsp.Window(dsp.WindowHann, inBandWindow) })
 
-// InBandNoiseSPL measures the ambient noise level inside the modem's
+// inBandNoiseSPL measures the ambient noise level inside the modem's
 // occupied band (the pilot span) from a noise-only recording, in dB SPL.
 // The protocol plans the speaker volume from this — not from the broadband
 // level — because only in-band noise competes with the sub-channels
 // (Sec. III "Ambient noise measurement ... used to set proper speaker
 // volume to control the transmission range").
-func InBandNoiseSPL(rec *audio.Buffer, lowHz, highHz float64) (float64, int64, error) {
+func inBandNoiseSPL(rec *audio.Buffer, lowHz, highHz float64) (float64, int64, error) {
 	if highHz <= lowHz || lowHz < 0 {
 		return 0, 0, fmt.Errorf("core: invalid band [%.0f, %.0f] Hz", lowHz, highHz)
 	}

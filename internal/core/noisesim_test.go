@@ -70,25 +70,25 @@ func TestInBandNoiseSPL(t *testing.T) {
 	}
 	audio.ScaleToSPL(tone, 60)
 	_ = rng
-	inBand, _, err := InBandNoiseSPL(tone, 2000, 4000)
+	inBand, _, err := inBandNoiseSPL(tone, 2000, 4000)
 	if err != nil {
-		t.Fatalf("InBandNoiseSPL: %v", err)
+		t.Fatalf("inBandNoiseSPL: %v", err)
 	}
 	if inBand < 58 || inBand > 61 {
 		t.Errorf("in-band level %.1f dB, want ~60", inBand)
 	}
-	outBand, _, err := InBandNoiseSPL(tone, 8000, 10000)
+	outBand, _, err := inBandNoiseSPL(tone, 8000, 10000)
 	if err != nil {
-		t.Fatalf("InBandNoiseSPL: %v", err)
+		t.Fatalf("inBandNoiseSPL: %v", err)
 	}
 	if outBand > 20 {
 		t.Errorf("out-of-band level %.1f dB, want near silence", outBand)
 	}
-	if _, _, err := InBandNoiseSPL(tone, 4000, 2000); err == nil {
+	if _, _, err := inBandNoiseSPL(tone, 4000, 2000); err == nil {
 		t.Error("accepted inverted band")
 	}
 	tiny, _ := audio.NewBuffer(44100, 10)
-	if _, _, err := InBandNoiseSPL(tiny, 100, 200); err == nil {
+	if _, _, err := inBandNoiseSPL(tiny, 100, 200); err == nil {
 		t.Error("accepted too-short recording")
 	}
 }

@@ -722,7 +722,7 @@ func (s *System) measureAmbient(sc Scenario, probeCfg modem.Config) (float64, in
 	pilots := probeCfg.SortedPilots()
 	lowHz := probeCfg.SubChannelHz(pilots[0])
 	highHz := probeCfg.SubChannelHz(pilots[len(pilots)-1])
-	return InBandNoiseSPL(&ambient, lowHz, highHz)
+	return inBandNoiseSPL(&ambient, lowHz, highHz)
 }
 
 // noiseFilter compares simultaneous ambient recordings from both devices,

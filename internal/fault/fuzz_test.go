@@ -74,7 +74,6 @@ func FuzzFaultSchedule(f *testing.F) {
 		for session := int64(0); session < 4; session++ {
 			sf := ForSession(s, 42, session)
 			sf.LinkFault()
-			sf.MessageFault()
 			sf.ExtraLossDB()
 			sf.ComputeSlowdown()
 			sf.PoolExhausted()

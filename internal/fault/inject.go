@@ -32,9 +32,6 @@ type SessionFaults struct {
 	linkDropP    float64
 	latencyMult  float64
 	latencyExtra time.Duration
-	msgLossP     float64
-	msgDupP      float64
-	msgReorderP  float64
 	slowFactor   float64
 	poolExhaust  bool
 
@@ -136,12 +133,6 @@ func (sf *SessionFaults) arm(r Rule) {
 		}
 		sf.latencyMult = mult
 		sf.latencyExtra = time.Duration(r.ExtraMS * float64(time.Millisecond))
-	case KindMsgLoss:
-		sf.msgLossP = opProb
-	case KindMsgDup:
-		sf.msgDupP = opProb
-	case KindMsgReorder:
-		sf.msgReorderP = opProb
 	case KindDeviceSlow:
 		f := r.SlowFactor
 		if f == 0 {
@@ -197,27 +188,6 @@ func (sf *SessionFaults) LinkFault() (drop bool, latencyMult float64, extra time
 		mult = 1
 	}
 	return sf.roll(sf.linkDropP), mult, sf.latencyExtra
-}
-
-// MessageFault rolls the control-message faults for one framed message:
-// silently dropped, delivered twice, or held back behind the next send.
-// The three conditions are mutually exclusive.
-func (sf *SessionFaults) MessageFault() (drop, dup, hold bool) {
-	if sf == nil {
-		return false, false, false
-	}
-	// Always three draws, in fixed order, so one armed kind does not
-	// shift the stream of the others.
-	drop = sf.roll(sf.msgLossP)
-	dup = sf.roll(sf.msgDupP)
-	hold = sf.roll(sf.msgReorderP)
-	if drop {
-		return true, false, false
-	}
-	if dup {
-		return false, true, false
-	}
-	return false, false, hold
 }
 
 // ExtraLossDB reports the armed flat SNR collapse on the acoustic path.

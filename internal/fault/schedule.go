@@ -1,8 +1,8 @@
 // Package fault is the deterministic fault-injection layer of the chaos
 // harness. A Schedule declares which faults can strike — acoustic burst
 // jamming and SNR collapse on the channel, drops/latency spikes on the
-// wireless control link, control-message loss/duplication/reorder (rolled
-// by MessageFault; no transport consumes them yet), device slowdown, and
+// wireless control link, control-message loss/duplication/reorder (inert:
+// they arm and draw, but nothing consumes them), device slowdown, and
 // worker-pool exhaustion at admission — and ForSession rolls the dice once
 // per session from a seed derived with the batch engine's sim.SeedFor
 // contract, so an identical (schedule, seed, session index) triple arms
@@ -28,15 +28,18 @@ import (
 // Kind names one fault class a schedule rule can arm.
 type Kind string
 
-// The fault classes. Each maps onto one injection point:
+// The fault classes. Each maps onto one injection point, except the
+// three msg-* kinds, which are inert: they parse, validate, scale and take
+// their arming draw in ForSessionAt (so schedules that list them keep
+// their decision streams), but no layer consumes them.
 //
 //	acoustic-burst   broadband noise burst over part of the recording
 //	snr-collapse     flat extra path loss on the acoustic downlink
 //	link-drop        wireless control-link operations fail (per-op prob)
 //	latency-spike    wireless latencies multiplied and/or offset
-//	msg-loss         proto control messages silently dropped
-//	msg-dup          proto control messages delivered twice
-//	msg-reorder      proto control messages delivered out of order
+//	msg-loss         inert (named for control-message loss)
+//	msg-dup          inert (named for control-message duplication)
+//	msg-reorder      inert (named for control-message reordering)
 //	device-slow      device compute throughput divided by a factor
 //	pool-exhaust     admission rejected as if the worker pool were full
 const (
@@ -111,9 +114,9 @@ type Rule struct {
 	// BurstSPL is the burst level at the receiver in dB SPL;
 	// 0 means the 80 dB default.
 	BurstSPL float64 `json:"burst_spl,omitempty"`
-	// OpProb is the per-operation probability for link-drop / msg-loss /
-	// msg-dup / msg-reorder once the rule is armed for a session;
-	// 0 means the 0.5 default.
+	// OpProb is the per-operation probability for link-drop once the
+	// rule is armed for a session; 0 means the 0.5 default. The inert
+	// msg-* kinds validate it but nothing reads it.
 	OpProb float64 `json:"op_prob,omitempty"`
 	// LatencyMult multiplies wireless latencies (latency-spike);
 	// 0 means the 10x default.
@@ -317,7 +320,8 @@ func (s *Schedule) Scaled(intensity float64) (*Schedule, error) {
 
 // DefaultChaosSchedule is the builtin hostile-world mix: bursty in-band
 // jamming, NLOS-like SNR collapse, flaky Bluetooth, congested radio
-// latencies, lossy control messaging, a thermally-throttled watch, and
+// latencies, lossy control messaging (the inert msg-* kinds, kept for
+// their arming draws), a thermally-throttled watch, and
 // occasional admission pressure. At full intensity roughly half the
 // sessions see at least one fault; the chaos sweep scales it from 0 up.
 func DefaultChaosSchedule() *Schedule {
