@@ -76,12 +76,19 @@ test-chaos:
 # service-level restart-chaos harness (50 deterministic kill/mangle/
 # recover cycles) plus the cross-restart golden replay, the core's
 # restore check and every TestRecovery* test — race-enabled and never
-# -short, so the real crash paths always run in CI.
+# -short, so the real crash paths always run in CI. The committer's
+# reused commit handles get a -race -count=10 stress run (concurrent
+# commits from 16 devices racing Close), and the allocation ceilings of
+# a steady-state commit and of a warm Submit → answer on a durable
+# daemon run once more without -race, under which they skip.
 test-store:
 	$(GO) test -race -count=1 ./internal/store
+	$(GO) test -race -count=10 ./internal/store -run 'TestReusedHandlesResolveOnlyTheirCommit'
+	$(GO) test -count=1 ./internal/store -run 'Allocation'
 	$(GO) test -race -count=1 ./internal/otp -run 'TestRecovery|TestRestore|TestResync'
 	$(GO) test -race -count=1 ./internal/core -run 'TestCheckRestore|TestRestoreState|TestExportRestore'
 	$(GO) test -race -count=1 ./internal/service -run 'TestDurable|TestRestart|TestCrossRestart|TestSubmitRejectsWhileRecovering|TestRecovery|TestReadyz'
+	$(GO) test -count=1 ./internal/service -run 'TestDurableSubmitAllocationCeiling|TestWarmSubmitAllocationCeiling'
 
 # The virtual-time suite (DESIGN.md §12): golden equivalence between the
 # serial and discrete-event engines (clean, builtin chaos, and the
@@ -101,14 +108,20 @@ test-vtime:
 # cancel, teardown, gateway-close and failover tests, and the handoff
 # first-touch tests (TestShardFirstTouch*: fenced export and adopt build
 # a device as eager construction would, and racing first touches build
-# it once). The canonical JSON codec's
-# differential tests run here too, and its allocation ceilings once more
-# without -race, under which they skip.
+# it once), the queued-session-across-handoff test and the owned-list
+# race. The canonical JSON codec's differential tests run here too, and
+# its allocation ceilings, with the warm gateway → shard relay's, once
+# more without -race, under which they skip. The owned list, the
+# sessions' borrowed contexts and their wait channels get a -race
+# -count=10 stress run, and the live-handoff drill ten more runs without
+# -race, where its timing once let a queued session replay a token.
 test-cluster:
 	$(GO) test -race -count=1 ./internal/cluster ./internal/canonjson
 	$(GO) test -count=1 ./internal/cluster -run 'Allocation'
 	$(GO) test -race -count=1 ./internal/service -run 'TestShard|TestRetryAfter|TestUnlockStream'
+	$(GO) test -race -count=10 ./internal/service -run 'TestShardOwnedListRace|TestSessionCtxReuse|TestSessionAwaitRacesRelease'
 	$(GO) test -race -count=1 ./cmd/benchcluster
+	$(GO) test -count=10 -run 'TestClusterHandoffUnderLoad$$' ./cmd/benchcluster
 
 # The replication suite (DESIGN.md §16): WAL tail subscription
 # semantics, the shipper/receiver stream protocol under chaos
@@ -117,9 +130,14 @@ test-cluster:
 # promotion tests, the warm-up and promotion first-touch test
 # (TestReplicaFirstTouchWarmAndPromote), and the WLC1 replica frame
 # codec (byte identity with json.Marshal, the strict-path oracle; its
-# allocation ceiling once more without -race) — race-enabled.
+# allocation ceiling once more without -race) — race-enabled. The
+# shipper's reused ack-wait channels get a -race -count=10 stress run,
+# and the ship → apply of one batch its allocation ceiling without
+# -race.
 test-replica:
 	$(GO) test -race -count=1 ./internal/replica
+	$(GO) test -race -count=10 ./internal/replica -run 'TestShipperAwaitReusesChannels'
+	$(GO) test -count=1 ./internal/replica -run 'Allocation'
 	$(GO) test -race -count=1 ./internal/store -run 'TestTail'
 	$(GO) test -race -count=1 ./internal/cluster -run 'TestHeartbeat|TestFailover|TestGatewayReadyz|TestWireCodec|FuzzWireProtocol'
 	$(GO) test -count=1 ./internal/cluster -run 'TestWireCodec'
@@ -137,6 +155,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWireProtocol -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzNamespaceSessionID -fuzztime=10s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzUnlockBody -fuzztime=10s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzViewBody -fuzztime=10s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzReplicaStream -fuzztime=10s ./internal/replica
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=10s ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzCountingSource -fuzztime=10s ./internal/sim

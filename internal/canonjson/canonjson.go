@@ -114,7 +114,12 @@ func (c *Reader) Bool() bool {
 
 // Bytes reads a base64 string (or the null json.Marshal writes for a nil
 // slice) exactly as encoding/json decodes it into a []byte.
-func (c *Reader) Bytes() []byte {
+func (c *Reader) Bytes() []byte { return c.BytesInto(nil) }
+
+// BytesInto is Bytes decoding into buf's storage, grown when it is too
+// short: a reader that keeps buf across messages decodes without a heap
+// slice of its own. The result is nil for null and non-nil otherwise.
+func (c *Reader) BytesInto(buf []byte) []byte {
 	if c.Next("null") {
 		return nil
 	}
@@ -129,18 +134,26 @@ func (c *Reader) Bytes() []byte {
 	if !c.ok {
 		return nil
 	}
-	key := make([]byte, base64.StdEncoding.DecodedLen(len(src)))
-	n, err := base64.StdEncoding.Decode(key, src)
+	n := base64.StdEncoding.DecodedLen(len(src))
+	if cap(buf) < n || buf == nil {
+		buf = make([]byte, n)
+	}
+	n, err := base64.StdEncoding.Decode(buf[:n], src)
 	if err != nil {
 		c.ok = false
 		return nil
 	}
-	return key[:n]
+	return buf[:n]
 }
 
 // Str reads a string of plain characters only (see AppendStr); an
 // escape or any other byte fails.
-func (c *Reader) Str() string {
+func (c *Reader) Str() string { return c.StrReusing("") }
+
+// StrReusing is Str returning prev itself, with no new string, when the
+// input holds the same characters: a reader that decodes a field whose
+// value rarely changes passes the value it decoded last.
+func (c *Reader) StrReusing(prev string) string {
 	c.Lit(`"`)
 	b, i := c.b, c.i
 	for i < len(b) && plain[b[i]] {
@@ -151,6 +164,9 @@ func (c *Reader) Str() string {
 	c.Lit(`"`)
 	if !c.ok {
 		return ""
+	}
+	if string(s) == prev {
+		return prev
 	}
 	return string(s)
 }

@@ -1,6 +1,11 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"wearlock/internal/store"
@@ -106,5 +111,74 @@ func TestUnlockStreamAllocationCeiling(t *testing.T) {
 		t.Errorf("unlock frame round trip allocated %.1f objects, ceiling %d", allocs, ceiling)
 	} else {
 		t.Logf("%.1f allocations per unlock frame round trip", allocs)
+	}
+}
+
+// nullWriter is a ResponseWriter that keeps nothing but the status, so a
+// relay's count holds the gateway's own allocations only.
+type nullWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *nullWriter) Header() http.Header         { return w.h }
+func (w *nullWriter) WriteHeader(status int)      { w.status = status }
+func (w *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+func (w *nullWriter) WriteString(s string) (int, error) { return len(s), nil }
+
+// A warm POST /v1/unlock relayed from the gateway to a shard over a
+// pooled unlock stream, the shard answering from the stream's own
+// buffers, stays under a fixed allocation count: the body reader and
+// the body, the decoded scenario and device, the device the gateway
+// pins, the Content-Length value and its header slice, and the relayed
+// answer. Nothing per request in the stream, its exchange or the
+// decoded answer. (A served request adds its context's done channel,
+// which a background context does not have.)
+func TestGatewayRelayAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const ceiling = 8
+	ss := NewStreamServer(UnlockStreamProto)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET "+UnlockStreamPath, func(w http.ResponseWriter, r *http.Request) {
+		var req UnlockRequest
+		ack := UnlockResponse{Status: http.StatusOK, Body: []byte(viewDone)}
+		ss.Serve(w, r, func(_ context.Context, frame, out []byte) ([]byte, error) {
+			if _, err := DecodeAsInto(frame, MsgUnlock, &req); err != nil {
+				return out, err
+			}
+			return AppendFrame(out, MsgUnlockAck, &ack)
+		})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	defer ss.Close()
+	g, err := NewGateway(GatewayConfig{Shards: []ShardConfig{{Name: "s0", BaseURL: srv.URL}}, TotalDevices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	payload := []byte(`{"scenario":"out-of-range","device":1}`)
+	rd := bytes.NewReader(payload)
+	r := httptest.NewRequest(http.MethodPost, "/v1/unlock", nil)
+	body := io.NopCloser(rd)
+	w := &nullWriter{h: http.Header{}}
+	relay := func() {
+		rd.Reset(payload)
+		r.Body, r.ContentLength = body, int64(len(payload))
+		clear(w.h)
+		g.handleUnlock(w, r)
+		if w.status != http.StatusOK {
+			t.Fatalf("relay answered %d", w.status)
+		}
+	}
+	relay()
+	if allocs := testing.AllocsPerRun(200, relay); allocs > ceiling {
+		t.Errorf("warm gateway relay allocated %.1f objects, ceiling %d", allocs, ceiling)
+	} else {
+		t.Logf("%.1f allocations per warm gateway relay", allocs)
 	}
 }

@@ -144,7 +144,7 @@ func TestWireCodecDecodeMatchesStrictPath(t *testing.T) {
 		if !sameError(err, errRef) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("message %d: Decode = %+v, %v; strict path = %+v, %v", i, got, err, want, errRef)
 		}
-		if _, fast := decodeCanonical(hotType(m.payload), frame[wireHeaderLen:]); fast != m.fast {
+		if _, fast := decodeCanonical(hotType(m.payload), frame[wireHeaderLen:], nil); fast != m.fast {
 			t.Errorf("message %d: fast path %v, want %v", i, fast, m.fast)
 		}
 	}

@@ -89,7 +89,7 @@ type shardHandle struct {
 	// streamGen counts re-points: a stream dialled before one is closed
 	// when it comes back, never pooled. Once closed (Gateway.Close),
 	// nothing is pooled.
-	idle      []*Stream
+	idle      []*unlockStream
 	streamGen uint64
 	closed    bool
 	hop       *telemetry.Histogram // this shard's wearlock_gateway_shard_seconds

@@ -123,11 +123,14 @@ func (g *Gateway) handleUnlock(w http.ResponseWriter, r *http.Request) {
 		unavailable(w, fmt.Sprintf("shard %s unreachable: %v", shard, err))
 		return
 	}
+	// The body is the stream's until it is back in the pool.
+	defer func() { resp.release() }()
 	if resp.status == http.StatusMisdirectedRequest {
 		// Ownership race: the topology moved between resolve and dispatch.
 		// Re-resolve once against the current routing and retry.
 		g.m.reroutes.Inc()
 		if cur := g.shardFor(device); cur != shard {
+			resp.release()
 			resp, err = g.relayUnlock(r.Context(), cur, &req)
 			if err != nil {
 				g.m.errors.Inc()
@@ -143,9 +146,9 @@ func (g *Gateway) handleUnlock(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	g.m.proxied.With(fmt.Sprintf("%d", resp.status/100*100)).Inc()
+	g.m.proxied.With(statusLabel(resp.status / 100 * 100)).Inc()
 	if resp.status == http.StatusTooManyRequests || resp.status == http.StatusServiceUnavailable {
-		g.m.passthru.With(fmt.Sprintf("%d", resp.status)).Inc()
+		g.m.passthru.With(statusLabel(resp.status)).Inc()
 	}
 	g.writeProxied(w, shard, resp)
 }
@@ -165,18 +168,56 @@ func (g *Gateway) handleSession(w http.ResponseWriter, r *http.Request) {
 	g.writeProxied(w, shard, resp)
 }
 
-// proxied is one shard response held for relay.
+// statusLabel is strconv.Itoa(code), without a new string for the
+// codes the gateway counts on every relay.
+func statusLabel(code int) string {
+	switch code {
+	case 200:
+		return "200"
+	case 400:
+		return "400"
+	case 429:
+		return "429"
+	case 500:
+		return "500"
+	case 503:
+		return "503"
+	}
+	return strconv.Itoa(code)
+}
+
+// proxied is one shard response held for relay. A relayed unlock's body
+// is the bytes its stream decoded the answer into: lease holds the
+// stream until release pools it, after the body is written out.
 type proxied struct {
 	status     int
 	retryAfter string
 	body       []byte
+	lease      streamLease
+}
+
+// release gives back the stream a relayed answer came on; a no-op
+// otherwise, and once released.
+func (p *proxied) release() {
+	if p.lease.us != nil {
+		p.lease.h.putStream(p.lease.us, p.lease.gen)
+		p.lease = streamLease{}
+	}
+}
+
+// streamLease is an unlock stream taken from h's pool at generation gen.
+type streamLease struct {
+	h   *shardHandle
+	us  *unlockStream
+	gen uint64
 }
 
 // relayUnlock carries one unlock to a shard on one of its pooled unlock
 // streams and captures the answer, within the client's per-call Timeout;
 // cancelling ctx abandons the stream. A frame once written is never sent
 // again: any failure after the write closes the stream and fails the
-// call, so a session runs at most once.
+// call, so a session runs at most once. The answer's body is the
+// stream's: the caller releases the answer once it has written it out.
 func (g *Gateway) relayUnlock(ctx context.Context, shard string, req *UnlockRequest) (proxied, error) {
 	h := g.handle(shard)
 	if h == nil {
@@ -187,26 +228,85 @@ func (g *Gateway) relayUnlock(ctx context.Context, shard string, req *UnlockRequ
 	if t := g.client.Timeout; t > 0 && (deadline.IsZero() || start.Add(t).Before(deadline)) {
 		deadline = start.Add(t)
 	}
-	st, gen, err := g.takeStream(ctx, deadline, h)
+	us, gen, err := g.takeStream(ctx, deadline, h)
 	if err != nil {
 		return proxied{}, err
 	}
-	stop := context.AfterFunc(ctx, st.Abort)
-	m, err := st.Exchange(deadline, MsgUnlock, req)
-	if !stop() && err == nil {
-		err = ctx.Err() // the abort raced the answer
-	}
-	ack, ok := m.Payload.(*UnlockResponse)
-	if err != nil || !ok {
-		st.Close()
-		if err == nil {
-			err = fmt.Errorf("unexpected %s frame", m.Type)
-		}
+	ack, err := us.relay(ctx, deadline, req)
+	if err != nil {
+		us.close()
 		return proxied{}, err
 	}
-	h.putStream(st, gen)
 	h.hop.Observe(time.Since(start).Seconds())
-	return proxied{status: ack.Status, retryAfter: ack.RetryAfter, body: ack.Body}, nil
+	return proxied{status: ack.Status, retryAfter: ack.RetryAfter, body: ack.Body,
+		lease: streamLease{h: h, us: us, gen: gen}}, nil
+}
+
+// unlockStream is one pooled unlock stream with what its exchanges
+// reuse: the answer each one decodes into, and the goroutine that runs
+// them while the relaying handler watches its request's context
+// (DESIGN.md §13.2). The goroutine lives as long as the stream.
+type unlockStream struct {
+	st  *Stream
+	ack UnlockResponse
+	// run hands the exchanger the request to send; done hands back the
+	// exchange's error. The exchanger ends when run is closed.
+	run      chan *UnlockRequest
+	done     chan error
+	deadline time.Time
+	closed   bool
+}
+
+func newUnlockStream(st *Stream) *unlockStream {
+	us := &unlockStream{st: st, run: make(chan *UnlockRequest), done: make(chan error)}
+	go us.exchanger()
+	return us
+}
+
+func (us *unlockStream) exchanger() {
+	for req := range us.run {
+		m, err := us.st.Exchange(us.deadline, MsgUnlock, req, &us.ack)
+		if err == nil && m.Payload != &us.ack {
+			if m.Type == MsgUnlockAck {
+				// A non-canonical answer decoded into a payload of its own.
+				us.ack = *m.Payload.(*UnlockResponse)
+			} else {
+				err = fmt.Errorf("unexpected %s frame", m.Type)
+			}
+		}
+		us.done <- err
+	}
+}
+
+// relay runs one exchange by deadline. If ctx ends first, it aborts the
+// exchange, waits for the exchanger to give the stream back and fails
+// with ctx's error; the caller then closes the stream.
+func (us *unlockStream) relay(ctx context.Context, deadline time.Time, req *UnlockRequest) (*UnlockResponse, error) {
+	us.deadline = deadline
+	us.run <- req
+	var err error
+	select {
+	case err = <-us.done:
+	case <-ctx.Done():
+		us.st.Abort()
+		<-us.done
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &us.ack, nil
+}
+
+// close hangs the stream up and ends its exchanger. Only the stream's
+// holder calls it, once it is done with the stream; later calls are
+// no-ops.
+func (us *unlockStream) close() {
+	if !us.closed {
+		us.closed = true
+		close(us.run)
+		us.st.Close()
+	}
 }
 
 // maxIdleStreams caps the idle unlock streams pooled per shard; a stream
@@ -216,18 +316,18 @@ const maxIdleStreams = 64
 // takeStream hands out an idle unlock stream to h, or dials a fresh one.
 // An idle stream the shard has hung up is closed unused, so a request is
 // never written to it.
-func (g *Gateway) takeStream(ctx context.Context, deadline time.Time, h *shardHandle) (*Stream, uint64, error) {
+func (g *Gateway) takeStream(ctx context.Context, deadline time.Time, h *shardHandle) (*unlockStream, uint64, error) {
 	h.mu.Lock()
 	for n := len(h.idle); n > 0; n = len(h.idle) {
-		st := h.idle[n-1]
+		us := h.idle[n-1]
 		h.idle[n-1] = nil
 		h.idle = h.idle[:n-1]
-		if st.Alive() {
+		if us.st.Alive() {
 			gen := h.streamGen
 			h.mu.Unlock()
-			return st, gen, nil
+			return us, gen, nil
 		}
-		st.Close()
+		us.close()
 	}
 	base, gen := h.baseURL, h.streamGen
 	h.mu.Unlock()
@@ -237,20 +337,23 @@ func (g *Gateway) takeStream(ctx context.Context, deadline time.Time, h *shardHa
 		return nil, 0, err
 	}
 	st, err := DialStream(ctx, deadline, u, UnlockStreamProto)
-	return st, gen, err
+	if err != nil {
+		return nil, 0, err
+	}
+	return newUnlockStream(st), gen, nil
 }
 
 // putStream pools a stream after a whole exchange, unless h was
 // re-pointed or closed since it was taken or the pool is full.
-func (h *shardHandle) putStream(st *Stream, gen uint64) {
+func (h *shardHandle) putStream(us *unlockStream, gen uint64) {
 	h.mu.Lock()
 	if gen == h.streamGen && !h.closed && len(h.idle) < maxIdleStreams {
-		h.idle = append(h.idle, st)
-		st = nil
+		h.idle = append(h.idle, us)
+		us = nil
 	}
 	h.mu.Unlock()
-	if st != nil {
-		st.Close()
+	if us != nil {
+		us.close()
 	}
 }
 
@@ -268,8 +371,8 @@ func (h *shardHandle) dropStreams(change func()) {
 	h.idle = nil
 	h.streamGen++
 	h.mu.Unlock()
-	for _, st := range idle {
-		st.Close()
+	for _, us := range idle {
+		us.close()
 	}
 }
 
@@ -330,7 +433,7 @@ func (g *Gateway) writeProxied(w http.ResponseWriter, shard string, resp proxied
 	if resp.retryAfter != "" {
 		h.Set("Retry-After", resp.retryAfter)
 	}
-	h.Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonContentType
 	body := resp.body
 	if resp.status == http.StatusOK || resp.status == http.StatusAccepted {
 		if at := idSpliceAt(body, shard); at > 0 {
@@ -350,6 +453,10 @@ func (g *Gateway) writeProxied(w http.ResponseWriter, shard string, resp proxied
 	w.WriteHeader(resp.status)
 	_, _ = w.Write(body)
 }
+
+// jsonContentType is the Content-Type value of every relayed answer,
+// one slice shared by all of them: net/http only reads it.
+var jsonContentType = []string{"application/json"}
 
 // viewPrefix opens every service.View body a shard writes: the session
 // ID is its first field.

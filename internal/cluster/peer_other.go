@@ -4,6 +4,6 @@ package cluster
 
 import "net"
 
-// peerOpen cannot peek without blocking here; a stream the peer closed
+// peerProbe cannot peek without blocking here; a stream the peer closed
 // fails its next exchange instead.
-func peerOpen(net.Conn) bool { return true }
+func peerProbe(net.Conn) func() bool { return func() bool { return true } }

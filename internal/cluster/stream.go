@@ -35,8 +35,9 @@ const (
 type Stream struct {
 	conn net.Conn
 	br   *bufio.Reader
-	out  []byte // the request frame, kept across exchanges
-	in   []byte // the answer frame, kept across exchanges
+	open func() bool // peerProbe(conn)
+	out  []byte      // the request frame, kept across exchanges
+	in   []byte      // the answer frame, kept across exchanges
 }
 
 // DialStream connects to u's host and upgrades GET u to proto, within
@@ -47,7 +48,7 @@ func DialStream(ctx context.Context, deadline time.Time, u *url.URL, proto strin
 	if err != nil {
 		return nil, err
 	}
-	st := &Stream{conn: conn, br: bufio.NewReader(conn)}
+	st := &Stream{conn: conn, br: bufio.NewReader(conn), open: peerProbe(conn)}
 	err = conn.SetDeadline(deadline)
 	if err == nil {
 		_, err = fmt.Fprintf(conn, "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n",
@@ -68,9 +69,10 @@ func DialStream(ctx context.Context, deadline time.Time, u *url.URL, proto strin
 }
 
 // Exchange sends one frame and reads the answer frame, by deadline
-// (zero for none). Any error leaves the stream in an unknown state, and
-// the caller closes it.
-func (st *Stream) Exchange(deadline time.Time, t MsgType, payload any) (Message, error) {
+// (zero for none), decoding it into into as DecodeInto does (nil for a
+// new payload). Any error leaves the stream in an unknown state, and the
+// caller closes it.
+func (st *Stream) Exchange(deadline time.Time, t MsgType, payload, into any) (Message, error) {
 	var err error
 	if st.out, err = AppendFrame(st.out[:0], t, payload); err != nil {
 		return Message{}, err
@@ -84,7 +86,7 @@ func (st *Stream) Exchange(deadline time.Time, t MsgType, payload any) (Message,
 	if st.in, err = ReadFrame(st.br, st.in); err != nil {
 		return Message{}, err
 	}
-	return Decode(st.in)
+	return DecodeInto(st.in, into)
 }
 
 // Abort fails the exchange in progress, from any goroutine: a caller
@@ -96,7 +98,7 @@ func (st *Stream) Abort() { st.conn.SetDeadline(time.Unix(1, 0)) }
 // unasked. A pooled stream is checked before reuse, so a request is
 // never written to a connection the peer had already closed.
 func (st *Stream) Alive() bool {
-	return st.br.Buffered() == 0 && peerOpen(st.conn)
+	return st.br.Buffered() == 0 && st.open()
 }
 
 // Close hangs the stream up.

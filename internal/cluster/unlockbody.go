@@ -69,9 +69,12 @@ func DecodeUnlockRequest(body []byte, req *UnlockRequest) error {
 	return err
 }
 
-// read reads one object in AppendUnlockRequest's layout into *req, which
-// must be the zero UnlockRequest.
+// read reads one object in AppendUnlockRequest's layout into *req,
+// overwriting every field; non-nil Device and Wait pointers on entry are
+// storage it reuses.
 func (req *UnlockRequest) read(c *canonjson.Reader) {
+	device, wait, scenario := req.Device, req.Wait, req.Scenario
+	*req = UnlockRequest{}
 	c.Lit("{")
 	members := 0
 	// member consumes the key of the next member present, each written
@@ -87,15 +90,21 @@ func (req *UnlockRequest) read(c *canonjson.Reader) {
 		return false
 	}
 	if member(`,"scenario":`) {
-		req.Scenario = c.Str()
+		req.Scenario = c.StrReusing(scenario)
 	}
 	if member(`,"device":`) {
-		d := int(c.Int(math.MaxInt))
-		req.Device = &d
+		if device == nil {
+			device = new(int)
+		}
+		*device = int(c.Int(math.MaxInt))
+		req.Device = device
 	}
 	if member(`,"wait":`) {
-		w := c.Bool()
-		req.Wait = &w
+		if wait == nil {
+			wait = new(bool)
+		}
+		*wait = c.Bool()
+		req.Wait = wait
 	}
 	if member(`,"timeout_ms":`) {
 		req.TimeoutMS = int(c.Int(math.MaxInt))

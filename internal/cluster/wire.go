@@ -477,10 +477,12 @@ func (p *ReplicaAppendRequest) appendJSON(dst []byte) ([]byte, error) {
 
 // read is appendJSON's inverse over the canonical layout only.
 func (p *ReplicaAppendRequest) read(c *canonjson.Reader, size int) {
+	recs, shard := p.Records[:0], p.ShardID
+	*p = ReplicaAppendRequest{}
 	c.Lit(`{"epoch":`)
 	p.Epoch = c.Uint()
 	c.Lit(`,"shard_id":`)
-	p.ShardID = c.Str()
+	p.ShardID = c.StrReusing(shard)
 	c.Lit(`,"batch_seq":`)
 	p.BatchSeq = c.Uint()
 	p.Reset = c.Next(`,"reset":true`)
@@ -495,15 +497,23 @@ func (p *ReplicaAppendRequest) read(c *canonjson.Reader, size int) {
 			p.Records = []store.Record{}
 		} else {
 			// A device record encodes to 150–300 bytes; size the slice
-			// from the payload so it rarely regrows.
-			p.Records = make([]store.Record, 0, size/150+1)
+			// from the payload so it rarely regrows. Records the last
+			// message decoded into are reused, storage and all.
+			if recs == nil {
+				recs = make([]store.Record, 0, size/150+1)
+			}
 			for {
-				p.Records = append(p.Records, store.Record{})
-				store.ReadRecord(c, &p.Records[len(p.Records)-1])
+				if n := len(recs); n < cap(recs) {
+					recs = recs[:n+1]
+				} else {
+					recs = append(recs, store.Record{})
+				}
+				store.ReadRecord(c, &recs[len(recs)-1])
 				if !c.Next(",") {
 					break
 				}
 			}
+			p.Records = recs
 			c.Lit("]")
 		}
 	}
@@ -527,7 +537,7 @@ func (p *ReplicaAppendResponse) appendJSON(dst []byte) ([]byte, error) {
 // read is appendJSON's inverse over the canonical layout only.
 func (p *ReplicaAppendResponse) read(c *canonjson.Reader) {
 	c.Lit(`{"follower_id":`)
-	p.FollowerID = c.Str()
+	p.FollowerID = c.StrReusing(p.FollowerID)
 	c.Lit(`,"applied_seq":`)
 	p.AppliedSeq = c.Uint()
 	c.Lit(`,"expected_batch":`)
@@ -553,13 +563,15 @@ func (p *UnlockResponse) appendJSON(dst []byte) ([]byte, error) {
 
 // read is appendJSON's inverse over the canonical layout only.
 func (p *UnlockResponse) read(c *canonjson.Reader) {
+	retryAfter := p.RetryAfter
+	p.RetryAfter = ""
 	c.Lit(`{"status":`)
 	p.Status = int(c.Int(math.MaxInt))
 	if c.Next(`,"retry_after":`) {
-		p.RetryAfter = c.Str()
+		p.RetryAfter = c.StrReusing(retryAfter)
 	}
 	c.Lit(`,"body":`)
-	p.Body = c.Bytes()
+	p.Body = c.BytesInto(p.Body)
 	c.Lit("}")
 }
 
@@ -603,12 +615,21 @@ func ReadFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 // Decode parses one framed message. Every malformed input returns an
 // error; Decode never panics and never returns a partially-filled
 // message alongside a nil error (the FuzzWireProtocol contract).
-func Decode(data []byte) (Message, error) {
+func Decode(data []byte) (Message, error) { return DecodeInto(data, nil) }
+
+// DecodeInto is Decode reusing into, a payload a stream keeps across
+// exchanges. A hot payload — the replica batch or its ack, the unlock
+// request or its answer — of into's type in the canonical layout is
+// decoded into it, records, body bytes and strings included, so the
+// message's Payload is into and whatever was decoded into it before is
+// overwritten. Any other frame decodes as Decode does, into a new
+// payload.
+func DecodeInto(data []byte, into any) (Message, error) {
 	t, payload, err := unframe(data)
 	if err != nil {
 		return Message{}, err
 	}
-	body, ok := decodeCanonical(t, payload)
+	body, ok := decodeCanonical(t, payload, into)
 	if !ok {
 		body = payloadFor(t)
 		if err := decodeStrict(t, payload, body); err != nil {
@@ -647,27 +668,35 @@ func unframe(data []byte) (MsgType, []byte, error) {
 // ok reports that it was canonical end to end. Any other payload, or a
 // hot one with a single byte out of layout (a noted record included),
 // is left to decodeStrict as a whole.
-func decodeCanonical(t MsgType, payload []byte) (body any, ok bool) {
+func decodeCanonical(t MsgType, payload []byte, into any) (body any, ok bool) {
 	c := canonjson.NewReader(payload)
 	switch t {
 	case MsgReplicaAppend:
-		p := new(ReplicaAppendRequest)
+		p := reuse[ReplicaAppendRequest](into)
 		p.read(&c, len(payload))
 		body = p
 	case MsgReplicaAppendAck:
-		p := new(ReplicaAppendResponse)
+		p := reuse[ReplicaAppendResponse](into)
 		p.read(&c)
 		body = p
 	case MsgUnlock:
-		p := new(UnlockRequest)
+		p := reuse[UnlockRequest](into)
 		p.read(&c)
 		body = p
 	case MsgUnlockAck:
-		p := new(UnlockResponse)
+		p := reuse[UnlockResponse](into)
 		p.read(&c)
 		body = p
 	}
 	return body, body != nil && c.Done()
+}
+
+// reuse returns into when it is a *T, else a new T.
+func reuse[T any](into any) *T {
+	if p, ok := into.(*T); ok && p != nil {
+		return p
+	}
+	return new(T)
 }
 
 // decodeStrict is the wire's reference decoder: exactly one JSON value,
@@ -688,7 +717,17 @@ func decodeStrict(t MsgType, payload []byte, body any) error {
 // DecodeAs decodes and asserts the expected type, unwrapping MsgError
 // into a Go error — the receive path every wire exchange shares.
 func DecodeAs[T any](data []byte, want MsgType) (*T, error) {
-	m, err := Decode(data)
+	return DecodeAsInto[T](data, want, nil)
+}
+
+// DecodeAsInto is DecodeAs decoding into into (see DecodeInto); nil
+// decodes into a new T.
+func DecodeAsInto[T any](data []byte, want MsgType, into *T) (*T, error) {
+	var dst any
+	if into != nil {
+		dst = into
+	}
+	m, err := DecodeInto(data, dst)
 	if err != nil {
 		return nil, err
 	}

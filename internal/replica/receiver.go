@@ -18,6 +18,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"wearlock/internal/cluster"
@@ -50,7 +51,7 @@ type ReceiverConfig struct {
 	// OnApplied, if set, runs after each durably applied batch with the
 	// device IDs it touched — the service's hook to keep its in-memory
 	// devices warm (SkipTo + restore) so promotion has almost nothing
-	// left to do.
+	// left to do. It must not keep the slice, which the next batch reuses.
 	OnApplied func(devices []int)
 }
 
@@ -67,6 +68,8 @@ type Receiver struct {
 	appliedSeq     uint64 // source-sequence high-water mark
 	appliedBatches uint64
 	resets         uint64
+	// ids is notifyLocked's device list, reused batch to batch.
+	ids []int
 }
 
 // NewReceiver returns a Receiver over the follower store.
@@ -106,14 +109,14 @@ func (r *Receiver) AppliedSeq() uint64 {
 // stream is ordered, so there is nothing to gain from concurrent
 // applies — and holds its lock across the store commit so a duplicate
 // arriving during an apply cannot jump the queue.
-func (r *Receiver) Apply(req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
+func (r *Receiver) Apply(req *cluster.ReplicaAppendRequest) (cluster.ReplicaAppendResponse, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if req.Reset {
 		return r.applyResetLocked(req)
 	}
 	if !r.haveBase {
-		return nil, fmt.Errorf("%w: live batch %d before any reset", ErrOutOfSync, req.BatchSeq)
+		return cluster.ReplicaAppendResponse{}, fmt.Errorf("%w: live batch %d before any reset", ErrOutOfSync, req.BatchSeq)
 	}
 	if req.BatchSeq < r.expected {
 		// Duplicate of an already-applied batch (a retry that lost its
@@ -121,13 +124,13 @@ func (r *Receiver) Apply(req *cluster.ReplicaAppendRequest) (*cluster.ReplicaApp
 		return r.ackLocked(), nil
 	}
 	if req.BatchSeq > r.expected {
-		return nil, fmt.Errorf("%w: batch %d arrived while expecting %d", ErrOutOfSync, req.BatchSeq, r.expected)
+		return cluster.ReplicaAppendResponse{}, fmt.Errorf("%w: batch %d arrived while expecting %d", ErrOutOfSync, req.BatchSeq, r.expected)
 	}
 	if err := validateLive(req); err != nil {
-		return nil, err
+		return cluster.ReplicaAppendResponse{}, err
 	}
 	if err := r.importLocked(req.Records); err != nil {
-		return nil, err
+		return cluster.ReplicaAppendResponse{}, err
 	}
 	r.expected++
 	r.appliedBatches++
@@ -142,9 +145,9 @@ func (r *Receiver) Apply(req *cluster.ReplicaAppendRequest) (*cluster.ReplicaApp
 // and adopt the chunk's batch sequence as the new live base. Reset
 // chunks carry merged-state records, so re-applying one over anything
 // is harmless by the monotone merge.
-func (r *Receiver) applyResetLocked(req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
+func (r *Receiver) applyResetLocked(req *cluster.ReplicaAppendRequest) (cluster.ReplicaAppendResponse, error) {
 	if err := r.importLocked(req.Records); err != nil {
-		return nil, err
+		return cluster.ReplicaAppendResponse{}, err
 	}
 	r.haveBase = true
 	r.expected = req.BatchSeq + 1
@@ -170,21 +173,20 @@ func (r *Receiver) notifyLocked(recs []store.Record) {
 	if r.cfg.OnApplied == nil {
 		return
 	}
-	seen := make(map[int]bool)
-	var ids []int
+	ids := r.ids[:0]
 	for i := range recs {
-		if d := recs[i].Device; d != nil && !seen[d.ID] {
-			seen[d.ID] = true
+		if d := recs[i].Device; d != nil && !slices.Contains(ids, d.ID) {
 			ids = append(ids, d.ID)
 		}
 	}
+	r.ids = ids
 	if len(ids) > 0 {
 		r.cfg.OnApplied(ids)
 	}
 }
 
-func (r *Receiver) ackLocked() *cluster.ReplicaAppendResponse {
-	return &cluster.ReplicaAppendResponse{
+func (r *Receiver) ackLocked() cluster.ReplicaAppendResponse {
+	return cluster.ReplicaAppendResponse{
 		FollowerID:    r.cfg.FollowerID,
 		AppliedSeq:    r.appliedSeq,
 		ExpectedBatch: r.expected,

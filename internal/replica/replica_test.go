@@ -24,9 +24,10 @@ func openStore(t *testing.T) *store.Store {
 // directSend wires a shipper straight into a receiver — the transport
 // the service layer adds (HTTP, status-code mapping) is exactly what
 // this package does not know about.
-func directSend(recv *Receiver) func(context.Context, *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
-	return func(_ context.Context, req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
-		return recv.Apply(req)
+func directSend(recv *Receiver) func(time.Time, *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
+	return func(_ time.Time, req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
+		ack, err := recv.Apply(req)
+		return &ack, err
 	}
 }
 
@@ -238,7 +239,7 @@ func TestShipperFencedFailsWaiters(t *testing.T) {
 	primary := openStore(t)
 	seedDevices(t, primary, 1)
 	cfg := shipperConfig(primary, nil, 1)
-	cfg.Send = func(context.Context, *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
+	cfg.Send = func(time.Time, *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
 		return nil, ErrFenced
 	}
 	sh := StartShipper(cfg)
@@ -262,7 +263,7 @@ func TestShipperDetachReleasesWaiters(t *testing.T) {
 	seedDevices(t, primary, 1)
 	cfg := shipperConfig(primary, nil, 1)
 	cfg.DetachAfter = 2
-	cfg.Send = func(context.Context, *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
+	cfg.Send = func(time.Time, *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
 		return nil, errors.New("connection refused")
 	}
 	sh := StartShipper(cfg)
@@ -280,9 +281,9 @@ func TestShipperCloseReleasesWaiters(t *testing.T) {
 	primary := openStore(t)
 	cfg := shipperConfig(primary, nil, 1)
 	block := make(chan struct{})
-	cfg.Send = func(ctx context.Context, _ *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
+	cfg.Send = func(time.Time, *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
 		<-block
-		return nil, ctx.Err()
+		return nil, errors.New("follower unreachable")
 	}
 	sh := StartShipper(cfg)
 	done := make(chan error, 1)

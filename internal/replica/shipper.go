@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,6 +43,9 @@ func stateName(s int) string {
 }
 
 // Defaults for ShipperConfig knobs.
+// deliverTimeout bounds one attempt to deliver a batch.
+const deliverTimeout = 5 * time.Second
+
 const (
 	// DefaultResetChunk bounds records per bootstrap chunk so a large
 	// fleet's snapshot stays far under the 4 MiB wire cap.
@@ -71,10 +75,11 @@ type ShipperConfig struct {
 	Epoch func() uint64
 	// ShardID labels shipped batches.
 	ShardID string
-	// Send delivers one batch and returns the follower's ack. It must
-	// map transport-level refusals onto ErrFenced / ErrOutOfSync /
+	// Send delivers one batch by deadline and returns the follower's
+	// ack, which is valid until the next Send. It must map
+	// transport-level refusals onto ErrFenced / ErrOutOfSync /
 	// ErrCorrupt (errors.Is) for the shipper to classify them.
-	Send func(ctx context.Context, req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error)
+	Send func(deadline time.Time, req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error)
 	// MaxLag is the bounded-lag ack mode knob: 0 means synchronous
 	// (WaitReplicated blocks until the record itself is acked), N means
 	// a session may be acknowledged while at most N records behind.
@@ -114,7 +119,14 @@ type Shipper struct {
 	dropped   uint64
 	duped     uint64
 	truncated uint64
-	waitCh    chan struct{}
+	// waiters are the goroutines blocked in await, each woken through
+	// its own channel when the state or the ack changes; idle holds
+	// woken waiters' channels for reuse (DESIGN.md §16.2).
+	waiters []chan struct{}
+	idle    []chan struct{}
+	// req is the live batch request relay fills, reused batch to batch
+	// by the run goroutine.
+	req cluster.ReplicaAppendRequest
 
 	stopC chan struct{}
 	doneC chan struct{}
@@ -139,10 +151,9 @@ func StartShipper(cfg ShipperConfig) *Shipper {
 		cfg.RetryDelay = DefaultRetryDelay
 	}
 	sh := &Shipper{
-		cfg:    cfg,
-		waitCh: make(chan struct{}),
-		stopC:  make(chan struct{}),
-		doneC:  make(chan struct{}),
+		cfg:   cfg,
+		stopC: make(chan struct{}),
+		doneC: make(chan struct{}),
 	}
 	go sh.run()
 	return sh
@@ -247,29 +258,63 @@ func (sh *Shipper) WaitReplicated(ctx context.Context, seq uint64) error {
 
 // await blocks until done, called with sh.mu held after every state or
 // ack change, reports true, and returns its error; or until ctx ends.
+//
+// Each wait registers a channel of capacity one, taken from sh.idle, in
+// sh.waiters; a change sends on every registered channel under sh.mu and
+// clears the list. A waiter that leaves on ctx removes its channel under
+// sh.mu, and drains the one send that may have reached it first, before
+// the channel goes back to sh.idle: a reused channel never carries a
+// wake-up meant for an earlier wait.
 func (sh *Shipper) await(ctx context.Context, done func() (bool, error)) error {
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	for {
 		if ok, err := done(); ok {
-			sh.mu.Unlock()
 			return err
 		}
-		ch := sh.waitCh
+		var ch chan struct{}
+		if n := len(sh.idle); n > 0 {
+			ch = sh.idle[n-1]
+			sh.idle = sh.idle[:n-1]
+		} else {
+			ch = make(chan struct{}, 1)
+		}
+		sh.waiters = append(sh.waiters, ch)
 		sh.mu.Unlock()
+		var err error
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			return ctx.Err()
+			err = ctx.Err()
 		}
 		sh.mu.Lock()
+		if err != nil {
+			if i := slices.Index(sh.waiters, ch); i >= 0 {
+				sh.waiters = slices.Delete(sh.waiters, i, i+1)
+			} else {
+				<-ch // woken as ctx ended: the send is already in ch
+			}
+		}
+		sh.idle = append(sh.idle, ch)
+		if err != nil {
+			return err
+		}
 	}
+}
+
+// wakeLocked wakes every waiter; sh.mu is held.
+func (sh *Shipper) wakeLocked() {
+	for i, ch := range sh.waiters {
+		ch <- struct{}{}
+		sh.waiters[i] = nil
+	}
+	sh.waiters = sh.waiters[:0]
 }
 
 // setStateLocked transitions and wakes every waiter.
 func (sh *Shipper) setStateLocked(state int) {
 	sh.state = state
-	close(sh.waitCh)
-	sh.waitCh = make(chan struct{})
+	sh.wakeLocked()
 	if sh.cfg.OnState != nil {
 		sh.cfg.OnState(stateName(state))
 	}
@@ -291,8 +336,7 @@ func (sh *Shipper) setAcked(seq uint64) {
 	defer sh.mu.Unlock()
 	if seq > sh.ackedSeq {
 		sh.ackedSeq = seq
-		close(sh.waitCh)
-		sh.waitCh = make(chan struct{})
+		sh.wakeLocked()
 	}
 }
 
@@ -416,7 +460,8 @@ func (sh *Shipper) relay(cb store.CommittedBatch) error {
 		sh.mu.Unlock()
 		return nil
 	}
-	req := &cluster.ReplicaAppendRequest{
+	req := &sh.req
+	*req = cluster.ReplicaAppendRequest{
 		Epoch:    sh.cfg.Epoch(),
 		ShardID:  sh.cfg.ShardID,
 		BatchSeq: cb.BatchSeq,
@@ -454,6 +499,7 @@ func (sh *Shipper) relay(cb store.CommittedBatch) error {
 	sh.shipped++
 	sh.mu.Unlock()
 	sh.setAcked(cb.LastSeq)
+	req.Records = nil // the batch is the tail's; keep none of it
 	return nil
 }
 
@@ -462,16 +508,15 @@ func (sh *Shipper) relay(cb store.CommittedBatch) error {
 // classify; transport errors retry up to DetachAfter times, after
 // which the shipper flips to detached (sync waiters release — the
 // primary stays available without its follower) and the attach cycle
-// starts over.
+// starts over. Each attempt has deliverTimeout to complete: a deadline
+// the transport puts on the stream itself.
 func (sh *Shipper) deliver(req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
 	var lastErr error
 	for attempt := 0; attempt < sh.cfg.DetachAfter; attempt++ {
 		if sh.stopped() {
 			return nil, errStopped
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		resp, err := sh.cfg.Send(ctx, req)
-		cancel()
+		resp, err := sh.cfg.Send(time.Now().Add(deliverTimeout), req)
 		if err == nil {
 			// A successful exchange restores attachment if a previous
 			// batch had detached us.

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"wearlock/internal/cluster"
 	"wearlock/internal/core"
 	"wearlock/internal/fault"
 	"wearlock/internal/vtime"
@@ -221,7 +222,7 @@ func TestWarmSubmitAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	ceilings := map[string]float64{"default": 8, "out-of-range": 10, "attacker": 11}
+	ceilings := map[string]float64{"default": 4, "out-of-range": 6, "attacker": 7}
 	for _, name := range []string{"default", "out-of-range", "attacker"} {
 		cfg := testConfig()
 		cfg.GCInterval = time.Hour // no sweep runs during the count
@@ -248,6 +249,54 @@ func TestWarmSubmitAllocationCeiling(t *testing.T) {
 			t.Errorf("%s: warm Submit/Wait/Snapshot allocated %.1f objects, ceiling %.0f", name, allocs, ceilings[name])
 		} else {
 			t.Logf("%s: %.1f allocations per warm Submit/Wait/Snapshot", name, allocs)
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDurableSubmitAllocationCeiling counts a warm light unlock on a
+// durable daemon from the request to the answer's body bytes, as both
+// transports run it: Submit, the session under its borrowed context, the
+// group commit with a reused handle, the wait on the caller's own wake
+// channel and the view appended to a reused buffer. What is left is the
+// Session and its ID, the worker's task, the session's Detail, the
+// device's exported key and the session map's growth; the attacker's
+// motion filter adds one.
+func TestDurableSubmitAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	ceilings := map[string]float64{"out-of-range": 6, "attacker": 7}
+	for _, name := range []string{"out-of-range", "attacker"} {
+		cfg := durableConfig(t.TempDir())
+		cfg.GCInterval = time.Hour // no sweep runs during the count
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WaitReady(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		device := 1
+		req := cluster.UnlockRequest{Scenario: name, Device: &device}
+		wake := make(chan struct{}, 1)
+		var reply unlockReply
+		var body []byte
+		run := func() {
+			s.unlockAnswer(context.Background(), &req, wake, &reply)
+			if body, err = reply.appendBody(body[:0]); err != nil || reply.status != 200 || reply.view.State != "done" {
+				t.Fatalf("%s: %d %s: %v", name, reply.status, body, err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			run()
+		}
+		if allocs := testing.AllocsPerRun(50, run); allocs > ceilings[name] {
+			t.Errorf("%s: warm durable unlock allocated %.1f objects, ceiling %.0f", name, allocs, ceilings[name])
+		} else {
+			t.Logf("%s: %.1f allocations per warm durable unlock", name, allocs)
 		}
 		if err := s.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)

@@ -268,6 +268,14 @@ func (c pendingCommit) await(s *Service, devID int) error {
 	return nil
 }
 
+// release hands the commit's handle back to the store once the session
+// is done with it.
+func (c pendingCommit) release() {
+	if c.h != nil {
+		c.h.Release()
+	}
+}
+
 // persistDeviceAsync enqueues a finished session's device state together
 // with the fleet admission state on the store's group committer. Caller
 // holds dev.mu — the exported snapshot is the session's own — but the

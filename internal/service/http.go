@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -96,39 +95,84 @@ func (s *Service) handleUnlock(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	status, retryAfter, v := s.unlockAnswer(r.Context(), &req)
-	if retryAfter != "" {
-		w.Header().Set("Retry-After", retryAfter)
+	wake := s.wakes.Get().(chan struct{})
+	var reply unlockReply
+	s.unlockAnswer(r.Context(), &req, wake, &reply)
+	s.wakes.Put(wake) // empty again: await's contract
+	if reply.retryAfter != "" {
+		w.Header().Set("Retry-After", reply.retryAfter)
 	}
-	writeJSON(w, status, v)
+	buf := s.bodies.Get().(*[]byte)
+	var err error
+	*buf, err = reply.appendBody((*buf)[:0])
+	writeBody(w, reply.status, *buf, err)
+	s.bodies.Put(buf)
+}
+
+// jsonContentType is the Content-Type value of every unlock and session
+// answer, one slice shared by all of them: net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
+// writeBody answers status with a JSON body as writeJSON does; a body
+// that failed to encode is left out after the status line, as
+// json.Encoder leaves it.
+func writeBody(w http.ResponseWriter, status int, body []byte, err error) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(status)
+	if err == nil {
+		_, _ = w.Write(body)
+	}
 }
 
 // handleUnlockStream serves the gateway's unlock stream: each MsgUnlock
 // frame is one POST /v1/unlock, answered with a MsgUnlockAck carrying
 // the status, Retry-After and body bytes handleUnlock would have sent.
+// The request, the wake channel, the reply and the body buffer are the
+// stream's, reused frame to frame.
 func (s *Service) handleUnlockStream(w http.ResponseWriter, r *http.Request) {
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body) // writeJSON's encoding, so the bytes match
-	var ack cluster.UnlockResponse
+	var (
+		unlockReq cluster.UnlockRequest
+		wake      = make(chan struct{}, 1)
+		reply     unlockReply
+		ack       cluster.UnlockResponse
+	)
 	s.unlockStreams.Serve(w, r, func(ctx context.Context, frame, out []byte) ([]byte, error) {
-		req, err := cluster.DecodeAs[cluster.UnlockRequest](frame, cluster.MsgUnlock)
+		req, err := cluster.DecodeAsInto(frame, cluster.MsgUnlock, &unlockReq)
 		if err != nil {
 			return out, err
 		}
-		status, retryAfter, v := s.unlockAnswer(ctx, req)
-		body.Reset()
-		if err := enc.Encode(v); err != nil {
+		s.unlockAnswer(ctx, req, wake, &reply)
+		if ack.Body, err = reply.appendBody(ack.Body[:0]); err != nil {
 			return out, err
 		}
-		ack = cluster.UnlockResponse{Status: status, RetryAfter: retryAfter, Body: body.Bytes()}
+		ack.Status, ack.RetryAfter = reply.status, reply.retryAfter
 		return cluster.AppendFrame(out, cluster.MsgUnlockAck, &ack)
 	})
 }
 
-// unlockAnswer runs one unlock request for either transport and returns
-// the answer: the status, the Retry-After value ("" for none) and the
-// value to encode as the body.
-func (s *Service) unlockAnswer(ctx context.Context, req *cluster.UnlockRequest) (int, string, any) {
+// unlockReply is one unlock request's answer: the status, the
+// Retry-After value ("" for none) and the body, a refusal's error
+// message or else the session's view.
+type unlockReply struct {
+	status     int
+	retryAfter string
+	errMsg     string
+	view       View
+}
+
+// appendBody appends the reply's JSON body, as json.Encoder writes it.
+func (r *unlockReply) appendBody(dst []byte) ([]byte, error) {
+	if r.errMsg != "" {
+		return appendErrorBody(dst, r.errMsg), nil
+	}
+	return appendView(dst, &r.view)
+}
+
+// unlockAnswer runs one unlock request for either transport and fills
+// reply with the answer. A synchronous request waits on wake (see
+// Session.await).
+func (s *Service) unlockAnswer(ctx context.Context, req *cluster.UnlockRequest, wake chan struct{}, reply *unlockReply) {
+	*reply = unlockReply{}
 	device := -1
 	if req.Device != nil {
 		device = *req.Device
@@ -138,40 +182,48 @@ func (s *Service) unlockAnswer(ctx context.Context, req *cluster.UnlockRequest) 
 		Device:   device,
 		Timeout:  time.Duration(req.TimeoutMS) * time.Millisecond,
 	})
+	if err != nil {
+		reply.status, reply.retryAfter = s.refusal(err)
+		reply.errMsg = err.Error()
+		return
+	}
+	reply.status = http.StatusOK
 	switch {
-	case err == nil:
+	case req.Wait != nil && !*req.Wait:
+		reply.status = http.StatusAccepted
+	case sess.await(ctx, wake) != nil:
+		// Synchronous mode: the session owns its deadline, so waiting on
+		// the request context alone is enough — if the client disconnects
+		// the session still finishes and stays queryable.
+		reply.status = http.StatusAccepted
+	}
+	reply.view = sess.Snapshot()
+}
+
+// refusal maps a Submit error onto its status and Retry-After value.
+func (s *Service) refusal(err error) (int, string) {
+	switch {
 	case errors.Is(err, ErrQueueFull):
 		// The queue drains at session pace — tell the client when a slot
 		// is plausibly free rather than inviting an immediate retry: the
 		// backlog divided by the pool's observed drain rate.
-		return http.StatusTooManyRequests, strconv.Itoa(s.RetryAfter()), errorBody{Error: err.Error()}
+		return http.StatusTooManyRequests, strconv.Itoa(s.RetryAfter())
 	case errors.Is(err, ErrFenced):
 		// The device is mid-handoff; the range serves elsewhere within
 		// seconds. Retry-After so the request is deferred, never dropped.
-		return http.StatusServiceUnavailable, strconv.Itoa(s.RetryAfter()), errorBody{Error: err.Error()}
+		return http.StatusServiceUnavailable, strconv.Itoa(s.RetryAfter())
 	case errors.Is(err, ErrNotOwned):
 		// Routing race: the gateway re-resolves ownership on 421.
-		return http.StatusMisdirectedRequest, "", errorBody{Error: err.Error()}
+		return http.StatusMisdirectedRequest, ""
 	case errors.Is(err, ErrFollowing):
 		// Warm standby: the primary (or its promoted successor) serves.
 		// Retry-After because promotion flips this daemon live in seconds.
-		return http.StatusServiceUnavailable, strconv.Itoa(s.RetryAfter()), errorBody{Error: err.Error()}
+		return http.StatusServiceUnavailable, strconv.Itoa(s.RetryAfter())
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrRecovering):
-		return http.StatusServiceUnavailable, "", errorBody{Error: err.Error()}
+		return http.StatusServiceUnavailable, ""
 	default: // unknown scenario/device
-		return http.StatusBadRequest, "", errorBody{Error: err.Error()}
+		return http.StatusBadRequest, ""
 	}
-
-	if req.Wait != nil && !*req.Wait {
-		return http.StatusAccepted, "", sess.Snapshot()
-	}
-	// Synchronous mode: the session owns its deadline, so waiting on the
-	// request context alone is enough — if the client disconnects the
-	// session still finishes and stays queryable.
-	if err := sess.Wait(ctx); err != nil {
-		return http.StatusAccepted, "", sess.Snapshot()
-	}
-	return http.StatusOK, "", sess.Snapshot()
 }
 
 func (s *Service) handleSession(w http.ResponseWriter, r *http.Request) {
@@ -180,7 +232,12 @@ func (s *Service) handleSession(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown session (finished sessions expire after the TTL)"})
 		return
 	}
-	writeJSON(w, http.StatusOK, sess.Snapshot())
+	v := sess.Snapshot()
+	buf := s.bodies.Get().(*[]byte)
+	var err error
+	*buf, err = appendView((*buf)[:0], &v)
+	writeBody(w, http.StatusOK, *buf, err)
+	s.bodies.Put(buf)
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, _ *http.Request) {

@@ -256,21 +256,22 @@ type replStream struct {
 	url    *url.URL           // the follower's /replica/v1/stream
 	metric *telemetry.Counter // wearlockd_replica_stream_dials_total
 	st     *cluster.Stream    // nil until (re)dialled
+	ack    cluster.ReplicaAppendResponse
 }
 
-// Send ships one batch frame and reads the answer frame within ctx's
-// deadline, dialling and upgrading first if need be. A refusal keeps the
-// connection; any other error closes it, so the shipper's retry redials.
-func (rs *replStream) Send(ctx context.Context, req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
+// Send ships one batch frame and reads the answer frame by deadline,
+// dialling and upgrading first if need be. The ack it returns is reused
+// by the next Send. A refusal keeps the connection; any other error
+// closes it, so the shipper's retry redials.
+func (rs *replStream) Send(deadline time.Time, req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
 	var err error
-	deadline, _ := ctx.Deadline()
 	if rs.st == nil {
 		rs.metric.Inc()
-		if rs.st, err = cluster.DialStream(ctx, deadline, rs.url, replStreamProto); err != nil {
+		if rs.st, err = cluster.DialStream(context.Background(), deadline, rs.url, replStreamProto); err != nil {
 			return nil, fmt.Errorf("service: replica stream: %w", err)
 		}
 	}
-	m, err := rs.st.Exchange(deadline, cluster.MsgReplicaAppend, req)
+	m, err := rs.st.Exchange(deadline, cluster.MsgReplicaAppend, req, &rs.ack)
 	switch p := m.Payload.(type) {
 	case *cluster.ReplicaAppendResponse:
 		return p, nil
@@ -360,15 +361,20 @@ func (s *Service) replWarmDevices(ids []int) {
 // handleReplicaStream upgrades a primary's GET and answers each batch
 // frame with one frame until either end closes. A frame it cannot read
 // and decode whole closes the stream unapplied; the primary re-sends it.
+//
+// Each batch decodes into the stream's one request, records included: a
+// batch is applied, copied into the store's commit queue, before the
+// next frame is read.
 func (s *Service) handleReplicaStream(w http.ResponseWriter, r *http.Request) {
+	var batch cluster.ReplicaAppendRequest
+	var ack cluster.ReplicaAppendResponse
 	s.repl.inbound.Serve(w, r, func(_ context.Context, frame, out []byte) ([]byte, error) {
-		req, err := cluster.DecodeAs[cluster.ReplicaAppendRequest](frame, cluster.MsgReplicaAppend)
+		req, err := cluster.DecodeAsInto(frame, cluster.MsgReplicaAppend, &batch)
 		if err != nil {
 			return out, err
 		}
-		resp, err := s.replAppend(req)
-		if err == nil {
-			return cluster.AppendFrame(out, cluster.MsgReplicaAppendAck, resp)
+		if ack, err = s.replAppend(req); err == nil {
+			return cluster.AppendFrame(out, cluster.MsgReplicaAppendAck, &ack)
 		}
 		status := http.StatusInternalServerError // the shipper retries it
 		for st, sentinel := range replStatuses {
@@ -388,20 +394,20 @@ func (s *Service) handleReplicaStream(w http.ResponseWriter, r *http.Request) {
 // promote's reconcile and its promoted-flag flip could advance durable
 // counters the freshly promoted verifier has not seen, which is exactly
 // the replay window promotion must never open.
-func (s *Service) replAppend(req *cluster.ReplicaAppendRequest) (*cluster.ReplicaAppendResponse, error) {
+func (s *Service) replAppend(req *cluster.ReplicaAppendRequest) (cluster.ReplicaAppendResponse, error) {
 	if !s.cfg.Follow {
-		return nil, fmt.Errorf("%w: not a follower (-follow)", replica.ErrFenced)
+		return cluster.ReplicaAppendResponse{}, fmt.Errorf("%w: not a follower (-follow)", replica.ErrFenced)
 	}
 	if err := s.shardClusterReady(); err != nil {
-		return nil, err
+		return cluster.ReplicaAppendResponse{}, err
 	}
 	if err := s.shardEpochGate(req.Epoch); err != nil {
-		return nil, fmt.Errorf("%w: %v", replica.ErrFenced, err)
+		return cluster.ReplicaAppendResponse{}, fmt.Errorf("%w: %v", replica.ErrFenced, err)
 	}
 	s.repl.mu.Lock()
 	defer s.repl.mu.Unlock()
 	if s.repl.promoted {
-		return nil, fmt.Errorf("%w: promoted; stale primary", replica.ErrFenced)
+		return cluster.ReplicaAppendResponse{}, fmt.Errorf("%w: promoted; stale primary", replica.ErrFenced)
 	}
 	return s.replReceiverLocked().Apply(req)
 }

@@ -302,9 +302,7 @@ func TestReplicaStreamTransportFaults(t *testing.T) {
 				return n
 			}
 
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			_, err := st.Send(ctx, batch)
-			cancel()
+			_, err := st.Send(time.Now().Add(deadline), batch)
 			if err == nil || errors.Is(err, replica.ErrFenced) || errors.Is(err, replica.ErrOutOfSync) || errors.Is(err, replica.ErrCorrupt) {
 				t.Fatalf("faulted send returned %v, want a transport error", err)
 			}
@@ -312,9 +310,7 @@ func TestReplicaStreamTransportFaults(t *testing.T) {
 				t.Fatalf("fault applied %d of the batch's 2 records", n)
 			}
 
-			ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if _, err := st.Send(ctx, batch); err != nil {
+			if _, err := st.Send(time.Now().Add(5*time.Second), batch); err != nil {
 				t.Fatalf("send after the fault: %v", err)
 			}
 			if n := st.metric.Value(); n != 2 {

@@ -243,13 +243,12 @@ func TestReplicaPromoteFencesStalePrimary(t *testing.T) {
 		Records: []store.Record{{Seq: 1000, Device: &store.DeviceState{ID: 0, Key: []byte{9}, GenCounter: 1 << 40}}},
 	}
 	st := testStream(t, rp.followerSrv.URL)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := st.Send(ctx, straggler); !errors.Is(err, replica.ErrFenced) {
+	deadline := time.Now().Add(5 * time.Second)
+	if _, err := st.Send(deadline, straggler); !errors.Is(err, replica.ErrFenced) {
 		t.Fatalf("stale-epoch append answered %v, want a 409 refusal", err)
 	}
 	straggler.Epoch = 2 // even the fenced epoch: a promoted daemon takes no appends
-	if _, err := st.Send(ctx, straggler); !errors.Is(err, replica.ErrFenced) {
+	if _, err := st.Send(deadline, straggler); !errors.Is(err, replica.ErrFenced) {
 		t.Fatalf("post-promotion append answered %v, want a 409 refusal", err)
 	}
 	if got := followerCounter(0); got != preAppend {

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,10 +200,15 @@ type Session struct {
 	Scenario string
 	Device   int
 
+	// svc, timeout and faults are what the session runs with besides
+	// its device and scenario; set at admission, read by the worker.
+	svc     *Service
+	timeout time.Duration
+	faults  *fault.SessionFaults
+
 	mu        sync.Mutex
 	state     SessionState
 	submitted time.Time
-	started   time.Time
 	// finished is written once, holding both Service.mu and mu, so
 	// either lock reads it.
 	finished time.Time
@@ -212,8 +218,20 @@ type Session struct {
 	// order, for the GC sweep; Service.mu guards it.
 	nextFinished *Session
 
+	// done is nil until a Wait needs it, then closed when the session
+	// ends; once the session has ended it is closedChan. wake is the one
+	// waiter channel await registered, signalled once when the session
+	// ends. mu guards both.
 	done chan struct{}
+	wake chan struct{}
 }
+
+// closedChan is the done channel of every session that has ended.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // View is an immutable snapshot of a session for serialization.
 type View struct {
@@ -275,11 +293,65 @@ func finiteOr(v, fallback float64) float64 {
 
 // Wait blocks until the session reaches a terminal state or ctx ends.
 func (sess *Session) Wait(ctx context.Context) error {
+	sess.mu.Lock()
+	if sess.done == nil {
+		sess.done = make(chan struct{})
+	}
+	done := sess.done
+	sess.mu.Unlock()
 	select {
-	case <-sess.done:
+	case <-done:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
+	}
+}
+
+// await is Wait on the caller's own wake channel — capacity one, empty,
+// kept by the caller across sessions — so waiting costs the session no
+// channel of its own (DESIGN.md §10.2). The session signals wake only
+// while wake is registered, and a waiter leaving on ctx either
+// unregisters it or takes the signal already on its way: wake is empty
+// again when await returns, whatever the outcome.
+func (sess *Session) await(ctx context.Context, wake chan struct{}) error {
+	sess.mu.Lock()
+	switch {
+	case sess.done == closedChan:
+		sess.mu.Unlock()
+		return nil
+	case sess.wake != nil:
+		sess.mu.Unlock()
+		return sess.Wait(ctx)
+	}
+	sess.wake = wake
+	sess.mu.Unlock()
+	select {
+	case <-wake:
+		return nil
+	case <-ctx.Done():
+	}
+	sess.mu.Lock()
+	if sess.wake == wake {
+		sess.wake = nil
+		sess.mu.Unlock()
+		return ctx.Err()
+	}
+	sess.mu.Unlock()
+	<-wake // the session ended as ctx did; its signal is on the way
+	return nil
+}
+
+// release marks the session ended and wakes its waiters.
+func (sess *Session) release() {
+	sess.mu.Lock()
+	done, wake := sess.done, sess.wake
+	sess.done, sess.wake = closedChan, nil
+	sess.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
+	if wake != nil {
+		wake <- struct{}{}
 	}
 }
 
@@ -548,6 +620,13 @@ type Service struct {
 
 	// unlockStreams serves the gateway's unlock streams (http.go).
 	unlockStreams *cluster.StreamServer
+
+	// ctxs holds the *sessionCtx each running session borrows; wakes
+	// and bodies hold the wake channels and body buffers POST /v1/unlock
+	// handlers borrow (http.go). Each fills as load needs it.
+	ctxs   sync.Pool
+	wakes  sync.Pool
+	bodies sync.Pool
 }
 
 // New lays out the device fleet (each pair builds on first touch),
@@ -610,6 +689,9 @@ func New(cfg Config) (*Service, error) {
 		gcStop:    make(chan struct{}),
 		gcDone:    make(chan struct{}),
 	}
+	s.ctxs.New = func() any { return new(sessionCtx) }
+	s.wakes.New = func() any { return make(chan struct{}, 1) }
+	s.bodies.New = func() any { return new([]byte) }
 	s.m = newMetrics(s.reg)
 	s.replClient = newReplClient()
 	s.repl.inbound = cluster.NewStreamServer(replStreamProto)
@@ -675,12 +757,13 @@ func (s *Service) Scenarios() []string { return ScenarioNames(s.scenarios) }
 func (s *Service) runOnDevice(ctx context.Context, dev *devicePair, sc core.Scenario) (Answer, error) {
 	dev.lock()
 	// A session admitted before a handoff fence but scheduled after it
-	// must not advance counters the fenced tail export already shipped:
-	// the fence is re-checked under the device lock, where export
-	// quiesces.
-	if s.shardFenced(dev.id) {
+	// must not advance counters the fenced tail export already shipped,
+	// nor, once the release has dropped the fence with the ownership,
+	// counters the target now serves from: admission is re-checked in
+	// full under the device lock, where export quiesces.
+	if err := s.shardAdmit(dev.id); err != nil {
 		dev.mu.Unlock()
-		return Answer{}, ErrFenced
+		return Answer{}, err
 	}
 	// The session runs into the pair's own Result; its answer is copied
 	// out here, before mu is released and the next session reuses it.
@@ -731,6 +814,7 @@ func (s *Service) runOnDevice(ctx context.Context, dev *devicePair, sc core.Scen
 		// cluster has moved past.
 		err = s.replWaitReplicated(ctx, commit)
 	}
+	commit.release()
 	return ans, err
 }
 
@@ -804,12 +888,14 @@ func (s *Service) Submit(req Request) (*Session, error) {
 		sc.Faults = sf
 	}
 	sess := &Session{
-		ID:        fmt.Sprintf("s-%08d", s.seq),
+		ID:        sessionID(s.seq),
 		Scenario:  name,
 		Device:    dev.id,
+		svc:       s,
+		timeout:   timeout,
+		faults:    sc.Faults,
 		state:     StateQueued,
 		submitted: s.clock.Now(),
-		done:      make(chan struct{}),
 	}
 	// The inflight count covers queued work too, and is raised under mu
 	// so Drain (which flips draining under the same lock before waiting)
@@ -820,7 +906,7 @@ func (s *Service) Submit(req Request) (*Session, error) {
 	s.m.tracked.Set(int64(len(s.sessions)))
 	s.mu.Unlock()
 
-	if err := s.pool.TrySubmit(func() { s.run(sess, dev, sc, timeout) }); err != nil {
+	if err := s.pool.TrySubmit(sess.run); err != nil {
 		s.mu.Lock()
 		delete(s.sessions, sess.ID)
 		s.m.tracked.Set(int64(len(s.sessions)))
@@ -848,8 +934,23 @@ func (s *Service) pickDevice(pinned int) *devicePair {
 	return s.devices[s.nextDev.Add(1)%uint64(len(s.devices))]
 }
 
-// run executes one admitted session on a pool worker.
-func (s *Service) run(sess *Session, dev *devicePair, sc core.Scenario, timeout time.Duration) {
+// sessionID formats seq as fmt.Sprintf("s-%08d", seq) does, into one
+// new string.
+func sessionID(seq uint64) string {
+	var digits [20]byte
+	num := strconv.AppendUint(digits[:0], seq, 10)
+	var b [22]byte
+	id := append(b[:0], "s-"...)
+	for i := len(num); i < 8; i++ {
+		id = append(id, '0')
+	}
+	return string(append(id, num...))
+}
+
+// run executes one admitted session on a pool worker, under a
+// sessionCtx the workers share through s.ctxs.
+func (sess *Session) run() {
+	s := sess.svc
 	defer s.inflight.Done()
 	s.m.queueDepth.Set(int64(s.pool.Depth()))
 	s.m.inflight.Add(1)
@@ -857,12 +958,14 @@ func (s *Service) run(sess *Session, dev *devicePair, sc core.Scenario, timeout 
 
 	sess.mu.Lock()
 	sess.state = StateRunning
-	sess.started = s.clock.Now()
 	sess.mu.Unlock()
 
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	ans, err := s.unlock(ctx, dev, sc)
-	cancel()
+	sc := s.scenarios[sess.Scenario]
+	sc.Faults = sess.faults
+	ctx := s.ctxs.Get().(*sessionCtx)
+	ctx.reset(time.Now().Add(sess.timeout))
+	ans, err := s.unlock(ctx, s.devices[sess.Device], sc)
+	s.ctxs.Put(ctx)
 
 	// The finish time is read under s.mu, so the finished sessions link
 	// up in finish order.
@@ -889,7 +992,7 @@ func (s *Service) run(sess *Session, dev *devicePair, sc core.Scenario, timeout 
 	// Metrics first, then done: a waiter or a /metrics scrape that follows
 	// the response must already see this session counted.
 	s.recordSession(ans, err, wall)
-	close(sess.done)
+	sess.release()
 }
 
 // recordSession publishes one finished session's metrics.

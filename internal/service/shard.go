@@ -44,12 +44,13 @@ type shardState struct {
 	owned   map[int]bool
 	fenced  map[int]bool
 	// ownedList caches the sorted owned IDs for round-robin picking; nil
-	// when empty.
+	// when empty. It is copy-on-write: a rebuild publishes a new slice.
 	ownedList []int
 }
 
 // shardAdmit gates one admission on ownership. Standalone daemons admit
-// everything.
+// everything. A session checks it twice: at Submit, and again under
+// dev.mu before it touches the device, where handoff export quiesces.
 func (s *Service) shardAdmit(id int) error {
 	s.shard.mu.Lock()
 	defer s.shard.mu.Unlock()
@@ -63,16 +64,6 @@ func (s *Service) shardAdmit(id int) error {
 		return ErrNotOwned
 	}
 	return nil
-}
-
-// shardFenced reports whether a device is frozen for handoff. Checked
-// under dev.mu by the session body so a session admitted before the
-// fence but scheduled after it cannot mutate counters the tail export
-// already shipped.
-func (s *Service) shardFenced(id int) bool {
-	s.shard.mu.Lock()
-	defer s.shard.mu.Unlock()
-	return s.shard.enabled && s.shard.fenced[id]
 }
 
 // shardOwnedList returns the sorted owned IDs for round-robin, nil when
@@ -175,15 +166,20 @@ func (s *Service) shardRelease(ids []int) int {
 	return released
 }
 
+// rebuildOwnedListLocked replaces ownedList with a new slice: readers
+// index the one shardOwnedList handed them after shard.mu is released,
+// so a published list is never written again.
 func (st *shardState) rebuildOwnedListLocked() {
-	st.ownedList = st.ownedList[:0]
-	for id := range st.owned {
-		st.ownedList = append(st.ownedList, id)
-	}
-	sort.Ints(st.ownedList)
-	if len(st.ownedList) == 0 {
+	if len(st.owned) == 0 {
 		st.ownedList = nil
+		return
 	}
+	list := make([]int, 0, len(st.owned))
+	for id := range st.owned {
+		list = append(list, id)
+	}
+	sort.Ints(list)
+	st.ownedList = list
 }
 
 // shardSnapshot reads (epoch, owned count) for heartbeats.

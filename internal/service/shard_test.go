@@ -6,9 +6,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"wearlock/internal/cluster"
+	"wearlock/internal/core"
 )
 
 // shardPost sends one framed wire message to a daemon handler and
@@ -215,4 +218,148 @@ func TestShardWireRejectsGarbage(t *testing.T) {
 			t.Errorf("%s garbage answer is not a wire error frame (type %v, err %v)", path, m.Type, err)
 		}
 	}
+}
+
+// TestShardQueuedSessionAcrossHandoffRelease holds a session admitted on
+// the source before a handoff fence in the queue across fence → export →
+// adopt (on the target) → release, then lets it run. By then the source
+// owns the device no more and the target serves it from the exported
+// counters, so the session must fail retryably without touching them: a
+// session that ran would advance counters the target already re-issued,
+// and one HOTP token would be accepted twice.
+func TestShardQueuedSessionAcrossHandoffRelease(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cfg := durableConfig(t.TempDir())
+	cfg.Workers = 1
+	src, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Shutdown(context.Background()) }()
+	tcfg := durableConfig(t.TempDir())
+	dst, err := New(tcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = dst.Shutdown(context.Background()) }()
+	if err := src.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	srcH, dstH := src.Handler(), dst.Handler()
+	for _, reg := range []struct {
+		h     http.Handler
+		owned []int
+	}{{srcH, []int{0, 1}}, {dstH, []int{2, 3}}} {
+		if _, code := shardPost[cluster.RegisterResponse](t, reg.h, "/cluster/v1/register", cluster.MsgRegister,
+			&cluster.RegisterRequest{ShardID: "standalone", Epoch: 1, TotalDevices: 4, Owned: reg.owned},
+			cluster.MsgRegisterAck); code != http.StatusOK {
+			t.Fatalf("register: HTTP %d", code)
+		}
+	}
+
+	// The one worker is held on device 1 while the device-0 session
+	// queues behind it.
+	started, gate := make(chan struct{}), make(chan struct{})
+	run := src.unlock
+	src.unlock = func(ctx context.Context, dev *devicePair, sc core.Scenario) (Answer, error) {
+		if dev.id == 1 {
+			close(started)
+			<-gate
+		}
+		return run(ctx, dev, sc)
+	}
+	blocker, err := src.Submit(Request{Scenario: "out-of-range", Device: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued, err := src.Submit(Request{Scenario: "out-of-range", Device: 0})
+	if err != nil {
+		t.Fatalf("admitting the device-0 session before the fence: %v", err)
+	}
+
+	exp, code := shardPost[cluster.ExportRangeResponse](t, srcH, "/cluster/v1/export-range", cluster.MsgExportRange,
+		&cluster.ExportRangeRequest{Epoch: 1, Devices: []int{0}, Fence: true}, cluster.MsgExportRangeAck)
+	if code != http.StatusOK {
+		t.Fatalf("fenced export: HTTP %d", code)
+	}
+	if _, code := shardPost[cluster.ImportRangeResponse](t, dstH, "/cluster/v1/import-range", cluster.MsgImportRange,
+		&cluster.ImportRangeRequest{Epoch: 1, Devices: []int{0}, Records: exp.Records, Adopt: true},
+		cluster.MsgImportRangeAck); code != http.StatusOK {
+		t.Fatalf("adopting import: HTTP %d", code)
+	}
+	if _, code := shardPost[cluster.ReleaseRangeResponse](t, srcH, "/cluster/v1/release-range", cluster.MsgReleaseRange,
+		&cluster.ReleaseRangeRequest{Epoch: 1, Devices: []int{0}}, cluster.MsgReleaseRangeAck); code != http.StatusOK {
+		t.Fatalf("release: HTTP %d", code)
+	}
+	shipped, ok := src.store.Device(0)
+	if !ok {
+		t.Fatal("device 0 has no durable record after the fenced export")
+	}
+
+	close(gate)
+	for _, sess := range []*Session{blocker, queued} {
+		if err := sess.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := queued.Snapshot(); v.State != "failed" || !errors.Is(queued.Err(), ErrNotOwned) {
+		t.Fatalf("session queued across the handoff ended %s (%v), want failed with ErrNotOwned", v.State, queued.Err())
+	}
+	after, _ := src.store.Device(0)
+	if after.GenCounter != shipped.GenCounter || after.VerCounter != shipped.VerCounter || after.RngDraws != shipped.RngDraws {
+		t.Fatalf("source advanced device 0 after releasing it: shipped %+v, now %+v", shipped, after)
+	}
+}
+
+// TestShardOwnedListRace races unpinned Submits, which round-robin over
+// the owned list, against the adopt and release steps that rebuild it.
+// Run under -race: a list rebuilt in place is a data race with the
+// picker indexing the list it was handed.
+func TestShardOwnedListRace(t *testing.T) {
+	cfg := testConfig()
+	cfg.Devices = 16
+	cfg.QueueDepth = 64
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Shutdown(context.Background()) }()
+	s.unlock = func(context.Context, *devicePair, core.Scenario) (Answer, error) {
+		return Answer{Outcome: core.OutcomeUnlocked, Unlocked: true, BER: -1}, nil
+	}
+	if _, code := shardPost[cluster.RegisterResponse](t, s.Handler(), "/cluster/v1/register", cluster.MsgRegister,
+		&cluster.RegisterRequest{ShardID: "standalone", Epoch: 1, TotalDevices: 16, Owned: []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		cluster.MsgRegisterAck); code != http.StatusOK {
+		t.Fatalf("register: HTTP %d", code)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if sess, err := s.Submit(Request{Device: -1}); err == nil {
+					_ = sess.Wait(context.Background())
+				}
+			}
+		}()
+	}
+	for i := 0; i < 500; i++ {
+		moved := []int{8 + i%8, 15 - i%8}
+		s.shardAdoptOwned(moved)
+		s.shardRelease(moved)
+	}
+	close(stop)
+	wg.Wait()
 }

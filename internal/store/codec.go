@@ -43,20 +43,31 @@ func AppendRecord(dst []byte, rec *Record) ([]byte, error) {
 }
 
 // ReadRecord reads one record in the canonical layout AppendRecord
-// writes into *rec, which must be the zero Record. A record that leaves
+// writes into *rec. Every field is overwritten; a non-nil Device or
+// Service rec holds on entry is storage the record reuses (its key bytes
+// included), so a caller decoding message after message into the same
+// records allocates nothing once they have grown. A record that leaves
 // the layout — one with a note included — fails c and leaves *rec
 // partly filled; it never falls back on its own, so a caller decoding a
 // larger message can hand the whole message to its strict decoder.
 func ReadRecord(c *canonjson.Reader, rec *Record) {
+	dev, sv := rec.Device, rec.Service
+	*rec = Record{}
 	c.Lit(`{"seq":`)
 	rec.Seq = c.Uint()
 	if c.Next(`,"device":`) {
-		rec.Device = new(DeviceState)
-		readDevice(c, rec.Device)
+		if dev == nil {
+			dev = new(DeviceState)
+		}
+		readDevice(c, dev)
+		rec.Device = dev
 	}
 	if c.Next(`,"service":`) {
-		rec.Service = new(ServiceState)
-		readService(c, rec.Service)
+		if sv == nil {
+			sv = new(ServiceState)
+		}
+		readService(c, sv)
+		rec.Service = sv
 	}
 	c.Lit("}")
 }
@@ -203,7 +214,7 @@ func readDevice(c *canonjson.Reader, d *DeviceState) {
 	c.Lit(`{"id":`)
 	d.ID = int(c.Int(math.MaxInt))
 	c.Lit(`,"key":`)
-	d.Key = c.Bytes()
+	d.Key = c.BytesInto(d.Key)
 	c.Lit(`,"gen_counter":`)
 	d.GenCounter = c.Uint()
 	c.Lit(`,"ver_counter":`)

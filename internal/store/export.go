@@ -89,29 +89,7 @@ func (s *Store) ExportRange(ids []int, since uint64) ([]Record, uint64, error) {
 // streams and session IDs) along with the devices. Sequence numbers
 // are reassigned locally, as with every import.
 func (s *Store) ImportAll(recs []Record) (int, error) {
-	handles := make([]*CommitHandle, 0, len(recs))
-	idx := make([]int, 0, len(recs))
-	for i := range recs {
-		if recs[i].Device == nil && recs[i].Service == nil && recs[i].Note == "" {
-			continue
-		}
-		rec := recs[i].clone()
-		rec.Seq = 0 // the committer assigns the local sequence
-		handles = append(handles, s.enqueue(rec))
-		idx = append(idx, i)
-	}
-	applied := 0
-	var firstErr error
-	for j, h := range handles {
-		if err := h.Wait(); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("store: importing record %d: %w", idx[j], err)
-			}
-			continue
-		}
-		applied++
-	}
-	return applied, firstErr
+	return s.importRecords(recs, false)
 }
 
 // ImportRecords replays exported records through the store's own commit
@@ -121,21 +99,37 @@ func (s *Store) ImportAll(recs []Record) (int, error) {
 // fsyncs — but every record is durable (WAL append + fsync) before this
 // returns. The count of applied records is returned.
 func (s *Store) ImportRecords(recs []Record) (int, error) {
-	handles := make([]*CommitHandle, 0, len(recs))
-	idx := make([]int, 0, len(recs))
+	return s.importRecords(recs, true)
+}
+
+// importRecords enqueues every record (only the device parts when
+// deviceOnly) before awaiting any, then awaits and releases each handle.
+func (s *Store) importRecords(recs []Record, deviceOnly bool) (int, error) {
+	type queued struct {
+		h *CommitHandle
+		i int
+	}
+	var stack [8]queued // a live replica batch fits without a heap slice
+	handles := stack[:0]
 	for i := range recs {
-		if recs[i].Device == nil {
-			continue
+		r := &recs[i]
+		switch {
+		case deviceOnly && r.Device != nil:
+			handles = append(handles, queued{s.enqueue(r.Device, nil, ""), i})
+		case !deviceOnly && (r.Device != nil || r.Service != nil || r.Note != ""):
+			// enqueue copies the record; the committer assigns the local
+			// sequence.
+			handles = append(handles, queued{s.enqueue(r.Device, r.Service, r.Note), i})
 		}
-		handles = append(handles, s.CommitDeviceAsync(*recs[i].Device))
-		idx = append(idx, i)
 	}
 	applied := 0
 	var firstErr error
-	for j, h := range handles {
-		if err := h.Wait(); err != nil {
+	for _, q := range handles {
+		err := q.h.Wait()
+		q.h.Release()
+		if err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("store: importing record %d: %w", idx[j], err)
+				firstErr = fmt.Errorf("store: importing record %d: %w", q.i, err)
 			}
 			continue
 		}

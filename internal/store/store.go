@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -97,40 +98,151 @@ func (r RecoveryInfo) Damaged() bool {
 // record's batch has been appended and fsynced (or failed). The
 // accepted⇒durable contract lives here — nothing may be acknowledged to
 // a caller before Wait returns nil.
+//
+// A handle outlives its commit: once its owner is done with it, Release
+// hands it back to the store, whose next enqueue reuses it (DESIGN.md
+// §15.1). It is resolved once per commit, and only the commit it was
+// handed out for resolves it.
 type CommitHandle struct {
-	done chan struct{}
+	mu   sync.Mutex
+	cond sync.Cond // L is &mu
+	done bool
 	err  error
 	seq  uint64
+	// s takes the handle back on Release; nil for a handle that never
+	// queued (failedHandle).
+	s *Store
+}
+
+func newHandle(s *Store) *CommitHandle {
+	h := &CommitHandle{s: s}
+	h.cond.L = &h.mu
+	return h
 }
 
 // Wait blocks until the commit is durable and returns its outcome.
 func (h *CommitHandle) Wait() error {
-	<-h.done
-	return h.err
+	h.mu.Lock()
+	for !h.done {
+		h.cond.Wait()
+	}
+	err := h.err
+	h.mu.Unlock()
+	return err
 }
 
 // Seq returns the record sequence number the committer assigned. Valid
 // only after Wait has returned nil; the replication shipper uses it to
 // wait for this specific record to be acknowledged by the follower.
 func (h *CommitHandle) Seq() uint64 {
-	<-h.done
-	return h.seq
+	h.mu.Lock()
+	for !h.done {
+		h.cond.Wait()
+	}
+	seq := h.seq
+	h.mu.Unlock()
+	return seq
 }
 
+// Release hands a resolved handle back to its store for reuse. Call it
+// once, after the last Wait or Seq, from the handle's only holder; the
+// handle must not be touched afterwards. Releasing is optional: a handle
+// never released is garbage collected.
+func (h *CommitHandle) Release() {
+	h.mu.Lock()
+	if !h.done {
+		h.mu.Unlock()
+		panic("store: releasing an unresolved commit handle")
+	}
+	h.done, h.err, h.seq = false, nil, 0
+	h.mu.Unlock()
+	if s := h.s; s != nil {
+		s.qmu.Lock()
+		if len(s.freeHandles) < maxFreeHandles {
+			s.freeHandles = append(s.freeHandles, h)
+		}
+		s.qmu.Unlock()
+	}
+}
+
+// resolve settles h with err; the committer calls it once per commit.
+func (h *CommitHandle) resolve(err error) {
+	h.mu.Lock()
+	h.err = err
+	h.done = true
+	h.mu.Unlock()
+	h.cond.Broadcast()
+}
+
+// errClosed fails a commit the store can no longer make durable.
+var errClosed = errors.New("store: commit on closed store")
+
+// maxFreeHandles caps the released handles a store keeps for reuse.
+const maxFreeHandles = 1024
+
 func failedHandle(err error) *CommitHandle {
-	h := &CommitHandle{done: make(chan struct{}), err: err}
-	close(h.done)
+	h := newHandle(nil)
+	h.resolve(err)
 	return h
 }
 
-// pending is one queued commit awaiting its batch.
+// pending is one queued commit awaiting its batch. It holds its record's
+// device and fleet states by value, so a commit copies its caller's
+// state without a heap object of its own; rec points at them once the
+// batch holding the entry is final (bind).
 type pending struct {
 	rec Record
-	h   *CommitHandle
+	dev DeviceState
+	svc ServiceState
+	// key holds dev.Key when it fits; keyLen < 0 means dev.Key is nil or
+	// a copy of its own.
+	key    [inlineKeyLen]byte
+	keyLen int
+	h      *CommitHandle
 	// err records a per-record pre-append failure (encode/size); ok marks
 	// records that made it into the batch's frame buffer.
 	err error
 	ok  bool
+}
+
+// inlineKeyLen is the longest pairing key a pending entry holds inline;
+// a longer one is copied to the heap.
+const inlineKeyLen = 32
+
+// set copies a record of d, sv and note into p. It takes the parts
+// rather than a *Record so that a caller's states need not live on the
+// heap: set copies what they point at, never the pointers.
+func (p *pending) set(d *DeviceState, sv *ServiceState, note string) {
+	p.rec = Record{Note: note}
+	p.keyLen = -1
+	if d != nil {
+		p.dev = *d
+		if d.Key != nil && len(d.Key) <= inlineKeyLen {
+			p.keyLen = copy(p.key[:], d.Key)
+			p.dev.Key = nil
+		} else if d.Key != nil {
+			p.dev.Key = append([]byte(nil), d.Key...)
+		}
+		p.rec.Device = &p.dev
+	}
+	if sv != nil {
+		p.svc = *sv
+		p.rec.Service = &p.svc
+	}
+}
+
+// bind points p.rec at p's own states; p must stay where it is while rec
+// is in use.
+func (p *pending) bind() {
+	if p.rec.Device != nil {
+		if p.keyLen >= 0 {
+			p.dev.Key = p.key[:p.keyLen]
+		}
+		p.rec.Device = &p.dev
+	}
+	if p.rec.Service != nil {
+		p.rec.Service = &p.svc
+	}
 }
 
 // Store is the durable state store. All methods are safe for concurrent
@@ -165,9 +277,14 @@ type Store struct {
 	qmu     sync.Mutex
 	queue   []pending
 	qclosed bool
-	notifyC chan struct{}
-	quitC   chan struct{}
-	doneC   chan struct{}
+	// freeHandles are released handles the next enqueues reuse; batch is
+	// the committer's batch, reused across batches. qmu guards the
+	// first, the committer goroutine owns the second.
+	freeHandles []*CommitHandle
+	batch       []pending
+	notifyC     chan struct{}
+	quitC       chan struct{}
+	doneC       chan struct{}
 }
 
 // Inspect reads a state directory read-only: no WAL creation, no
@@ -323,13 +440,12 @@ func (s *Store) CommitDevice(d DeviceState) error {
 
 // CommitDeviceAsync enqueues one device state and returns its handle.
 func (s *Store) CommitDeviceAsync(d DeviceState) *CommitHandle {
-	return s.enqueue(Record{Device: d.clone()})
+	return s.enqueue(&d, nil, "")
 }
 
 // CommitService durably appends the fleet-level state.
 func (s *Store) CommitService(sv ServiceState) error {
-	c := sv
-	return s.enqueue(Record{Service: &c}).Wait()
+	return s.enqueue(nil, &sv, "").Wait()
 }
 
 // Commit durably appends a combined record (either part may be nil).
@@ -342,33 +458,38 @@ func (s *Store) Commit(d *DeviceState, sv *ServiceState) error {
 // serialization it holds before Wait — batching across concurrent
 // enqueuers is the whole point — but must not acknowledge anything
 // until Wait returns nil.
+//
+// The states are copied at the call; the caller may change them as soon
+// as it returns.
 func (s *Store) CommitAsync(d *DeviceState, sv *ServiceState) *CommitHandle {
-	var rec Record
-	if d != nil {
-		rec.Device = d.clone()
-	}
-	if sv != nil {
-		c := *sv
-		rec.Service = &c
-	}
-	return s.enqueue(rec)
+	return s.enqueue(d, sv, "")
 }
 
 // CommitNote appends a stateless marker record (used by the chaos tests
 // to position crash points between durable commits).
 func (s *Store) CommitNote(note string) error {
-	return s.enqueue(Record{Note: note}).Wait()
+	return s.enqueue(nil, nil, note).Wait()
 }
 
-// enqueue hands one record to the committer.
-func (s *Store) enqueue(rec Record) *CommitHandle {
-	h := &CommitHandle{done: make(chan struct{})}
+// enqueue copies a record of d, sv and note into the commit queue and
+// returns its handle: a released one when the store has one, else a new
+// one.
+func (s *Store) enqueue(d *DeviceState, sv *ServiceState, note string) *CommitHandle {
 	s.qmu.Lock()
 	if s.qclosed {
 		s.qmu.Unlock()
-		return failedHandle(fmt.Errorf("store: commit on closed store"))
+		return failedHandle(errClosed)
 	}
-	s.queue = append(s.queue, pending{rec: rec, h: h})
+	var h *CommitHandle
+	if n := len(s.freeHandles); n > 0 {
+		h = s.freeHandles[n-1]
+		s.freeHandles[n-1] = nil
+		s.freeHandles = s.freeHandles[:n-1]
+	} else {
+		h = newHandle(s)
+	}
+	s.queue = append(s.queue, pending{h: h})
+	s.queue[len(s.queue)-1].set(d, sv, note)
 	s.qmu.Unlock()
 	select {
 	case s.notifyC <- struct{}{}:
@@ -377,23 +498,15 @@ func (s *Store) enqueue(rec Record) *CommitHandle {
 	return h
 }
 
-// takeUpTo dequeues at most max pending commits, in arrival order.
-func (s *Store) takeUpTo(max int) []pending {
+// takeUpTo moves at most max pending commits, in arrival order, from the
+// queue onto the end of batch and returns it.
+func (s *Store) takeUpTo(batch []pending, max int) []pending {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	n := len(s.queue)
-	if n == 0 {
-		return nil
-	}
-	if n > max {
-		n = max
-	}
-	batch := make([]pending, n)
-	copy(batch, s.queue[:n])
+	n := min(len(s.queue), max)
+	batch = append(batch, s.queue[:n]...)
 	rem := copy(s.queue, s.queue[n:])
-	for i := rem; i < len(s.queue); i++ {
-		s.queue[i] = pending{} // release resolved handles
-	}
+	clear(s.queue[rem:]) // release resolved handles
 	s.queue = s.queue[:rem]
 	return batch
 }
@@ -430,22 +543,23 @@ func (s *Store) committer() {
 // escape) while 63 writers sit runnable but unscheduled.
 func (s *Store) drainQueue(final bool) {
 	for {
-		batch := s.takeUpTo(s.opts.CommitMaxBatch)
-		if batch == nil {
+		batch := s.takeUpTo(s.batch[:0], s.opts.CommitMaxBatch)
+		if len(batch) == 0 {
 			return
 		}
 		if !final && len(batch) < s.opts.CommitMaxBatch {
 			deadline := time.Now().Add(s.opts.CommitMaxDelay)
 			for len(batch) < s.opts.CommitMaxBatch && time.Now().Before(deadline) {
 				runtime.Gosched()
-				more := s.takeUpTo(s.opts.CommitMaxBatch - len(batch))
-				if more == nil {
+				n := len(batch)
+				if batch = s.takeUpTo(batch, s.opts.CommitMaxBatch-n); len(batch) == n {
 					break // nothing new arrived: stop lingering, fsync now
 				}
-				batch = append(batch, more...)
 			}
 		}
 		s.commitBatch(batch)
+		clear(batch) // drop the resolved handles and the states
+		s.batch = batch[:0]
 	}
 }
 
@@ -466,7 +580,7 @@ func (s *Store) commitBatch(batch []pending) {
 	if s.closed {
 		s.mu.Unlock()
 		for i := range batch {
-			resolve(&batch[i], fmt.Errorf("store: commit on closed store"))
+			resolve(&batch[i], errClosed)
 		}
 		return
 	}
@@ -475,6 +589,7 @@ func (s *Store) commitBatch(batch []pending) {
 	live := 0
 	for i := range batch {
 		p := &batch[i]
+		p.bind()
 		p.rec.Seq = seq + 1
 		var err error
 		if buf, err = appendRecordFrame(buf, &p.rec); err != nil {
@@ -548,8 +663,7 @@ func resolve(p *pending, err error) {
 	if p.h == nil {
 		return
 	}
-	p.h.err = err
-	close(p.h.done)
+	p.h.resolve(err)
 	p.h = nil
 }
 
