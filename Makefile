@@ -47,6 +47,10 @@ build:
 test:
 	$(GO) test ./...
 
+# One -race run of ./internal/service takes about 150 s on a 2-vCPU host
+# (TestRestartChaos50Cycles about 80 s of it), so a repeated form such as
+# `go test -race -count=5 ./internal/service` outlasts go test's default
+# 10-minute timeout: give that form -timeout 30m.
 race:
 	$(GO) test -race ./...
 
@@ -79,12 +83,13 @@ test-chaos:
 # -short, so the real crash paths always run in CI. The committer's
 # reused commit handles get a -race -count=10 stress run (concurrent
 # commits from 16 devices racing Close), and the allocation ceilings of
-# a steady-state commit and of a warm Submit → answer on a durable
+# a steady-state commit, of a warm compaction and seal (with -benchmem
+# numbers for Compact) and of a warm Submit → answer on a durable
 # daemon run once more without -race, under which they skip.
 test-store:
 	$(GO) test -race -count=1 ./internal/store
 	$(GO) test -race -count=10 ./internal/store -run 'TestReusedHandlesResolveOnlyTheirCommit'
-	$(GO) test -count=1 ./internal/store -run 'Allocation'
+	$(GO) test -count=1 ./internal/store -run 'Allocation' -bench '^BenchmarkCompact$$' -benchmem -benchtime=20x
 	$(GO) test -race -count=1 ./internal/otp -run 'TestRecovery|TestRestore|TestResync'
 	$(GO) test -race -count=1 ./internal/core -run 'TestCheckRestore|TestRestoreState|TestExportRestore'
 	$(GO) test -race -count=1 ./internal/service -run 'TestDurable|TestRestart|TestCrossRestart|TestSubmitRejectsWhileRecovering|TestRecovery|TestReadyz'
@@ -131,12 +136,13 @@ test-cluster:
 # (TestReplicaFirstTouchWarmAndPromote), and the WLC1 replica frame
 # codec (byte identity with json.Marshal, the strict-path oracle; its
 # allocation ceiling once more without -race) — race-enabled. The
-# shipper's reused ack-wait channels get a -race -count=10 stress run,
-# and the ship → apply of one batch its allocation ceiling without
-# -race.
+# shipper's reused ack-wait channels and the tail's lent records (held
+# while the committer runs on, cut off by lag, closed mid-relay) get a
+# -race -count=10 stress run, and the ship → apply of one batch its
+# allocation ceiling without -race.
 test-replica:
 	$(GO) test -race -count=1 ./internal/replica
-	$(GO) test -race -count=10 ./internal/replica -run 'TestShipperAwaitReusesChannels'
+	$(GO) test -race -count=10 ./internal/replica ./internal/store -run 'TestShipperAwaitReusesChannels|TestTailLentRecordsStayPut'
 	$(GO) test -count=1 ./internal/replica -run 'Allocation'
 	$(GO) test -race -count=1 ./internal/store -run 'TestTail'
 	$(GO) test -race -count=1 ./internal/cluster -run 'TestHeartbeat|TestFailover|TestGatewayReadyz|TestWireCodec|FuzzWireProtocol'

@@ -16,6 +16,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"math"
+	"sync/atomic"
 )
 
 // Reader walks a payload expected in the canonical layout. The first
@@ -154,6 +155,30 @@ func (c *Reader) Str() string { return c.StrReusing("") }
 // input holds the same characters: a reader that decodes a field whose
 // value rarely changes passes the value it decoded last.
 func (c *Reader) StrReusing(prev string) string {
+	s := c.plainStr()
+	if !c.ok {
+		return ""
+	}
+	if string(s) == prev {
+		return prev
+	}
+	return string(s)
+}
+
+// StrIn is StrReusing with a table of earlier strings in place of one: a
+// string names holds comes back with no new string, and a new one goes
+// into names.
+func (c *Reader) StrIn(names *Names) string {
+	s := c.plainStr()
+	if !c.ok {
+		return ""
+	}
+	return names.get(s)
+}
+
+// plainStr reads a quoted string of plain characters and returns its
+// characters, which alias the input.
+func (c *Reader) plainStr() []byte {
 	c.Lit(`"`)
 	b, i := c.b, c.i
 	for i < len(b) && plain[b[i]] {
@@ -162,13 +187,32 @@ func (c *Reader) StrReusing(prev string) string {
 	s := b[c.i:i]
 	c.i = i
 	c.Lit(`"`)
-	if !c.ok {
-		return ""
+	return s
+}
+
+// Names is a small fixed table of strings a Reader hands out instead of
+// new ones (StrIn), for a field whose values come from a small set, such
+// as scenario names. Each string has one slot, picked by a hash of its
+// characters; a new string replaces the slot's. Safe for concurrent use;
+// the zero Names is empty.
+type Names struct {
+	slots [16]atomic.Pointer[string]
+}
+
+// get returns the string of b's characters, the one in its slot if that
+// matches.
+func (n *Names) get(b []byte) string {
+	h := uint32(2166136261) // FNV-1a
+	for _, x := range b {
+		h = (h ^ uint32(x)) * 16777619
 	}
-	if string(s) == prev {
-		return prev
+	slot := &n.slots[h%uint32(len(n.slots))]
+	if p := slot.Load(); p != nil && *p == string(b) {
+		return *p
 	}
-	return string(s)
+	s := string(b)
+	slot.Store(&s)
+	return s
 }
 
 // AppendBytes appends b as json.Marshal writes a []byte: base64, or null

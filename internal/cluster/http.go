@@ -91,13 +91,13 @@ func unavailable(w http.ResponseWriter, msg string) {
 func (g *Gateway) handleUnlock(w http.ResponseWriter, r *http.Request) {
 	// The gateway parses the body only to resolve and pin the device
 	// before forwarding it.
-	var req UnlockRequest
-	if r.Body != nil && r.ContentLength != 0 {
-		if err := ReadUnlockRequest(http.MaxBytesReader(w, r.Body, MaxUnlockBody), r.ContentLength, &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, gwError{Error: fmt.Sprintf("bad request body: %v", err)})
-			return
-		}
+	b := GetUnlockBody()
+	defer b.Release()
+	if err := b.Read(w, r); err != nil {
+		writeJSON(w, http.StatusBadRequest, gwError{Error: fmt.Sprintf("bad request body: %v", err)})
+		return
 	}
+	req := &b.Req
 	device := -1
 	if req.Device != nil {
 		device = *req.Device
@@ -113,10 +113,11 @@ func (g *Gateway) handleUnlock(w http.ResponseWriter, r *http.Request) {
 		// ownership.
 		device = int(g.nextDev.Add(1) % uint64(g.cfg.TotalDevices))
 	}
-	req.Device = &device
+	b.device = device
+	req.Device = &b.device
 
 	shard := g.shardFor(device)
-	resp, err := g.relayUnlock(r.Context(), shard, &req)
+	resp, err := g.relayUnlock(r.Context(), shard, req)
 	if err != nil {
 		g.m.errors.Inc()
 		g.m.proxied.With("503").Inc()
@@ -131,7 +132,7 @@ func (g *Gateway) handleUnlock(w http.ResponseWriter, r *http.Request) {
 		g.m.reroutes.Inc()
 		if cur := g.shardFor(device); cur != shard {
 			resp.release()
-			resp, err = g.relayUnlock(r.Context(), cur, &req)
+			resp, err = g.relayUnlock(r.Context(), cur, req)
 			if err != nil {
 				g.m.errors.Inc()
 				g.m.proxied.With("503").Inc()

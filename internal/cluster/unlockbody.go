@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 
 	"wearlock/internal/canonjson"
 )
@@ -30,30 +33,71 @@ type UnlockRequest struct {
 // shard.
 const MaxUnlockBody = 1 << 20
 
-// ReadUnlockRequest reads a POST /v1/unlock body from rd, which the
-// caller bounds by MaxUnlockBody, and decodes it into *req, which must
-// be the zero UnlockRequest. n is the request's ContentLength.
-func ReadUnlockRequest(rd io.Reader, n int64, req *UnlockRequest) error {
-	var body []byte
+// UnlockBody is one POST /v1/unlock request's decoded body with the
+// storage decoding it reuses: the body bytes and Req's device and wait.
+// A handler takes one per request (GetUnlockBody) and gives it back
+// (Release) once nothing reads Req any more.
+type UnlockBody struct {
+	Req    UnlockRequest
+	buf    []byte
+	device int
+	wait   bool
+}
+
+var unlockBodies = sync.Pool{New: func() any { return new(UnlockBody) }}
+
+// maxPooledUnlockBody caps the body buffer an UnlockBody keeps in the
+// pool, so one huge body is not held forever.
+const maxPooledUnlockBody = 4 << 10
+
+// GetUnlockBody returns an UnlockBody from the pool.
+func GetUnlockBody() *UnlockBody { return unlockBodies.Get().(*UnlockBody) }
+
+// Release gives b back to the pool; neither b nor b.Req may be used
+// afterwards.
+func (b *UnlockBody) Release() {
+	if cap(b.buf) > maxPooledUnlockBody {
+		b.buf = nil
+	}
+	unlockBodies.Put(b)
+}
+
+// Read reads r's body, if it has one, through http.MaxBytesReader(w,
+// r.Body, MaxUnlockBody) and decodes it into b.Req as
+// DecodeUnlockRequest does. A body whose stated length is within the
+// limit is read straight into b's buffer, where the limit cannot bite;
+// the answers are the same: the same request, the same errors, and over
+// the limit the same closed connection.
+func (b *UnlockBody) Read(w http.ResponseWriter, r *http.Request) error {
+	if r.Body == nil || r.ContentLength == 0 {
+		b.Req = UnlockRequest{}
+		return nil
+	}
+	b.Req = UnlockRequest{Device: &b.device, Wait: &b.wait}
+	body := b.buf[:0]
 	var err error
-	if n > 0 && n <= MaxUnlockBody {
+	if n := r.ContentLength; n > 0 && n <= MaxUnlockBody {
 		// The client states the size: one exact read.
-		body = make([]byte, n)
-		_, err = io.ReadFull(rd, body)
+		body = slices.Grow(body, int(n))[:n]
+		b.buf = body
+		_, err = io.ReadFull(r.Body, body)
 	} else {
-		body, err = io.ReadAll(rd)
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, MaxUnlockBody))
 	}
 	if err != nil {
 		return err
 	}
-	return DecodeUnlockRequest(body, req)
+	return DecodeUnlockRequest(body, &b.Req)
 }
 
-// DecodeUnlockRequest decodes body into *req, which must be the zero
-// UnlockRequest, exactly as json.Decoder.Decode does: the first JSON
-// value counts and whatever follows it is never read. A body opening
+// DecodeUnlockRequest decodes body into *req exactly as
+// json.Decoder.Decode does into a zero UnlockRequest: the first JSON
+// value counts and whatever follows it is never read. Every field of
+// *req is overwritten; non-nil Device and Wait pointers on entry are
+// storage a canonical body's fields are decoded into. A body opening
 // with an object in the canonical layout AppendUnlockRequest writes is
-// read without reflection; any other body goes to json.Decoder, so the
+// read without reflection, its scenario name taken from the names read
+// before (canonjson.Names); any other body goes to json.Decoder, so the
 // accepted bodies, the decoded values and the errors are its own.
 func DecodeUnlockRequest(body []byte, req *UnlockRequest) error {
 	c := canonjson.NewReader(body)
@@ -69,11 +113,17 @@ func DecodeUnlockRequest(body []byte, req *UnlockRequest) error {
 	return err
 }
 
+// scenarioNames are the scenario names unlock requests named lately: a
+// catalog has a handful, and requests repeat them. Like a sync.Pool it
+// is shared process-wide and changes no decoded value, only whether a
+// decode allocates.
+var scenarioNames canonjson.Names
+
 // read reads one object in AppendUnlockRequest's layout into *req,
 // overwriting every field; non-nil Device and Wait pointers on entry are
 // storage it reuses.
 func (req *UnlockRequest) read(c *canonjson.Reader) {
-	device, wait, scenario := req.Device, req.Wait, req.Scenario
+	device, wait := req.Device, req.Wait
 	*req = UnlockRequest{}
 	c.Lit("{")
 	members := 0
@@ -90,7 +140,7 @@ func (req *UnlockRequest) read(c *canonjson.Reader) {
 		return false
 	}
 	if member(`,"scenario":`) {
-		req.Scenario = c.StrReusing(scenario)
+		req.Scenario = c.StrIn(&scenarioNames)
 	}
 	if member(`,"device":`) {
 		if device == nil {

@@ -30,12 +30,18 @@ type DeviceExport struct {
 // Callers must not invoke it concurrently with an unlock session on the
 // same System (the service layer serializes per device).
 func (s *System) ExportState() DeviceExport {
+	ex := DeviceExport{Key: make([]byte, 0, len(s.key))}
+	s.ExportStateInto(&ex)
+	return ex
+}
+
+// ExportStateInto is ExportState into *ex, copying the key into ex.Key's
+// storage, so a caller exporting again and again allocates nothing.
+func (s *System) ExportStateInto(ex *DeviceExport) {
 	vs := s.ver.Export()
 	gs, gf := s.guard.Export()
-	key := make([]byte, len(s.key))
-	copy(key, s.key)
-	return DeviceExport{
-		Key:           key,
+	*ex = DeviceExport{
+		Key:           append(ex.Key[:0], s.key...),
 		GenCounter:    s.gen.Counter(),
 		VerCounter:    vs.Counter,
 		VerFailures:   vs.Failures,

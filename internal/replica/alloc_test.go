@@ -43,15 +43,14 @@ func wireSend(recv *Receiver) func(time.Time, *cluster.ReplicaAppendRequest) (*c
 
 // One session's record shipped and applied — committed on the primary,
 // relayed off its tail, decoded, committed on the follower and acked,
-// the session waiting for that ack — stays under a fixed allocation
-// count. What is left is the tail's copy of the batch (its record list,
-// device state and key, and fleet state), which the shipper reads after
-// the committer has moved on.
+// the session waiting for that ack — allocates nothing: the tail lends
+// the committer's own records, which the shipper gives back after the
+// follower's ack.
 func TestShipApplyAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const ceiling = 4
+	const ceiling = 0
 	primary, follower := openStore(t), openStore(t)
 	recv := NewReceiver(ReceiverConfig{Store: follower, FollowerID: "standby"})
 	cfg := shipperConfig(primary, recv, 1)

@@ -441,14 +441,18 @@ func (sh *Shipper) stream() error {
 				// Lagged (buffer overflow) or store closed; resync.
 				return errors.New("replica: tail subscription ended")
 			}
-			if err := sh.relay(cb); err != nil {
+			err := sh.relay(cb)
+			sh.req.Records = nil // the batch goes back to the tail
+			sub.Release(cb)
+			if err != nil {
 				return err
 			}
 		}
 	}
 }
 
-// relay ships one live batch, applying the replication chaos plan.
+// relay ships one live batch, applying the replication chaos plan. The
+// batch's records are lent by the tail: relay keeps none of them.
 func (sh *Shipper) relay(cb store.CommittedBatch) error {
 	plan := fault.ForReplication(sh.cfg.Chaos, sh.cfg.Seed, int64(cb.BatchSeq))
 	if plan.DropBatch {
@@ -499,7 +503,6 @@ func (sh *Shipper) relay(cb store.CommittedBatch) error {
 	sh.shipped++
 	sh.mu.Unlock()
 	sh.setAcked(cb.LastSeq)
-	req.Records = nil // the batch is the tail's; keep none of it
 	return nil
 }
 

@@ -171,13 +171,13 @@ func TestSessionGCDropsOnlyExpired(t *testing.T) {
 	check := func(when string, gone, kept []*Session, gced uint64) {
 		t.Helper()
 		for _, sess := range gone {
-			if _, ok := s.Get(sess.ID); ok {
-				t.Errorf("%s: expired session %s still tracked", when, sess.ID)
+			if _, ok := s.Get(sess.ID()); ok {
+				t.Errorf("%s: expired session %s still tracked", when, sess.ID())
 			}
 		}
 		for _, sess := range kept {
-			if _, ok := s.Get(sess.ID); !ok {
-				t.Errorf("%s: session %s dropped", when, sess.ID)
+			if _, ok := s.Get(sess.ID()); !ok {
+				t.Errorf("%s: session %s dropped", when, sess.ID())
 			}
 		}
 		if got := s.m.tracked.Value(); got != int64(len(kept)) {
@@ -260,15 +260,15 @@ func TestWarmSubmitAllocationCeiling(t *testing.T) {
 // durable daemon from the request to the answer's body bytes, as both
 // transports run it: Submit, the session under its borrowed context, the
 // group commit with a reused handle, the wait on the caller's own wake
-// channel and the view appended to a reused buffer. What is left is the
-// Session and its ID, the worker's task, the session's Detail, the
-// device's exported key and the session map's growth; the attacker's
-// motion filter adds one.
+// channel and the view appended to a reused buffer, its ID written from
+// the session's sequence. What is left is the Session, the worker's
+// task, the session's Detail and the session map's growth; the
+// attacker's motion filter adds one.
 func TestDurableSubmitAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	ceilings := map[string]float64{"out-of-range": 6, "attacker": 7}
+	ceilings := map[string]float64{"out-of-range": 4, "attacker": 5}
 	for _, name := range []string{"out-of-range", "attacker"} {
 		cfg := durableConfig(t.TempDir())
 		cfg.GCInterval = time.Hour // no sweep runs during the count

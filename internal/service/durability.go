@@ -219,8 +219,13 @@ func toCoreExport(ds store.DeviceState) core.DeviceExport {
 }
 
 // exportDevice captures one device's durable record. Caller holds dev.mu.
+// The record's key is the pair's own export storage, valid until the
+// next export: both callers hand the record to the store, which copies
+// it.
 func (s *Service) exportDevice(dev *devicePair) store.DeviceState {
-	ex := dev.sys.ExportState()
+	ex := core.DeviceExport{Key: dev.key}
+	dev.sys.ExportStateInto(&ex)
+	dev.key = ex.Key
 	return store.DeviceState{
 		ID:            dev.id,
 		Key:           ex.Key,

@@ -87,17 +87,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Service) handleUnlock(w http.ResponseWriter, r *http.Request) {
-	var req cluster.UnlockRequest
-	if r.Body != nil && r.ContentLength != 0 {
-		body := http.MaxBytesReader(w, r.Body, cluster.MaxUnlockBody)
-		if err := cluster.ReadUnlockRequest(body, r.ContentLength, &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
-			return
-		}
+	b := cluster.GetUnlockBody()
+	defer b.Release()
+	if err := b.Read(w, r); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+		return
 	}
 	wake := s.wakes.Get().(chan struct{})
 	var reply unlockReply
-	s.unlockAnswer(r.Context(), &req, wake, &reply)
+	s.unlockAnswer(r.Context(), &b.Req, wake, &reply)
 	s.wakes.Put(wake) // empty again: await's contract
 	if reply.retryAfter != "" {
 		w.Header().Set("Retry-After", reply.retryAfter)
@@ -197,7 +195,7 @@ func (s *Service) unlockAnswer(ctx context.Context, req *cluster.UnlockRequest, 
 		// the session still finishes and stays queryable.
 		reply.status = http.StatusAccepted
 	}
-	reply.view = sess.Snapshot()
+	reply.view = sess.view()
 }
 
 // refusal maps a Submit error onto its status and Retry-After value.
@@ -232,7 +230,7 @@ func (s *Service) handleSession(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown session (finished sessions expire after the TTL)"})
 		return
 	}
-	v := sess.Snapshot()
+	v := sess.view()
 	buf := s.bodies.Get().(*[]byte)
 	var err error
 	*buf, err = appendView((*buf)[:0], &v)

@@ -54,6 +54,9 @@ type replState struct {
 	following bool
 	promoted  bool
 	inbound   *cluster.StreamServer
+	// warm is replWarmDevices' read storage; the receiver applies, and
+	// so warms, one batch at a time.
+	warm store.DeviceState
 }
 
 // replStreamProto is the Upgrade token of the replication stream.
@@ -342,17 +345,14 @@ func (s *Service) replReceiver() *replica.Receiver {
 // stream inside the downtime window. Failures are tolerated here —
 // promotion repeats the restore and repairs what it cannot trust.
 func (s *Service) replWarmDevices(ids []int) {
+	ds := &s.repl.warm
 	for _, id := range ids {
-		if id < 0 || id >= len(s.devices) {
-			continue
-		}
-		ds, ok := s.store.Device(id)
-		if !ok {
+		if id < 0 || id >= len(s.devices) || !s.store.DeviceInto(id, ds) {
 			continue
 		}
 		dev := s.devices[id]
 		dev.lock()
-		_ = dev.restoreLocked(ds)
+		_ = dev.restoreLocked(*ds)
 		dev.mu.Unlock()
 	}
 	s.m.replAppliedBatches.Inc()

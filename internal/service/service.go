@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,9 +197,11 @@ func (s SessionState) String() string {
 
 // Session tracks one unlock request from admission to GC.
 type Session struct {
-	ID       string
 	Scenario string
 	Device   int
+	// seq is the admission sequence: the session's ID (see ID) and its
+	// key in Service.sessions.
+	seq uint64
 
 	// svc, timeout and faults are what the session runs with besides
 	// its device and scenario; set at admission, read by the worker.
@@ -206,14 +209,15 @@ type Session struct {
 	timeout time.Duration
 	faults  *fault.SessionFaults
 
-	mu        sync.Mutex
-	state     SessionState
-	submitted time.Time
-	// finished is written once, holding both Service.mu and mu, so
-	// either lock reads it.
-	finished time.Time
-	answer   Answer // zero until the session ran
-	err      error
+	mu    sync.Mutex
+	state SessionState
+	// submitted and finished are offsets from Service.started on the
+	// service's clock. finished is written once, with the terminal
+	// state, holding both Service.mu and mu, so either lock reads it.
+	submitted time.Duration
+	finished  time.Duration
+	answer    Answer // zero until the session ran
+	err       error
 	// nextFinished links the service's finished sessions in finish
 	// order, for the GC sweep; Service.mu guards it.
 	nextFinished *Session
@@ -233,6 +237,10 @@ var closedChan = func() chan struct{} {
 	return c
 }()
 
+// ID returns the session's ID: "s-" and its admission sequence,
+// zero-padded to eight digits.
+func (sess *Session) ID() string { return sessionID(sess.seq) }
+
 // View is an immutable snapshot of a session for serialization.
 type View struct {
 	ID       string  `json:"id"`
@@ -250,14 +258,25 @@ type View struct {
 	// queueing.
 	UnlockDelayMS float64 `json:"unlock_delay_ms"`
 	WallMS        float64 `json:"wall_ms"`
+	// seq, when non-zero, is the session's admission sequence, from
+	// which appendView writes the ID: a view rendered for the wire
+	// leaves ID empty and carries no string of its own.
+	seq uint64
 }
 
 // Snapshot renders the session's current state.
 func (sess *Session) Snapshot() View {
+	v := sess.view()
+	v.ID = sessionID(v.seq)
+	return v
+}
+
+// view is Snapshot with the ID left to appendView.
+func (sess *Session) view() View {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	v := View{
-		ID:       sess.ID,
+		seq:      sess.seq,
 		Scenario: sess.Scenario,
 		Device:   sess.Device,
 		State:    sess.state.String(),
@@ -277,8 +296,8 @@ func (sess *Session) Snapshot() View {
 		v.EbN0dB = finiteOr(a.EbN0dB, 0)
 		v.UnlockDelayMS = float64(a.Delay.Microseconds()) / 1000
 	}
-	if !sess.finished.IsZero() {
-		v.WallMS = float64(sess.finished.Sub(sess.submitted).Microseconds()) / 1000
+	if sess.state == StateDone || sess.state == StateFailed {
+		v.WallMS = float64((sess.finished - sess.submitted).Microseconds()) / 1000
 	}
 	return v
 }
@@ -430,6 +449,8 @@ type devicePair struct {
 	sys  *core.System
 	src  *sim.CountingSource
 	res  *core.Result
+	// key is exportDevice's storage for the exported pairing key.
+	key []byte
 	// recovered is the durable record recovery checked and left for the
 	// first build to restore; nil once applied or when there is none.
 	recovered *store.DeviceState
@@ -591,7 +612,7 @@ type Service struct {
 	unlock func(ctx context.Context, dev *devicePair, sc core.Scenario) (Answer, error)
 
 	mu       sync.Mutex
-	sessions map[string]*Session
+	sessions map[uint64]*Session
 	seq      uint64
 	draining bool
 	// firstFinished and lastFinished (under mu) bound the finished
@@ -685,7 +706,7 @@ func New(cfg Config) (*Service, error) {
 		reg:       telemetry.NewRegistry(),
 		clock:     clock,
 		started:   clock.Now(),
-		sessions:  make(map[string]*Session),
+		sessions:  make(map[uint64]*Session),
 		gcStop:    make(chan struct{}),
 		gcDone:    make(chan struct{}),
 	}
@@ -888,27 +909,27 @@ func (s *Service) Submit(req Request) (*Session, error) {
 		sc.Faults = sf
 	}
 	sess := &Session{
-		ID:        sessionID(s.seq),
+		seq:       s.seq,
 		Scenario:  name,
 		Device:    dev.id,
 		svc:       s,
 		timeout:   timeout,
 		faults:    sc.Faults,
 		state:     StateQueued,
-		submitted: s.clock.Now(),
+		submitted: s.clock.Now().Sub(s.started),
 	}
 	// The inflight count covers queued work too, and is raised under mu
 	// so Drain (which flips draining under the same lock before waiting)
 	// can never miss an admitted session. The session is tracked before
 	// it can run, so it is in sessions before it can finish and expire.
 	s.inflight.Add(1)
-	s.sessions[sess.ID] = sess
+	s.sessions[sess.seq] = sess
 	s.m.tracked.Set(int64(len(s.sessions)))
 	s.mu.Unlock()
 
 	if err := s.pool.TrySubmit(sess.run); err != nil {
 		s.mu.Lock()
-		delete(s.sessions, sess.ID)
+		delete(s.sessions, sess.seq)
 		s.m.tracked.Set(int64(len(s.sessions)))
 		s.mu.Unlock()
 		s.inflight.Done()
@@ -937,14 +958,33 @@ func (s *Service) pickDevice(pinned int) *devicePair {
 // sessionID formats seq as fmt.Sprintf("s-%08d", seq) does, into one
 // new string.
 func sessionID(seq uint64) string {
+	var b [22]byte
+	return string(appendSessionID(b[:0], seq))
+}
+
+// appendSessionID appends sessionID(seq) to dst.
+func appendSessionID(dst []byte, seq uint64) []byte {
 	var digits [20]byte
 	num := strconv.AppendUint(digits[:0], seq, 10)
-	var b [22]byte
-	id := append(b[:0], "s-"...)
+	dst = append(dst, "s-"...)
 	for i := len(num); i < 8; i++ {
-		id = append(id, '0')
+		dst = append(dst, '0')
 	}
-	return string(append(id, num...))
+	return append(dst, num...)
+}
+
+// parseSessionID returns the sequence sessionID formats as id, if any.
+func parseSessionID(id string) (uint64, bool) {
+	digits, ok := strings.CutPrefix(id, "s-")
+	if !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	var b [22]byte
+	return seq, string(appendSessionID(b[:0], seq)) == id
 }
 
 // run executes one admitted session on a pool worker, under a
@@ -970,7 +1010,7 @@ func (sess *Session) run() {
 	// The finish time is read under s.mu, so the finished sessions link
 	// up in finish order.
 	s.mu.Lock()
-	now := s.clock.Now()
+	now := s.clock.Now().Sub(s.started)
 	if s.lastFinished == nil {
 		s.firstFinished = sess
 	} else {
@@ -987,7 +1027,7 @@ func (sess *Session) run() {
 	} else {
 		sess.state = StateDone
 	}
-	wall := now.Sub(sess.submitted)
+	wall := now - sess.submitted
 	sess.mu.Unlock()
 	// Metrics first, then done: a waiter or a /metrics scrape that follows
 	// the response must already see this session counted.
@@ -1071,9 +1111,13 @@ func (s *Service) RetryAfter() int {
 
 // Get looks a session up by ID.
 func (s *Service) Get(id string) (*Session, bool) {
+	seq, ok := parseSessionID(id)
+	if !ok {
+		return nil, false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sess, ok := s.sessions[id]
+	sess, ok := s.sessions[seq]
 	return sess, ok
 }
 
@@ -1170,11 +1214,11 @@ func (s *Service) gcLoop() {
 // gcOnce drops the sessions whose finish time is older than the TTL. They
 // lead the finish-ordered list, so the sweep visits none it keeps.
 func (s *Service) gcOnce(now time.Time) {
-	cutoff := now.Add(-s.cfg.SessionTTL)
+	cutoff := now.Sub(s.started) - s.cfg.SessionTTL
 	s.mu.Lock()
 	var dropped uint64
-	for sess := s.firstFinished; sess != nil && sess.finished.Before(cutoff); sess = s.firstFinished {
-		delete(s.sessions, sess.ID)
+	for sess := s.firstFinished; sess != nil && sess.finished < cutoff; sess = s.firstFinished {
+		delete(s.sessions, sess.seq)
 		dropped++
 		// Unlinked, a dropped session a client still holds keeps none of
 		// the later ones alive.

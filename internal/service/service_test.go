@@ -197,7 +197,7 @@ func TestSessionGC(t *testing.T) {
 	// has moved.
 	clock.Advance(time.Hour)
 	s.gcOnce(clock.Now())
-	if _, ok := s.Get(blocked.ID); !ok {
+	if _, ok := s.Get(blocked.ID()); !ok {
 		t.Fatal("GC collected a session still in flight")
 	}
 
@@ -208,12 +208,12 @@ func TestSessionGC(t *testing.T) {
 	finished := clock.Now()
 	// Finished but within the TTL: still queryable.
 	s.gcOnce(finished.Add(cfg.SessionTTL / 2))
-	if _, ok := s.Get(blocked.ID); !ok {
+	if _, ok := s.Get(blocked.ID()); !ok {
 		t.Fatal("GC collected a session inside its TTL")
 	}
 	// One tick past the TTL: collected.
 	s.gcOnce(finished.Add(cfg.SessionTTL + time.Nanosecond))
-	if _, ok := s.Get(blocked.ID); ok {
+	if _, ok := s.Get(blocked.ID()); ok {
 		t.Fatal("finished session not collected after TTL")
 	}
 	if s.m.gced.Value() == 0 {
@@ -372,7 +372,7 @@ func TestConcurrentRealSessionsMetricsConsistent(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			if err := sess.Wait(ctx); err != nil {
-				t.Errorf("session %s: %v", sess.ID, err)
+				t.Errorf("session %s: %v", sess.ID(), err)
 				return
 			}
 			v := sess.Snapshot()

@@ -13,6 +13,7 @@ import (
 // interface: the body of POST /v1/unlock, of its stream answer and of
 // GET /v1/sessions/{id}. Like encoding/json it refuses NaN and ±Inf,
 // which Snapshot never lets through; on error dst comes back unchanged.
+// A view carrying its session's sequence gets the ID written from it.
 func appendView(dst []byte, v *View) ([]byte, error) {
 	for _, f := range [...]float64{v.BER, v.EbN0dB, v.UnlockDelayMS, v.WallMS} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
@@ -20,7 +21,12 @@ func appendView(dst []byte, v *View) ([]byte, error) {
 		}
 	}
 	dst = append(dst, `{"id":`...)
-	dst = canonjson.AppendStr(dst, v.ID)
+	if v.seq != 0 {
+		dst = append(dst, '"')
+		dst = append(appendSessionID(dst, v.seq), '"')
+	} else {
+		dst = canonjson.AppendStr(dst, v.ID)
+	}
 	dst = append(dst, `,"scenario":`...)
 	dst = canonjson.AppendStr(dst, v.Scenario)
 	dst = append(dst, `,"device":`...)

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -85,7 +86,7 @@ func TestViewBodyMatchesEncoder(t *testing.T) {
 // always encodes.
 func TestSnapshotGuardsNonFinite(t *testing.T) {
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		sess := &Session{ID: "s-00000009", Scenario: "default", state: StateDone, submitted: time.Unix(0, 0),
+		sess := &Session{seq: 9, Scenario: "default", state: StateDone,
 			answer: Answer{Outcome: 1, BER: f, EbN0dB: f, Delay: time.Second}}
 		v := sess.Snapshot()
 		if v.BER != -1 || v.EbN0dB != 0 {
@@ -94,6 +95,41 @@ func TestSnapshotGuardsNonFinite(t *testing.T) {
 		checkView(t, v)
 		if _, err := appendView(nil, &v); err != nil {
 			t.Fatalf("guarded view failed to encode: %v", err)
+		}
+	}
+}
+
+// A view rendered for the wire carries its session's sequence, not an
+// ID string: its body is the body of the Snapshot with the ID, byte for
+// byte, and Get takes back exactly the IDs sessionID writes.
+func TestViewIDFromSequence(t *testing.T) {
+	for _, seq := range []uint64{1, 42, 99_999_999, 100_000_000, 1<<63 + 5, math.MaxUint64} {
+		sess := &Session{seq: seq, Scenario: "cafe", Device: 3, state: StateDone,
+			submitted: time.Millisecond, finished: 25 * time.Millisecond,
+			answer: Answer{Outcome: 1, Unlocked: true, BER: 0.01, Delay: time.Second}}
+		v := sess.Snapshot()
+		if v.ID != fmt.Sprintf("s-%08d", seq) {
+			t.Fatalf("seq %d: ID %q", seq, v.ID)
+		}
+		checkView(t, v)
+		want, _ := encoderBody(v)
+		wire := sess.view()
+		if wire.ID != "" {
+			t.Fatalf("seq %d: the wire view carries ID %q", seq, wire.ID)
+		}
+		if got, err := appendView(nil, &wire); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("seq %d: wire view body %s (%v), want %s", seq, got, err, want)
+		}
+		if got, ok := parseSessionID(v.ID); !ok || got != seq {
+			t.Fatalf("parseSessionID(%q) = %d, %v", v.ID, got, ok)
+		}
+	}
+	for _, id := range []string{"", "s-", "s-1", "s-0000042", "s-000000042", "s-00000042x", "x-00000042",
+		"s-+0000042", "S-00000042", "s-00000000", "s-18446744073709551616", " s-00000042"} {
+		if seq, ok := parseSessionID(id); ok && sessionID(seq) != id {
+			t.Errorf("parseSessionID(%q) = %d, which formats as %q", id, seq, sessionID(seq))
+		} else if ok && id != "s-00000000" {
+			t.Errorf("parseSessionID accepted %q", id)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"strconv"
 
 	"wearlock/internal/canonjson"
@@ -72,27 +73,33 @@ func ReadRecord(c *canonjson.Reader, rec *Record) {
 	c.Lit("}")
 }
 
-// appendSnapshot appends sp's JSON encoding, byte-identical to
-// json.Marshal(sp), to dst.
-func appendSnapshot(dst []byte, sp *snapshotPayload) []byte {
+// appendSnapshot appends the snapshot payload of m — the merged state's
+// horizon, fleet state and every device in ID order — to dst,
+// byte-identical to json.Marshal of the snapshotPayload holding copies
+// of them. ids is scratch for the sorted device IDs, returned for reuse.
+func (m *mergedState) appendSnapshot(dst []byte, ids []int) ([]byte, []int) {
 	dst = append(dst, `{"last_seq":`...)
-	dst = strconv.AppendUint(dst, sp.LastSeq, 10)
+	dst = strconv.AppendUint(dst, m.lastSeq, 10)
 	dst = append(dst, `,"service":`...)
-	dst = appendService(dst, &sp.Service)
+	dst = appendService(dst, &m.service)
 	dst = append(dst, `,"devices":`...)
-	if sp.Devices == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range sp.Devices {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendDevice(dst, &sp.Devices[i])
-		}
-		dst = append(dst, ']')
+	if len(m.devices) == 0 {
+		return append(dst, "null}"...), ids
 	}
-	return append(dst, '}')
+	ids = ids[:0]
+	for id := range m.devices {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for i, id := range ids {
+		if i == 0 {
+			dst = append(dst, '[')
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = appendDevice(dst, m.devices[id])
+	}
+	return append(dst, "]}"...), ids
 }
 
 func appendDevice(dst []byte, d *DeviceState) []byte {
@@ -139,11 +146,6 @@ func appendRecordFrame(dst []byte, rec *Record) ([]byte, error) {
 		return dst[:start], fmt.Errorf("store: record %d bytes exceeds max %d", n, MaxRecordSize)
 	}
 	return closeFrame(dst, start), nil
-}
-
-// snapshotFrame returns sp as one WLS1 frame in a fresh buffer.
-func snapshotFrame(sp *snapshotPayload) []byte {
-	return closeFrame(appendSnapshot(openFrame(nil, snapMagic), sp), 0)
 }
 
 // openFrame appends magic and a zeroed length/CRC header to dst; the

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
@@ -269,8 +268,15 @@ type Store struct {
 	tailSeq  uint64
 	tailSubs map[*TailSub]struct{}
 	// batchBuf is the committer's framing buffer, reused across batches
-	// (the WAL write copies it). Guarded by mu.
+	// (the WAL write copies it). snapBuf and snapIDs are the snapshot
+	// and checkpoint image and its sorted device IDs, reused image to
+	// image. loans are the tail loans free for the next batch and
+	// nloans how many exist (tail.go). All guarded by mu.
 	batchBuf []byte
+	snapBuf  []byte
+	snapIDs  []int
+	loans    []*tailLoan
+	nloans   int
 
 	// Group-commit queue. qmu orders enqueues against shutdown; notifyC
 	// wakes the committer; quitC/doneC bound its lifecycle.
@@ -278,8 +284,9 @@ type Store struct {
 	queue   []pending
 	qclosed bool
 	// freeHandles are released handles the next enqueues reuse; batch is
-	// the committer's batch, reused across batches. qmu guards the
-	// first, the committer goroutine owns the second.
+	// the committer's batch, reused across batches unless it is lent to
+	// tail subscribers. qmu guards the first, the committer goroutine
+	// owns the second.
 	freeHandles []*CommitHandle
 	batch       []pending
 	notifyC     chan struct{}
@@ -414,15 +421,25 @@ func (s *Store) State() State {
 
 // Device returns the merged state for one device.
 func (s *Store) Device(id int) (DeviceState, bool) {
+	var d DeviceState
+	ok := s.DeviceInto(id, &d)
+	return d, ok
+}
+
+// DeviceInto copies the merged state for one device into *dst, reusing
+// dst.Key's storage for the key, and reports whether the device exists.
+// A missing device leaves *dst unchanged.
+func (s *Store) DeviceInto(id int, dst *DeviceState) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	d, ok := s.merged.devices[id]
 	if !ok {
-		return DeviceState{}, false
+		return false
 	}
-	c := *d
-	c.Key = append([]byte(nil), d.Key...)
-	return c, true
+	key := append(dst.Key[:0], d.Key...)
+	*dst = *d
+	dst.Key = key
+	return true
 }
 
 // AppendedRecords reports how many records this process has committed
@@ -557,9 +574,7 @@ func (s *Store) drainQueue(final bool) {
 				}
 			}
 		}
-		s.commitBatch(batch)
-		clear(batch) // drop the resolved handles and the states
-		s.batch = batch[:0]
+		s.batch = s.commitBatch(batch)[:0]
 	}
 }
 
@@ -575,14 +590,21 @@ const maxRetainedBatchBuf = 1 << 20
 // rolls and compaction piggyback on the batch that crosses the
 // threshold; their errors propagate to that batch's waiters exactly as
 // the single-record commit path reported them.
-func (s *Store) commitBatch(batch []pending) {
+//
+// It returns the storage the committer builds its next batch in: batch
+// itself, cleared, or, when tail subscribers were lent batch's records,
+// the free storage of the loan that took it.
+func (s *Store) commitBatch(batch []pending) []pending {
+	var next []pending
+	lent := false
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		for i := range batch {
 			resolve(&batch[i], errClosed)
 		}
-		return
+		clear(batch)
+		return batch
 	}
 	buf := s.batchBuf[:0]
 	seq := s.merged.lastSeq
@@ -621,15 +643,7 @@ func (s *Store) commitBatch(batch []pending) {
 			}
 			s.tailSeq++
 			if len(s.tailSubs) > 0 {
-				cb := CommittedBatch{BatchSeq: s.tailSeq, Records: make([]Record, 0, live)}
-				for i := range batch {
-					if batch[i].ok {
-						cb.Records = append(cb.Records, batch[i].rec.clone())
-					}
-				}
-				cb.FirstSeq = cb.Records[0].Seq
-				cb.LastSeq = cb.Records[len(cb.Records)-1].Seq
-				s.publishTailLocked(cb)
+				next, lent = s.publishTailLocked(batch, live)
 			}
 			s.walRecords += live
 			s.appended += uint64(live)
@@ -657,6 +671,11 @@ func (s *Store) commitBatch(batch []pending) {
 			resolve(p, err)
 		}
 	}
+	if lent {
+		return next
+	}
+	clear(batch) // drop the states and the resolved handles
+	return batch
 }
 
 func resolve(p *pending, err error) {
@@ -675,8 +694,7 @@ func resolve(p *pending, err error) {
 // successor segment just leaves a mid-file checkpoint that appends
 // continue after.
 func (s *Store) sealLocked() error {
-	sp := s.snapshotPayloadLocked()
-	if img := snapshotFrame(&sp); len(img)-frameHeaderLen <= MaxRecordSize {
+	if img := s.snapshotImageLocked(); len(img)-frameHeaderLen <= MaxRecordSize {
 		if _, err := s.wal.Write(img); err != nil {
 			return fmt.Errorf("store: appending checkpoint: %w", err)
 		}
@@ -708,23 +726,13 @@ func (s *Store) sealLocked() error {
 	return nil
 }
 
-func (s *Store) snapshotPayloadLocked() snapshotPayload {
-	sp := snapshotPayload{
-		LastSeq: s.merged.lastSeq,
-		Service: s.merged.service,
-	}
-	ids := make([]int, 0, len(s.merged.devices))
-	for id := range s.merged.devices {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		d := s.merged.devices[id]
-		c := *d
-		c.Key = append([]byte(nil), d.Key...)
-		sp.Devices = append(sp.Devices, c)
-	}
-	return sp
+// snapshotImageLocked frames the merged state as one WLS1 snapshot
+// image, in the store's own image buffer: valid until the next image.
+func (s *Store) snapshotImageLocked() []byte {
+	buf := openFrame(s.snapBuf[:0], snapMagic)
+	buf, s.snapIDs = s.merged.appendSnapshot(buf, s.snapIDs)
+	s.snapBuf = closeFrame(buf, 0)
+	return s.snapBuf
 }
 
 // Seal closes out the active WAL segment with an fsynced checkpoint
@@ -759,13 +767,12 @@ func (s *Store) Compact() error {
 }
 
 func (s *Store) compactLocked() error {
-	sp := s.snapshotPayloadLocked()
 	tmpPath := filepath.Join(s.opts.Dir, snapshotTmpName)
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: creating snapshot tmp: %w", err)
 	}
-	if _, err := tmp.Write(snapshotFrame(&sp)); err != nil {
+	if _, err := tmp.Write(s.snapshotImageLocked()); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: writing snapshot: %w", err)
 	}

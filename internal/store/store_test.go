@@ -388,3 +388,37 @@ func TestFsyncCommitPath(t *testing.T) {
 		t.Fatal("commit on closed store succeeded")
 	}
 }
+
+// DeviceInto copies a device's merged state into the caller's record,
+// key bytes into the caller's key storage, so the record never aliases
+// the merged state; a device the store does not hold leaves it as it
+// was.
+func TestDeviceIntoCopiesIntoCallerStorage(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir(), NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.CommitDevice(DeviceState{ID: 3, Key: []byte("k3k3"), GenCounter: 9, RngDraws: 41}); err != nil {
+		t.Fatal(err)
+	}
+	storage := make([]byte, 0, 16)
+	dst := DeviceState{ID: 99, Key: storage}
+	if !s.DeviceInto(3, &dst) {
+		t.Fatal("device 3 not found")
+	}
+	if dst.ID != 3 || string(dst.Key) != "k3k3" || dst.GenCounter != 9 || dst.RngDraws != 41 {
+		t.Fatalf("DeviceInto = %+v", dst)
+	}
+	if &dst.Key[:1][0] != &storage[:1][0] {
+		t.Error("the key was not read into the caller's storage")
+	}
+	dst.Key[0] = 'X'
+	if d, _ := s.Device(3); string(d.Key) != "k3k3" {
+		t.Fatalf("writing the caller's key reached the merged state: %q", d.Key)
+	}
+	before := dst
+	if s.DeviceInto(4, &dst) || dst.ID != before.ID || string(dst.Key) != string(before.Key) {
+		t.Fatalf("a missing device changed the record: %+v", dst)
+	}
+}

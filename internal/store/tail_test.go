@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/binary"
+	"sync"
 	"testing"
 )
 
@@ -75,8 +77,8 @@ func TestTailOrderedBatches(t *testing.T) {
 	}
 }
 
-// Tail records are deep copies: mutating a delivered record must not
-// reach the store's merged state.
+// Tail records are the committer's own copies, never the merged state:
+// mutating a delivered record must not reach it.
 func TestTailRecordsAreCopies(t *testing.T) {
 	s := openTailStore(t)
 	sub := s.SubscribeTail(4)
@@ -174,4 +176,116 @@ func TestTailCloseIdempotent(t *testing.T) {
 		for range sub.C() {
 		}
 	}
+}
+
+// lentRecord is a delivered record's content at receipt.
+type lentRecord struct {
+	seq, gen uint64
+	id       int
+	key      [8]byte
+	svc      uint64
+}
+
+func readLent(rec *Record) lentRecord {
+	l := lentRecord{seq: rec.Seq, id: rec.Device.ID, gen: rec.Device.GenCounter, svc: rec.Service.Seq}
+	copy(l.key[:], rec.Device.Key)
+	return l
+}
+
+// Lent tail records stay put while a subscriber holds them (run with
+// -race -count=10): the subscriber keeps up to three batches out while
+// the committer runs on, lags and resubscribes with batches still out,
+// and closes its subscription in the middle of relaying one. Every held
+// record reads at release what it read at receipt, each key is the one
+// committed with its counter, and once every batch is back all the
+// store's loans are free again.
+func TestTailLentRecordsStayPut(t *testing.T) {
+	const writers, commits = 8, 300
+	s := openTailStore(t)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= commits; i++ {
+				d := DeviceState{ID: w, GenCounter: uint64(i), Key: make([]byte, 8)}
+				binary.LittleEndian.PutUint64(d.Key, uint64(i)*uint64(w+1))
+				if err := s.Commit(&d, &ServiceState{Seq: uint64(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	type held struct {
+		sub  *TailSub
+		cb   CommittedBatch
+		seen []lentRecord
+	}
+	check := func(h held) {
+		for i := range h.cb.Records {
+			if got := readLent(&h.cb.Records[i]); got != h.seen[i] {
+				t.Fatalf("batch %d record %d changed while held: %+v, was %+v", h.cb.BatchSeq, i, got, h.seen[i])
+			}
+		}
+		h.sub.Release(h.cb)
+	}
+	var out []held
+	sub := s.SubscribeTail(2)
+	batches, resubs, closes := 0, 0, 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		case cb, ok := <-sub.C():
+			if !ok {
+				// Lagged: resubscribe with the batches already received
+				// still out, as the shipper's resync does.
+				resubs++
+				sub.Close()
+				sub = s.SubscribeTail(2)
+				continue
+			}
+			batches++
+			h := held{sub: sub, cb: cb}
+			for i := range cb.Records {
+				rec := &cb.Records[i]
+				l := readLent(rec)
+				if binary.LittleEndian.Uint64(l.key[:]) != l.gen*uint64(l.id+1) {
+					t.Fatalf("record %d carries key %x with counter %d", l.seq, l.key, l.gen)
+				}
+				h.seen = append(h.seen, l)
+			}
+			out = append(out, h)
+			if batches%17 == 0 {
+				// Close in the middle of relaying: the held batch is still
+				// the subscriber's to read and to release.
+				closes++
+				sub.Close()
+				check(h)
+				out = out[:len(out)-1]
+				sub = s.SubscribeTail(2)
+			}
+			if len(out) > 3 {
+				check(out[0])
+				out = out[1:]
+			}
+		}
+	}
+	for _, h := range out {
+		check(h)
+	}
+	sub.Close()
+	if batches == 0 || resubs+closes == 0 {
+		t.Fatalf("%d batches, %d lag resubscriptions, %d closes: the drill did not run", batches, resubs, closes)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.loans) != s.nloans {
+		t.Fatalf("%d of %d tail loans free after every batch came back", len(s.loans), s.nloans)
+	}
+	t.Logf("%d batches, %d lag resubscriptions, %d closes, %d loans", batches, resubs, closes, s.nloans)
 }
